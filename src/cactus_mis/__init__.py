@@ -1,7 +1,7 @@
 """Exact counting of maximal independent sets in polygonal cactus chains.
 
 The package builds eight chain-cactus families and their pendant-gadget
-variants, enumerates maximal independent sets exhaustively, expands the
+variants, counts their maximal independent sets exactly by size, expands the
 catalogued rational generating functions exactly, evaluates the catalogued
 recurrences and asymptotic constants, and cross-verifies all of it.
 """

@@ -1,15 +1,21 @@
-"""Exhaustive enumeration of maximal independent sets, tabulated by size.
+"""Exact counts of maximal independent sets, tabulated by size.
 
-This is the project's ground truth: an ordered branch-and-prune search that
-decides each vertex in or out. A branch dies as soon as some excluded vertex
-can no longer acquire a neighbor in the set (it could then be added, so no
-extension is maximal). Counts are exact Python integers.
+This is the project's ground truth. It counts the sets without listing them:
+a frontier sweep decides the vertices in index order, one layer per vertex,
+and keeps only what the rest of the graph can still see (the chosen vertices
+with a neighbor ahead, and the excluded vertices not yet dominated). Partial
+choices with the same frontier state are merged, each carrying a size
+polynomial {k: count}. A state dies as soon as an undominated excluded vertex
+has no neighbor left ahead: it could then be added, so no extension is
+maximal. On the chain cacti every block meets the next in one cut vertex, so
+the frontier stays a few vertices wide and the work grows linearly with the
+number of blocks. Counts are exact Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .graphs import Graph
 
@@ -89,64 +95,54 @@ class SizeDistribution:
         return "{" + inner + "}"
 
 
-def enumerate_mis(
-    g: Graph,
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-    on_set: Optional[Callable[[int], None]] = None,
-) -> SizeDistribution:
+def enumerate_mis(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SizeDistribution:
     """Count all maximal independent sets of g by cardinality.
 
     The empty graph has exactly one maximal independent set, the empty set.
-    `on_set`, used by tests only, receives each maximal set as a bitmask.
 
     Raises VertexLimitExceeded for graphs above `vertex_limit` vertices.
     """
     n = g.vertex_count
     if n > vertex_limit:
         raise VertexLimitExceeded(n, vertex_limit)
-    if n == 0:
-        if on_set is not None:
-            on_set(0)
-        return SizeDistribution({0: 1})
 
     nb = g.neighbor_masks()
-    full = (1 << n) - 1
-    # no_future[v]: vertices with every neighbor below v; once the search is
-    # at v, such a vertex can never gain a set neighbor later.
-    no_future = []
-    for v in range(n + 1):
-        future = full ^ ((1 << v) - 1)
-        mask = 0
-        for u in range(n):
-            if nb[u] & future == 0:
-                mask |= 1 << u
-        no_future.append(mask)
+    # ahead[v]: vertices with a neighbor at index v or later
+    ahead = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        ahead[v] = ahead[v + 1] | nb[v]
 
-    counts: dict[int, int] = {}
-    bit_count = int.bit_count if hasattr(int, "bit_count") else lambda x: bin(x).count("1")
-
-    def walk(v: int, chosen: int, dominated: int, open_excluded: int) -> None:
-        # open_excluded: excluded vertices with no set neighbor yet
-        if open_excluded & no_future[v]:
-            return
-        if v == n:
-            if open_excluded == 0:
-                k = bit_count(chosen)
-                counts[k] = counts.get(k, 0) + 1
-                if on_set is not None:
-                    on_set(chosen)
-            return
-        bit = 1 << v
-        if nb[v] & chosen == 0:
-            closure = nb[v] | bit
-            walk(v + 1, chosen | bit, dominated | closure, open_excluded & ~closure)
-        if dominated & bit:
-            walk(v + 1, chosen, dominated, open_excluded)
-        else:
-            walk(v + 1, chosen, dominated, open_excluded | bit)
-
-    walk(0, 0, 0, 0)
-    return SizeDistribution(counts)
+    # A state is (chosen, open): chosen vertices that still have a neighbor
+    # at or after the cursor, and excluded vertices no chosen vertex
+    # dominates yet. Each state carries its size polynomial {k: count}.
+    layer: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
+    for v in range(n):
+        bit, nbv, keep = 1 << v, nb[v], ahead[v + 1]
+        dead = ~keep
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        for (chosen, open_excluded), poly in layer.items():
+            if nbv & chosen:
+                # v is dominated: it stays out and is not open
+                moves = ((chosen & keep, open_excluded, 0),)
+            else:
+                moves = (((chosen | bit) & keep, open_excluded & ~nbv, 1),
+                         (chosen & keep, open_excluded | bit, 0))
+            for key_chosen, key_open, dk in moves:
+                if key_open & dead:
+                    # an open vertex with no neighbor left ahead can never be
+                    # dominated (it could be added), so no extension is maximal
+                    continue
+                acc = nxt.get((key_chosen, key_open))
+                if acc is None:
+                    nxt[(key_chosen, key_open)] = ({k + 1: c for k, c in poly.items()}
+                                                   if dk else dict(poly))
+                else:
+                    for k, c in poly.items():
+                        acc[k + dk] = acc.get(k + dk, 0) + c
+        layer = nxt
+    # nothing is ahead of the last vertex, so (0, 0) is the only state left
+    # (every graph has a maximal independent set, so it is there)
+    return SizeDistribution(layer[(0, 0)])
 
 
 def mis_count(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> int:

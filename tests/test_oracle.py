@@ -1,6 +1,7 @@
 """Oracle correctness: frozen small cases plus independent recounts."""
 
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from cactus_mis.oracle import (
     is_maximal_independent,
     mis_count,
 )
+from cactus_mis.series import recurrence_sequence
 
 
 def cycle(n):
@@ -101,14 +103,44 @@ def test_determinism():
     assert enumerate_mis(g) == enumerate_mis(g)
 
 
-def test_every_enumerated_set_is_maximal_independent():
-    g = build_graph("para-hexagonal", 2)
-    seen = []
-    enumerate_mis(g, on_set=seen.append)
-    assert len(seen) == len(set(seen)) == mis_count(g)
-    for mask in seen:
-        members = [v for v in range(g.vertex_count) if mask >> v & 1]
-        assert is_maximal_independent(g, members)
+def random_graph(rng):
+    # labels are shuffled, so the sweep order is not path-like and the
+    # frontier is wide; a few vertices are left isolated
+    n = rng.randint(0, 16)
+    p = rng.uniform(0.2, 0.6)
+    label = list(range(n))
+    rng.shuffle(label)
+    isolated = set(rng.sample(range(n), min(n, rng.randint(0, 2))))
+    edges = [(label[u], label[v]) for u in range(n) for v in range(u + 1, n)
+             if u not in isolated and v not in isolated and rng.random() < p]
+    return Graph(n, edges)
+
+
+def test_matches_independent_oracles_on_random_graphs():
+    rng = random.Random(20261018)
+    for _ in range(30):
+        g = random_graph(rng)
+        dist = enumerate_mis(g).as_dict()
+        assert dist == subset_filter_masks(g)
+        assert dist == complement_cliques(g)
+
+
+@pytest.mark.parametrize("fam", FAMILY_IDS)
+def test_totals_follow_recurrence_to_n_40(catalog, fam):
+    rec = catalog.family(fam).recurrence
+    expected = recurrence_sequence(rec.lags, rec.initial, 40)
+    for n in range(41):
+        assert enumerate_mis(build_graph(fam, n), vertex_limit=10 ** 9).total == expected[n]
+
+
+def test_large_chain_within_default_recursion_limit(catalog):
+    # 1501 vertices: a search as deep as |V| would exceed the default limit
+    assert sys.getrecursionlimit() < 1501
+    rec = catalog.family("ortho-hexagonal").recurrence
+    g = build_graph("ortho-hexagonal", 300)
+    assert g.vertex_count == 1501
+    total = enumerate_mis(g, vertex_limit=10 ** 9).total
+    assert total == recurrence_sequence(rec.lags, rec.initial, 300)[300]
 
 
 def test_vertex_limit_guard():
