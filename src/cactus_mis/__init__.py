@@ -33,7 +33,6 @@ from .series import (
     RationalGF,
     UnivarPoly,
     UnivarRational,
-    eval_recurrence,
     parse_bivar,
     parse_univar,
     rational_from_recurrence,
@@ -63,7 +62,7 @@ __all__ = [
     "DEFAULT_VERTEX_LIMIT", "SizeDistribution", "VertexLimitExceeded",
     "enumerate_mis", "is_maximal_independent", "mis_count",
     "BivarPoly", "RationalGF", "UnivarPoly", "UnivarRational",
-    "eval_recurrence", "parse_bivar", "parse_univar", "rational_from_recurrence",
+    "parse_bivar", "parse_univar", "rational_from_recurrence",
     "recurrence_from_gf", "recurrence_sequence", "reduce_fraction",
     "series_in_x", "specialize_y1",
     "Catalog", "FamilyRecord", "TransferIdentity", "load_catalog",

@@ -2,9 +2,9 @@
 asymptotic constants, small-n check values, and the count-transfer identities.
 
 The catalog file stores claims exactly as stated by their source, including
-entries the verification pipeline refutes. Refuted claims are flagged as
-disputed from the committed baseline report; the claims themselves are never
-edited.
+entries the verification pipeline refutes. Verdicts live in the verification
+report, never in the catalog: loading it reads no report, and the claims
+themselves are never edited.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class BoundaryCheck:
     kind: str
     n: int
     claimed: SizeDistribution
-    disputed: bool = False
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class TransferIdentity:
 
     `stated_from` records the range claimed by the source; it differs from
     valid_from only where the stated range includes a structurally degenerate
-    instance (flagged disputed by the baseline report).
+    instance (which the verification report refutes).
     """
 
     identity_id: str
@@ -115,7 +114,6 @@ class TransferIdentity:
     rhs: tuple[TransferTerm, ...]
     valid_from: int
     stated_from: int
-    disputed_range: bool = False
 
 
 @dataclass(frozen=True)
@@ -173,23 +171,6 @@ def _data_text(name: str) -> Optional[str]:
         return None
 
 
-def _load_disputed_anchors() -> tuple[set, set]:
-    """Claim ids refuted in the committed baseline report, if one is shipped."""
-    text = _data_text("baseline_report.json")
-    if text is None:
-        return set(), set()
-    report = json.loads(text)
-    disputed = set()
-    disputed_ranges = set()
-    for anchor, entry in report.get("claims", {}).items():
-        if entry.get("verdict") == "REFUTED" and anchor.startswith("check:"):
-            disputed.add(anchor)
-    for ident_id, entry in report.get("identity_range_notes", {}).items():
-        if entry.get("stated_range_refuted"):
-            disputed_ranges.add(ident_id)
-    return disputed, disputed_ranges
-
-
 def _parse_univar_rational(raw: dict) -> UnivarRational:
     num = parse_univar(raw["num"])
     den = parse_univar(raw["den"])
@@ -202,7 +183,6 @@ def load_catalog() -> Catalog:
     if text is None:
         raise FileNotFoundError("catalog.json is missing from the package data")
     raw = json.loads(text)
-    disputed_checks, disputed_ranges = _load_disputed_anchors()
 
     families = []
     for fam_raw in raw["families"]:
@@ -246,7 +226,6 @@ def load_catalog() -> Catalog:
                 kind=c["kind"],
                 n=c["n"],
                 claimed=SizeDistribution({int(k): v for k, v in c["counts"].items()}),
-                disputed=c["id"] in disputed_checks,
             )
             for c in fam_raw["boundary_checks"]
         )
@@ -286,7 +265,6 @@ def load_catalog() -> Catalog:
                 rhs=terms,
                 valid_from=ident_raw["valid_from"],
                 stated_from=ident_raw["stated_from"],
-                disputed_range=ident_raw["id"] in disputed_ranges,
             )
         )
 

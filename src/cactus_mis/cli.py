@@ -15,18 +15,12 @@ from typing import Optional
 from . import asymptotics as asym
 from .catalog import load_catalog
 from .emit import emit
-from .graphs import FAMILY_IDS, build_graph, graph_order
+from .graphs import FAMILIES, FAMILY_IDS, build_graph, graph_order
 from .oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
 from .series import recurrence_sequence, series_in_x
 from .verify import has_refuted, report_to_json, report_to_table, run_verification
 
 VERTEX_LIMIT_ENV = "CACTUS_MIS_VERTEX_LIMIT"
-
-PAPER_SYMBOLS = {
-    "triangular": "T", "diamond": "D", "square": "S", "pentagonal": "P",
-    "meta-pentagonal": "M", "meta-hexagonal": "H", "para-hexagonal": "G",
-    "ortho-hexagonal": "Q",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,7 +182,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list_families(args) -> int:
-    lines = [f"{fam:<16} {PAPER_SYMBOLS[fam]}" for fam in FAMILY_IDS]
+    lines = [f"{fam:<16} {FAMILIES[fam].symbol.upper()}" for fam in FAMILY_IDS]
     _write("\n".join(lines) + "\n", None)
     return 0
 

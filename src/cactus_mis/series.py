@@ -7,6 +7,11 @@ Two variable conventions are used throughout:
 * UnivarPoly: dense coefficient list in one variable (x for counting series,
   y for per-n size polynomials).
 
+series_in_x expands num/den in powers of x. It splits den into sparse rows of
+(y-degree, coefficient) per power of x once, then builds each coefficient c_n
+as a plain list of ints, subtracting one shifted multiple of an earlier c_{n-j}
+per denominator term; UnivarPoly has no arithmetic operators of its own.
+
 Everything here is exact; floats never appear.
 """
 
@@ -22,13 +27,6 @@ from typing import Iterable, Mapping, Sequence
 # Univariate polynomials: plain coefficient lists, trailing zeros trimmed.
 # ----------------------------------------------------------------------------
 
-def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
 @dataclass(frozen=True)
 class UnivarPoly:
     """Dense univariate polynomial over exact integers."""
@@ -36,7 +34,10 @@ class UnivarPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
+        c = [int(a) for a in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @property
     def degree(self) -> int:
@@ -49,39 +50,8 @@ class UnivarPoly:
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __add__(self, other: "UnivarPoly") -> "UnivarPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivarPoly([self[i] + other[i] for i in range(n)])
-
-    def __sub__(self, other: "UnivarPoly") -> "UnivarPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivarPoly([self[i] - other[i] for i in range(n)])
-
-    def __neg__(self) -> "UnivarPoly":
-        return UnivarPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: "UnivarPoly") -> "UnivarPoly":
-        if self.is_zero() or other.is_zero():
-            return UnivarPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UnivarPoly(out)
-
-    def scale(self, c: int) -> "UnivarPoly":
-        return UnivarPoly([c * a for a in self.coeffs])
-
     def derivative(self) -> "UnivarPoly":
         return UnivarPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_int(self, x: int) -> int:
-        r = 0
-        for c in reversed(self.coeffs):
-            r = r * x + c
-        return r
 
     def eval_float(self, x: float) -> float:
         r = 0.0
@@ -99,16 +69,14 @@ class UnivarPoly:
             if i == 0:
                 parts.append(str(c))
                 continue
-            mag = abs(c)
             body = var if i == 1 else f"{var}^{i}"
-            if mag != 1:
-                body = f"{mag}{body}"
-            parts.append(("-" if c < 0 else "+") + body if parts else
-                         ("-" + body if c < 0 else body))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" {p[0]} {p[1:]}" if p[0] in "+-" else f" + {p}"
-        return out
+            if c != 1 and c != -1:
+                body = f"{abs(c)}{body}"
+            if parts:
+                parts.append(("- " if c < 0 else "+ ") + body)
+            else:
+                parts.append("-" + body if c < 0 else body)
+        return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -251,24 +219,8 @@ class BivarPoly:
                 out[k] = out.get(k, 0) + c1 * c2
         return BivarPoly(out)
 
-    def derivative_x(self) -> "BivarPoly":
-        return BivarPoly({(i - 1, j): i * c for (i, j), c in self.terms.items() if i >= 1})
-
     def degree_x(self) -> int:
         return max((i for (i, _) in self.terms), default=-1)
-
-    def coeff_of_x(self, n: int) -> UnivarPoly:
-        """Coefficient of x^n, as a polynomial in y."""
-        by_j: dict[int, int] = {}
-        for (i, j), c in self.terms.items():
-            if i == n:
-                by_j[j] = c
-        if not by_j:
-            return UnivarPoly()
-        out = [0] * (max(by_j) + 1)
-        for j, c in by_j.items():
-            out[j] = c
-        return UnivarPoly(out)
 
     def substitute_y1(self) -> UnivarPoly:
         out: dict[int, int] = {}
@@ -368,7 +320,7 @@ class RationalGF:
     den: BivarPoly
 
     def __post_init__(self):
-        if self.den.coeff_of_x(0).coeffs != (1,):
+        if {j: c for (i, j), c in self.den.terms.items() if i == 0} != {0: 1}:
             raise ValueError("denominator must satisfy den(0, y) = 1")
 
     @classmethod
@@ -380,21 +332,38 @@ class RationalGF:
         return cls(n, d)
 
 
+def _rows_by_x(p: BivarPoly) -> list[list[tuple[int, int]]]:
+    """The terms of p as one sparse row of (y-degree, coefficient) per x-degree."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(p.degree_x() + 1)]
+    for (i, j), c in sorted(p.terms.items()):
+        rows[i].append((j, c))
+    return rows
+
+
 def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
     """Series coefficients c_0 .. c_{n_max}, each a polynomial in y.
 
-    c_n = N_n - sum_{j=1..deg_x(den)} D_j * c_{n-j}, all exact.
+    c_n = N_n - sum_{j=1..deg_x(den)} D_j * c_{n-j}, all exact; a term d*y^s
+    of D_j subtracts d * c_{n-j}, shifted up by s, from c_n's list.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    deg_den = gf.den.degree_x()
-    dens = [gf.den.coeff_of_x(j) for j in range(deg_den + 1)]
+    den = _rows_by_x(gf.den)
+    num = _rows_by_x(gf.num)
     out: list[UnivarPoly] = []
     for n in range(n_max + 1):
-        c = gf.num.coeff_of_x(n)
-        for j in range(1, min(n, deg_den) + 1):
-            c = c - dens[j] * out[n - j]
-        out.append(c)
+        subtract = [(s, d, out[n - j].coeffs) for j in range(1, min(n, len(den) - 1) + 1)
+                    for s, d in den[j]]
+        num_row = num[n] if n < len(num) else []
+        width = max([s + len(prev) for s, _d, prev in subtract] + [j + 1 for j, _c in num_row],
+                    default=0)
+        c = [0] * width
+        for j, a in num_row:
+            c[j] = a
+        for s, d, prev in subtract:
+            end = s + len(prev)
+            c[s:end] = [a - d * b for a, b in zip(c[s:end], prev)]
+        out.append(UnivarPoly(c))
     return out
 
 
@@ -416,28 +385,6 @@ def recurrence_from_gf(r: UnivarRational) -> tuple[tuple[int, ...], int]:
     lags = tuple(-c for c in r.den.coeffs[1:])
     valid_from = r.num.degree + 1
     return lags, max(valid_from, 1)
-
-
-def eval_recurrence(lags: Sequence[int], initial: Sequence[int], n: int) -> int:
-    """a_n by exact iteration; `initial` supplies a_0 .. a_{m-1}.
-
-    Terms whose index would be negative are skipped, matching the power
-    series of a rational function whose numerator degree is below m.
-    """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if not initial:
-        raise ValueError("at least one initial value is required")
-    vals = [int(a) for a in initial]
-    if n < len(vals):
-        return vals[n]
-    for m in range(len(vals), n + 1):
-        acc = 0
-        for i, lag in enumerate(lags, start=1):
-            if m - i >= 0:
-                acc += lag * vals[m - i]
-        vals.append(acc)
-    return vals[n]
 
 
 def recurrence_sequence(lags: Sequence[int], initial: Sequence[int], n_max: int) -> list[int]:

@@ -1,5 +1,8 @@
 """Catalog integrity: parseability, invariants, and agreement with the oracle."""
 
+import json
+from importlib import resources
+
 import pytest
 
 from cactus_mis.catalog import claim_anchor_universe
@@ -61,21 +64,33 @@ def test_gf_candidates(catalog):
             rec.gf("bogus")
 
 
-def test_every_boundary_check_against_oracle(catalog):
-    """Non-disputed stated check values must match enumeration exactly;
-    disputed ones must genuinely disagree (that is what the flag records)."""
+@pytest.fixture(scope="module")
+def baseline():
+    """The committed verification report; the catalog itself carries no verdicts."""
+    text = resources.files("cactus_mis").joinpath("data/baseline_report.json").read_text(encoding="utf-8")
+    return json.loads(text)
+
+
+def _refuted(baseline, claim_id):
+    return baseline["claims"].get(claim_id, {}).get("verdict") == "REFUTED"
+
+
+def test_every_boundary_check_against_oracle(catalog, baseline):
+    """Stated check values the baseline does not refute must match enumeration
+    exactly; refuted ones must genuinely disagree (that is what the verdict records)."""
     for rec in catalog.families:
         for check in rec.boundary_checks:
             aux = None if check.kind == "family" else check.kind
             actual = enumerate_mis(build_graph(rec.family_id, check.n, aux))
-            if check.disputed:
+            if _refuted(baseline, check.check_id):
                 assert actual != check.claimed, check.check_id
             else:
                 assert actual == check.claimed, check.check_id
 
 
-def test_disputed_flags_populated_from_baseline(catalog):
-    disputed = {c.check_id for rec in catalog.families for c in rec.boundary_checks if c.disputed}
+def test_disputed_flags_populated_from_baseline(catalog, baseline):
+    check_ids = {c.check_id for rec in catalog.families for c in rec.boundary_checks}
+    disputed = {cid for cid in check_ids if _refuted(baseline, cid)}
     assert disputed == {
         "check:sbar:1",        # stated zero beyond k=2; enumeration finds size-3 sets
         "check:pbar:0:b",      # one of the two conflicting citations
@@ -84,8 +99,9 @@ def test_disputed_flags_populated_from_baseline(catalog):
         "check:mtil:1",        # stated all-zero row
         "check:hbar:1:a",      # stated all-zero row; the other citation is confirmed
     }
-    ranges = {i.identity_id for i in catalog.identities if i.disputed_range}
-    assert ranges == {"dbar4"}
+    identity_ids = {i.identity_id for i in catalog.identities}
+    ranges = {i for i, note in baseline["identity_range_notes"].items() if note.get("stated_range_refuted")}
+    assert ranges == {"dbar4"} and ranges <= identity_ids
 
 
 def test_transfer_identity_invariants(catalog):

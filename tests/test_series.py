@@ -9,7 +9,6 @@ from cactus_mis.series import (
     RationalGF,
     UnivarPoly,
     UnivarRational,
-    eval_recurrence,
     parse_bivar,
     parse_univar,
     rational_from_recurrence,
@@ -46,6 +45,32 @@ def test_parse_rejects_garbage():
         parse_univar("1 + xy")
 
 
+# Recorded before text() was rewritten to join its terms once; they pin the printed format.
+UNIVAR_TEXT_GOLDEN = [
+    ((), "x", "0"),
+    ((0, 0), "y", "0"),
+    ((-3,), "x", "-3"),
+    ((1,), "y", "1"),
+    ((-1,), "x", "-1"),
+    ((7,), "x", "7"),
+    ((0, -1), "y", "-y"),
+    ((0, 0, -3), "y", "-3y^2"),
+    ((0, -1, 1, -1), "x", "-x + x^2 - x^3"),
+    ((0, 1), "y", "y"),
+    ((-1, -1, 0, -1), "y", "-1 - y - y^3"),
+    ((2, 1, -1, 0, 7), "x", "2 + x - x^2 + 7x^4"),
+    ((0, 0, 0, -12, 0, 0, 1), "y", "-12y^3 + y^6"),
+    ((-5, 0, 1, 0, -1, 0, -10 ** 21), "x", "-5 + x^2 - x^4 - 1000000000000000000000x^6"),
+    ((0, 3, -1, 0, 0, 1), "y", "3y - y^2 + y^5"),
+    ((4, -1), "x", "4 - x"),
+]
+
+
+def test_univar_text_golden():
+    for coeffs, var, expected in UNIVAR_TEXT_GOLDEN:
+        assert UnivarPoly(coeffs).text(var) == expected, coeffs
+
+
 def test_poly_text_round_trip():
     p = parse_bivar("1 - 2xy + 2xy^2 - 2x^2y^3 + x^2y^2 + x^2y^4")
     assert parse_bivar(p.text()) == p
@@ -56,8 +81,6 @@ def test_ring_examples():
     one_minus = parse_bivar("1 - xy")
     assert one_plus * one_minus == parse_bivar("1 - x^2y^2")
     assert parse_bivar("x + y") + parse_bivar("-x") == parse_bivar("y")
-    d = parse_bivar("1 - x - x^2").derivative_x()
-    assert d == parse_bivar("-1 - 2x")
 
 
 @settings(max_examples=150, deadline=None)
@@ -81,6 +104,29 @@ def test_series_in_x_examples():
     assert cs[0].coeffs == (1,)
     assert cs[1].coeffs == (0, 3)  # 3y
     assert cs[2].coeffs == (0, 1, 4)  # y + 4y^2
+
+
+def _bivar_terms(x_degrees, max_size):
+    # sparse in y as well as in x: rows may be empty and y-degrees may skip
+    return st.dictionaries(st.tuples(x_degrees, st.integers(0, 6)), st.integers(-5, 5), max_size=max_size)
+
+
+random_gfs = st.builds(
+    lambda num, den: RationalGF(BivarPoly(num), BivarPoly({**den, (0, 0): 1})),
+    _bivar_terms(st.integers(0, 7), 8),  # num may reach past deg_x(den)
+    _bivar_terms(st.integers(1, 4), 6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_gfs, st.integers(0, 12))
+def test_series_in_x_solves_den_times_series_eq_num(gf, n_max):
+    cs = series_in_x(gf, n_max)
+    assert len(cs) == n_max + 1
+    series_poly = BivarPoly({(n, j): c for n, poly in enumerate(cs) for j, c in enumerate(poly.coeffs)})
+    residue = gf.den * series_poly - gf.num
+    assert all(i > n_max for (i, _j) in residue.terms)
+    assert [sum(c.coeffs) for c in cs] == specialize_y1(gf).series(n_max)
 
 
 def test_series_round_trip_identity(catalog):
@@ -132,15 +178,12 @@ def test_recurrence_from_gf_examples():
     assert recurrence_from_gf(r) == ((2, -1, 1), 4)
 
 
-def test_eval_recurrence_examples():
-    assert eval_recurrence((1, 1), (1, 3, 5), 3) == 8
-    assert eval_recurrence((1, 5, 4), (1, 5, 13, 42, 127), 5) == 389
-    assert eval_recurrence((3, 3), (1, 5, 19, 72), 4) == 273
-    assert eval_recurrence((2,), (1, 2), 20) == 2 ** 20
-    with pytest.raises(ValueError):
-        eval_recurrence((1,), (), 1)
-    with pytest.raises(ValueError):
-        eval_recurrence((1,), (1,), -1)
+def test_recurrence_sequence_examples():
+    assert recurrence_sequence((1, 1), (1, 3, 5), 3)[3] == 8
+    assert recurrence_sequence((1, 5, 4), (1, 5, 13, 42, 127), 5)[5] == 389
+    assert recurrence_sequence((3, 3), (1, 5, 19, 72), 4)[4] == 273
+    assert recurrence_sequence((2,), (1, 2), 20) == [2 ** n for n in range(21)]
+    assert recurrence_sequence((1, 1), (1, 3, 5), 1) == [1, 3]  # initial values past n_max are cut
 
 
 def test_recurrence_reproduces_series_to_50(catalog):
@@ -166,5 +209,5 @@ def test_reduce_fraction_is_identity_for_coprime():
 
 
 def test_big_integer_growth():
-    v = eval_recurrence((3, 3), (1, 5, 19, 72), 200)
+    v = recurrence_sequence((3, 3), (1, 5, 19, 72), 200)[200]
     assert v > 10 ** 100  # exact big-int arithmetic, no overflow
