@@ -9,8 +9,11 @@ Two variable conventions are used throughout:
 
 series_in_x expands num/den in powers of x. It splits den into sparse rows of
 (y-degree, coefficient) per power of x once, then builds each coefficient c_n
-as a plain list of ints, subtracting one shifted multiple of an earlier c_{n-j}
-per denominator term; UnivarPoly has no arithmetic operators of its own.
+as a band: its lowest nonzero y-degree and the plain list of ints from there
+to its highest nonzero degree. Each denominator term subtracts one shifted
+multiple of an earlier band, so the zeros below the lowest y-degree (over half
+of a deep expansion) cost nothing. UnivarPoly has no arithmetic operators of
+its own.
 
 Everything here is exact; floats never appear.
 """
@@ -18,8 +21,11 @@ Everything here is exact; floats never appear.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -34,7 +40,7 @@ class UnivarPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = [int(a) for a in coeffs]
+        c = list(map(int, coeffs))
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -60,22 +66,26 @@ class UnivarPoly:
         return r
 
     def text(self, var: str = "x") -> str:
-        if self.is_zero():
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-                continue
-            body = var if i == 1 else f"{var}^{i}"
-            if c != 1 and c != -1:
-                body = f"{abs(c)}{body}"
-            if parts:
-                parts.append(("- " if c < 0 else "+ ") + body)
-            else:
-                parts.append("-" + body if c < 0 else body)
+        for i in compress(count(), coeffs):  # the degrees of the nonzero terms
+            c = coeffs[i]
+            if i > 1:  # the common term: one f-string
+                if c > 1:
+                    parts.append(f"+ {c}{var}^{i}")
+                    continue
+                if c < -1:
+                    parts.append(f"- {-c}{var}^{i}")
+                    continue
+            body = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            mag = abs(c)
+            if mag != 1 or not body:
+                body = f"{mag}{body}"
+            parts.append(("- " if c < 0 else "+ ") + body)
+        head = parts[0]
+        parts[0] = "-" + head[2:] if head[0] == "-" else head[2:]
         return " ".join(parts)
 
 
@@ -343,27 +353,48 @@ def _rows_by_x(p: BivarPoly) -> list[list[tuple[int, int]]]:
 def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
     """Series coefficients c_0 .. c_{n_max}, each a polynomial in y.
 
-    c_n = N_n - sum_{j=1..deg_x(den)} D_j * c_{n-j}, all exact; a term d*y^s
-    of D_j subtracts d * c_{n-j}, shifted up by s, from c_n's list.
+    c_n = N_n - sum_{j=1..deg_x(den)} D_j * c_{n-j}, all exact. Each c_n is
+    built as a band (lo, list): lo is its lowest nonzero y-degree and the list
+    runs from there to its highest nonzero degree. A term d*y^s of D_j
+    subtracts d times the band of c_{n-j}, shifted up by s, in one slice
+    assignment; the dense UnivarPoly is built once per row.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     den = _rows_by_x(gf.den)
     num = _rows_by_x(gf.num)
+    bands: deque[tuple[int, list[int]]] = deque(maxlen=len(den) - 1)  # c_{n-1} is bands[-1]
     out: list[UnivarPoly] = []
     for n in range(n_max + 1):
-        subtract = [(s, d, out[n - j].coeffs) for j in range(1, min(n, len(den) - 1) + 1)
-                    for s, d in den[j]]
+        updates = []
+        for j in range(1, min(n, len(den) - 1) + 1):
+            prev_lo, prev = bands[-j]
+            if prev:
+                updates += [(s + prev_lo, d, prev) for s, d in den[j]]
         num_row = num[n] if n < len(num) else []
-        width = max([s + len(prev) for s, _d, prev in subtract] + [j + 1 for j, _c in num_row],
-                    default=0)
-        c = [0] * width
+        lo = min([at for at, _d, _prev in updates] + [j for j, _a in num_row], default=0)
+        hi = max([at + len(prev) for at, _d, prev in updates] + [j + 1 for j, _a in num_row],
+                 default=0)
+        c = [0] * (hi - lo)
         for j, a in num_row:
-            c[j] = a
-        for s, d, prev in subtract:
-            end = s + len(prev)
-            c[s:end] = [a - d * b for a, b in zip(c[s:end], prev)]
-        out.append(UnivarPoly(c))
+            c[j - lo] = a
+        for at, d, prev in updates:
+            at -= lo
+            end = at + len(prev)
+            if d == -1:
+                c[at:end] = map(add, c[at:end], prev)
+            elif d == 1:
+                c[at:end] = map(sub, c[at:end], prev)
+            else:
+                c[at:end] = map(sub, c[at:end], map(d.__mul__, prev))
+        while c and not c[-1]:  # cancellation can clear either end
+            c.pop()
+        first = next((i for i, v in enumerate(c) if v), 0)
+        if first:
+            del c[:first]
+            lo += first
+        bands.append((lo, c))
+        out.append(UnivarPoly([0] * lo + c))
     return out
 
 
@@ -389,6 +420,8 @@ def recurrence_from_gf(r: UnivarRational) -> tuple[tuple[int, ...], int]:
 
 def recurrence_sequence(lags: Sequence[int], initial: Sequence[int], n_max: int) -> list[int]:
     """a_0 .. a_{n_max} by exact iteration."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     vals = [int(a) for a in initial[: n_max + 1]]
     for m in range(len(vals), n_max + 1):
         vals.append(sum(lag * vals[m - i] for i, lag in enumerate(lags, start=1) if m - i >= 0))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from typing import Mapping, Optional
 
 from . import asymptotics as asym
 from .catalog import Catalog, FamilyRecord, TransferIdentity, load_catalog
@@ -104,18 +104,11 @@ def _poly_json(coeffs) -> dict[str, int]:
     return {str(k): c for k, c in enumerate(coeffs) if c}
 
 
-def _first_mismatch(oracle: SizeDistribution, claimed: SizeDistribution) -> Optional[dict]:
-    """Smallest k where the distributions disagree, or None."""
-    for k in sorted(set(oracle.counts) | set(claimed.counts)):
-        if oracle[k] != claimed[k]:
-            return {"k": k, "oracle": oracle[k], "claimed": claimed[k]}
-    return None
+def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Optional[dict]:
+    """Smallest k where the oracle disagrees with the claimed {k: count}, or None.
 
-
-def _poly_mismatch(oracle: SizeDistribution, claimed_poly) -> Optional[dict]:
-    """Compare an oracle distribution against stated series coefficients,
-    which may be arbitrary integers when the stated series is wrong."""
-    claimed = {k: c for k, c in enumerate(claimed_poly.coeffs) if c}
+    Claimed counts may be arbitrary integers when a stated series is wrong.
+    """
     for k in sorted(set(oracle.counts) | set(claimed)):
         if oracle[k] != claimed.get(k, 0):
             return {"k": k, "oracle": oracle[k], "claimed": claimed.get(k, 0)}
@@ -161,14 +154,14 @@ def verify_family(record: FamilyRecord, n_max: int,
         checked_to = n
         for cand_id, series in series_by_candidate.items():
             if candidates[cand_id]["first_mismatch"] is None:
-                bad = _poly_mismatch(oracle, series[n])
+                bad = _first_mismatch(oracle, dict(enumerate(series[n].coeffs)))
                 if bad is not None:
                     candidates[cand_id]["first_mismatch"] = {"n": n, **bad}
         if recurrence_mismatch is None and oracle.total != rec_totals[n]:
             recurrence_mismatch = {"n": n, "oracle_total": oracle.total, "claimed_total": rec_totals[n]}
         resolved = _resolve_candidate(record, candidates)
         claimed_poly = series_by_candidate[resolved][n]
-        entry_mismatch = _poly_mismatch(oracle, claimed_poly)
+        entry_mismatch = _first_mismatch(oracle, dict(enumerate(claimed_poly.coeffs)))
         status = CONFIRMED
         mismatch_field = None
         if entry_mismatch is not None:
@@ -222,7 +215,7 @@ def verify_family(record: FamilyRecord, n_max: int,
                 "verdict": SKIPPED, "reason": str(exc),
             }
             continue
-        bad = _first_mismatch(oracle, check.claimed)
+        bad = _first_mismatch(oracle, check.claimed.counts)
         boundary_claims[check.anchor] = {
             "kind": "boundary",
             "family": fam,

@@ -100,6 +100,13 @@ def test_series_bivariate(capsys):
     assert out.splitlines() == ["0: 1", "1: 3y", "2: y + 4y^2"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--bivariate"]])
+def test_series_negative_n_max_is_an_error(extra, capsys):
+    code, out, err = run_cli(["series", "--family", "triangular", "--n-max", "-1", *extra], capsys)
+    assert (code, out) == (2, "")
+    assert "n_max must be >= 0" in err
+
+
 def test_estimate(capsys):
     code, out, _ = run_cli(["estimate", "--family", "meta-pentagonal", "--n", "2"], capsys)
     assert code == 0

@@ -45,7 +45,7 @@ def test_parse_rejects_garbage():
         parse_univar("1 + xy")
 
 
-# Recorded before text() was rewritten to join its terms once; they pin the printed format.
+# Recorded from text() before each of its rewrites; they pin the printed format.
 UNIVAR_TEXT_GOLDEN = [
     ((), "x", "0"),
     ((0, 0), "y", "0"),
@@ -63,12 +63,35 @@ UNIVAR_TEXT_GOLDEN = [
     ((-5, 0, 1, 0, -1, 0, -10 ** 21), "x", "-5 + x^2 - x^4 - 1000000000000000000000x^6"),
     ((0, 3, -1, 0, 0, 1), "y", "3y - y^2 + y^5"),
     ((4, -1), "x", "4 - x"),
+    # the edges of the degree >= 2, |coefficient| >= 2 fast path
+    ((0, 2), "x", "2x"),
+    ((0, 0, 1), "y", "y^2"),
+    ((0, 0, -1), "y", "-y^2"),
+    ((0, 0, 2), "x", "2x^2"),
+    ((0, 0, -2), "y", "-2y^2"),
+    ((5, 0, 3), "x", "5 + 3x^2"),
+    ((-1, 0, -2), "y", "-1 - 2y^2"),
+    ((0, -2, 0, 1), "y", "-2y + y^3"),
 ]
 
 
 def test_univar_text_golden():
     for coeffs, var, expected in UNIVAR_TEXT_GOLDEN:
         assert UnivarPoly(coeffs).text(var) == expected, coeffs
+
+
+printable_coeffs = st.lists(
+    st.one_of(st.sampled_from([0, 1, -1, 2, -2]), st.integers(-2 ** 80, 2 ** 80)),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(printable_coeffs)
+def test_univar_text_round_trip(coeffs):
+    p = UnivarPoly(coeffs)
+    assert parse_univar(p.text("x")) == p
+    assert parse_bivar(p.text("y")) == BivarPoly({(0, j): c for j, c in enumerate(p.coeffs)})
 
 
 def test_poly_text_round_trip():
@@ -118,28 +141,48 @@ random_gfs = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(random_gfs, st.integers(0, 12))
-def test_series_in_x_solves_den_times_series_eq_num(gf, n_max):
-    cs = series_in_x(gf, n_max)
+def _assert_solves(gf, cs, n_max):
+    """den * series - num has no term of x-degree <= n_max."""
     assert len(cs) == n_max + 1
     series_poly = BivarPoly({(n, j): c for n, poly in enumerate(cs) for j, c in enumerate(poly.coeffs)})
     residue = gf.den * series_poly - gf.num
     assert all(i > n_max for (i, _j) in residue.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_gfs, st.integers(0, 12))
+def test_series_in_x_solves_den_times_series_eq_num(gf, n_max):
+    cs = series_in_x(gf, n_max)
+    _assert_solves(gf, cs, n_max)
     assert [sum(c.coeffs) for c in cs] == specialize_y1(gf).series(n_max)
+
+
+@pytest.mark.parametrize("num, den, n_max, head", [
+    # c_1 = 0 between nonzero rows
+    ("1 + x^3y^2", "1 - x^2y", 6, [(1,), (), (0, 1), (0, 0, 1)]),
+    # the y^0 terms of N_1 and D_1 * c_0 cancel, so c_1's lowest degree rises to 1
+    ("1 - x + xy", "1 - x", 4, [(1,), (0, 1), (0, 1)]),
+    # the top term cancels instead: c_1 = -y + (1 + y)
+    ("1 - xy", "1 - x - xy", 4, [(1,), (1,), (1, 1)]),
+    # the y^0 term of D_3 brings c_1 = y down into c_4 = y + y^4
+    ("xy", "1 - xy - x^3", 6, [(), (0, 1), (0, 0, 1), (0, 0, 0, 1), (0, 1, 0, 0, 1)]),
+    # coefficients other than +-1 in den
+    ("1", "1 - 3xy + 2x^2", 5, [(1,), (0, 3), (-2, 0, 9)]),
+    # n_max 0: N_0 alone
+    ("2 + y^3 + x", "1 - x", 0, [(2, 0, 0, 1)]),
+])
+def test_series_in_x_band_edges(num, den, n_max, head):
+    gf = RationalGF.from_literals(num, den)
+    cs = series_in_x(gf, n_max)
+    assert [c.coeffs for c in cs[:len(head)]] == head
+    _assert_solves(gf, cs, n_max)
 
 
 def test_series_round_trip_identity(catalog):
     # den * series - num vanishes to the expansion order, for every stated gf
     for record in catalog.families:
         for cand in record.gf_candidates:
-            gf = cand.gf
-            cs = series_in_x(gf, 30)
-            series_poly = BivarPoly(
-                {(n, j): c for n, poly in enumerate(cs) for j, c in enumerate(poly.coeffs) if c}
-            )
-            residue = gf.den * series_poly - gf.num
-            assert all(i > 30 for (i, _j) in residue.terms), cand.anchor
+            _assert_solves(cand.gf, series_in_x(cand.gf, 30), 30)
 
 
 def test_specialize_matches_series_at_y1(catalog):
