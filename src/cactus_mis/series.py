@@ -9,11 +9,11 @@ Two variable conventions are used throughout:
 
 series_in_x expands num/den in powers of x. It splits den into sparse rows of
 (y-degree, coefficient) per power of x once, then builds each coefficient c_n
-as a band: its lowest nonzero y-degree and the plain list of ints from there
-to its highest nonzero degree. Each denominator term subtracts one shifted
-multiple of an earlier band, so the zeros below the lowest y-degree (over half
-of a deep expansion) cost nothing. UnivarPoly has no arithmetic operators of
-its own.
+as a band: the lowest y-degree any of its terms can reach and the plain list
+of ints from there to the highest such degree. Each denominator term subtracts
+one shifted multiple of an earlier band, so the zeros below the lowest
+y-degree (over half of a deep expansion) cost nothing. UnivarPoly has no
+arithmetic operators of its own.
 
 Everything here is exact; floats never appear.
 """
@@ -354,9 +354,9 @@ def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
     """Series coefficients c_0 .. c_{n_max}, each a polynomial in y.
 
     c_n = N_n - sum_{j=1..deg_x(den)} D_j * c_{n-j}, all exact. Each c_n is
-    built as a band (lo, list): lo is its lowest nonzero y-degree and the list
-    runs from there to its highest nonzero degree. A term d*y^s of D_j
-    subtracts d times the band of c_{n-j}, shifted up by s, in one slice
+    built as a band (lo, list): lo is the lowest y-degree any term can reach
+    and the list runs from there to the highest such degree. A term d*y^s of
+    D_j subtracts d times the band of c_{n-j}, shifted up by s, in one slice
     assignment; the dense UnivarPoly is built once per row.
     """
     if n_max < 0:
@@ -381,18 +381,12 @@ def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
         for at, d, prev in updates:
             at -= lo
             end = at + len(prev)
-            if d == -1:
+            if d == -1:  # most den terms are +-1 and need no multiply
                 c[at:end] = map(add, c[at:end], prev)
             elif d == 1:
                 c[at:end] = map(sub, c[at:end], prev)
             else:
                 c[at:end] = map(sub, c[at:end], map(d.__mul__, prev))
-        while c and not c[-1]:  # cancellation can clear either end
-            c.pop()
-        first = next((i for i, v in enumerate(c) if v), 0)
-        if first:
-            del c[:first]
-            lo += first
         bands.append((lo, c))
         out.append(UnivarPoly([0] * lo + c))
     return out
