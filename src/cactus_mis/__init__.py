@@ -16,7 +16,6 @@ from .graphs import (
     build_aux,
     build_family,
     build_graph,
-    cut_vertices,
     family_spec,
     graph_order,
 )
@@ -26,7 +25,6 @@ from .oracle import (
     VertexLimitExceeded,
     enumerate_mis,
     is_maximal_independent,
-    mis_count,
 )
 from .series import (
     BivarPoly,
@@ -58,9 +56,9 @@ __version__ = "1.0.0"
 __all__ = [
     "FAMILIES", "FAMILY_IDS", "FamilySpec", "Graph", "VertexLabel",
     "anchor_vertex", "build_aux", "build_family", "build_graph",
-    "cut_vertices", "family_spec", "graph_order",
+    "family_spec", "graph_order",
     "DEFAULT_VERTEX_LIMIT", "SizeDistribution", "VertexLimitExceeded",
-    "enumerate_mis", "is_maximal_independent", "mis_count",
+    "enumerate_mis", "is_maximal_independent",
     "BivarPoly", "RationalGF", "UnivarPoly", "UnivarRational",
     "parse_bivar", "parse_univar", "rational_from_recurrence",
     "recurrence_from_gf", "recurrence_sequence", "reduce_fraction",

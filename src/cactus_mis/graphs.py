@@ -150,19 +150,6 @@ class Graph:
             masks[u] = m
         return masks
 
-    def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.vertex_count
-
     def __repr__(self) -> str:
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
@@ -198,6 +185,27 @@ def _append_block(b: _Builder, entry: Optional[int], block_no: int, k: int) -> l
     return cyc
 
 
+def _append_chain(b: _Builder, spec: FamilySpec, n: int) -> Optional[int]:
+    """Add blocks 1..n; return the vertex where block n+1 would attach (None for n = 0)."""
+    if n < 0:
+        raise ValueError("block count must be >= 0")
+    entry: Optional[int] = None
+    for block_no in range(1, n + 1):
+        cyc = _append_block(b, entry, block_no, spec.cycle_len)
+        entry = cyc[spec.attach_dist]
+    return entry
+
+
+def _gadget_legs(family_id: str, kind: str) -> tuple[int, ...]:
+    """Leg lengths of the bar/tilde gadget; ValueError if the family has none."""
+    if kind not in AUX_KINDS:
+        raise ValueError(f"unknown auxiliary kind {kind!r}; expected one of {AUX_KINDS}")
+    table = BAR_GADGETS if kind == "bar" else TILDE_GADGETS
+    if family_id not in table:
+        raise ValueError(f"no {kind} auxiliary graph for family {family_id!r}")
+    return table[family_id]
+
+
 def _attach_gadget(b: _Builder, anchor: int, legs: Sequence[int]) -> None:
     for leg_no, length in enumerate(legs, start=1):
         prev = anchor
@@ -213,13 +221,8 @@ def build_family(spec: FamilySpec, n: int) -> Graph:
     Block i+1 attaches at the vertex of block i at cycle distance d from
     block i's own entry vertex, so |V| = (k-1)n + 1 and |E| = kn for n >= 1.
     """
-    if n < 0:
-        raise ValueError("block count must be >= 0")
     b = _Builder()
-    entry: Optional[int] = None
-    for block_no in range(1, n + 1):
-        cyc = _append_block(b, entry, block_no, spec.cycle_len)
-        entry = cyc[spec.attach_dist]
+    _append_chain(b, spec, n)
     return b.freeze()
 
 
@@ -243,22 +246,12 @@ def build_aux(spec: FamilySpec, kind: str, n: int) -> Graph:
 
     For n = 0 the result is the gadget hung on a lone root vertex.
     """
-    if n < 0:
-        raise ValueError("block count must be >= 0")
-    if kind not in AUX_KINDS:
-        raise ValueError(f"unknown auxiliary kind {kind!r}; expected one of {AUX_KINDS}")
-    table = BAR_GADGETS if kind == "bar" else TILDE_GADGETS
-    if spec.family_id not in table:
-        raise ValueError(f"no {kind} auxiliary graph for family {spec.family_id!r}")
     b = _Builder()
-    entry: Optional[int] = None
-    for block_no in range(1, n + 1):
-        cyc = _append_block(b, entry, block_no, spec.cycle_len)
-        entry = cyc[spec.attach_dist]
-    if n == 0:
-        entry = b.add_vertex(VertexLabel(GADGET_BLOCK, "root"))
-    assert entry is not None
-    _attach_gadget(b, entry, table[spec.family_id])
+    anchor = _append_chain(b, spec, n)
+    legs = _gadget_legs(spec.family_id, kind)
+    if anchor is None:
+        anchor = b.add_vertex(VertexLabel(GADGET_BLOCK, "root"))
+    _attach_gadget(b, anchor, legs)
     return b.freeze()
 
 
@@ -272,8 +265,7 @@ def build_graph(family_id: str, n: int, aux: Optional[str] = None) -> Graph:
 
 def gadget_size(family_id: str, kind: str) -> int:
     """Number of vertices (= edges) the gadget adds."""
-    table = BAR_GADGETS if kind == "bar" else TILDE_GADGETS
-    return sum(table[family_id])
+    return sum(_gadget_legs(family_id, kind))
 
 
 def graph_order(family_id: str, n: int, aux: Optional[str] = None) -> int:
@@ -282,47 +274,4 @@ def graph_order(family_id: str, n: int, aux: Optional[str] = None) -> int:
     base = (spec.cycle_len - 1) * n + 1 if n >= 1 else 0
     if aux is None:
         return base
-    if base == 0:
-        base = 1  # lone root
-    return base + gadget_size(spec.family_id, aux)
-
-
-def cut_vertices(g: Graph) -> set[int]:
-    """Articulation points by iterative depth-first search (low-link)."""
-    n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    out: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack: list[tuple[int, int]] = [(root, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, idx = stack[-1]
-            if idx < len(g.adjacency[u]):
-                stack[-1] = (u, idx + 1)
-                v = g.adjacency[u][idx]
-                if disc[v] == -1:
-                    parent[v] = u
-                    if u == root:
-                        root_children += 1
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, 0))
-                elif v != parent[u]:
-                    low[u] = min(low[u], disc[v])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= disc[p]:
-                        out.add(p)
-        if root_children >= 2:
-            out.add(root)
-    return out
+    return max(base, 1) + gadget_size(spec.family_id, aux)  # n = 0: the lone root

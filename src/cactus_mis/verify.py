@@ -277,11 +277,14 @@ def _gf_recurrence_consistency(record: FamilyRecord, n_check: int = 30) -> dict:
 
 def _identity_prediction(identity: TransferIdentity, n: int,
                          vertex_limit: int) -> SizeDistribution:
-    acc = SizeDistribution({})
+    """Right-hand side of the identity at n: sum of mult * term(n - n_shift, k - k_shift)."""
+    acc: dict[int, int] = {}
     for term in identity.rhs:
         dist = oracle_distribution(identity.family_id, term.kind, n - term.n_shift, vertex_limit)
-        acc = acc + dist.shifted(term.k_shift).scaled(term.mult)
-    return acc
+        for k, count in dist.counts.items():
+            k += term.k_shift
+            acc[k] = acc.get(k, 0) + term.mult * count
+    return SizeDistribution(acc)
 
 
 def identity_max_n(identity: TransferIdentity, order_cap: int = TRANSFER_ORDER_CAP) -> int:

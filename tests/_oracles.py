@@ -1,6 +1,7 @@
 """Independent re-counting oracles used only by the tests.
 
-These deliberately share no code with the branch-and-prune enumerator:
+These deliberately share no code with the frontier-sweep oracle
+(`cactus_mis.oracle.enumerate_mis`):
 
 * subset_filter_slow: try literally every vertex subset through the public
   maximality predicate.
@@ -8,6 +9,9 @@ These deliberately share no code with the branch-and-prune enumerator:
   for all 2^n bitmasks; a mask counts when it is independent and covers V.
 * complement_cliques: pivoted Bron-Kerbosch on the complement graph; its
   maximal cliques are exactly the maximal independent sets.
+
+`convolve` gives the distribution of a disjoint union from those of its
+parts (sizes add, counts multiply).
 """
 
 import itertools
@@ -69,3 +73,11 @@ def complement_cliques(g):
 
     expand(0, set(range(n)), set())
     return counts
+
+
+def convolve(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + va * vb
+    return out

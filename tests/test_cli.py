@@ -81,6 +81,13 @@ def test_census_vertex_limit_exit_code(capsys):
     assert json.loads(out)["total"] == 317811
 
 
+def test_census_missing_gadget_is_an_error(capsys):
+    # square has no tilde gadget; the error names it instead of a bare KeyError
+    code, out, err = run_cli(["census", "--family", "square", "--n", "3", "--aux", "tilde"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: no tilde auxiliary graph for family 'square'\n"
+
+
 def test_vertex_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("CACTUS_MIS_VERTEX_LIMIT", "5")
     code, _, err = run_cli(["census", "--family", "square", "--n", "2"], capsys)

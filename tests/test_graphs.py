@@ -12,12 +12,12 @@ from cactus_mis.graphs import (
     BAR_GADGETS,
     FAMILIES,
     FAMILY_IDS,
+    GADGET_BLOCK,
     TILDE_GADGETS,
     anchor_vertex,
     build_aux,
     build_family,
     build_graph,
-    cut_vertices,
     family_spec,
     gadget_size,
     graph_order,
@@ -33,6 +33,10 @@ def to_nx(g):
     return G
 
 
+def cuts(g):
+    return set(nx.articulation_points(to_nx(g)))
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
 @pytest.mark.parametrize("n", range(0, 11))
 def test_family_vertex_and_edge_counts(spec, n):
@@ -42,7 +46,7 @@ def test_family_vertex_and_edge_counts(spec, n):
     else:
         assert g.vertex_count == (spec.cycle_len - 1) * n + 1
         assert g.edge_count == spec.cycle_len * n
-        assert g.is_connected()
+        assert nx.is_connected(to_nx(g))
     assert graph_order(spec.family_id, n) == g.vertex_count
 
 
@@ -54,6 +58,8 @@ def test_aux_gadget_deltas(spec, kind, n):
     if spec.family_id not in table:
         with pytest.raises(ValueError):
             build_aux(spec, kind, n)
+        with pytest.raises(ValueError, match=f"no {kind} auxiliary graph"):
+            graph_order(spec.family_id, n, kind)
         return
     g = build_aux(spec, kind, n)
     base_v = (spec.cycle_len - 1) * n + 1 if n >= 1 else 1
@@ -61,7 +67,7 @@ def test_aux_gadget_deltas(spec, kind, n):
     delta = gadget_size(spec.family_id, kind)
     assert g.vertex_count == base_v + delta
     assert g.edge_count == base_e + delta
-    assert g.is_connected()
+    assert nx.is_connected(to_nx(g))
     assert graph_order(spec.family_id, n, kind) == g.vertex_count
 
 
@@ -87,11 +93,10 @@ def test_block_decomposition(spec, n):
     G = to_nx(g)
     blocks = [frozenset(b) for b in nx.biconnected_components(G)]
     assert len(blocks) == n
-    cuts = set(nx.articulation_points(G))
-    assert cut_vertices(g) == cuts
-    assert len(cuts) == max(0, n - 1)
+    cut_set = set(nx.articulation_points(G))
+    assert cut_set == {anchor_vertex(spec, i) for i in range(1, n)}
     if n >= 2:
-        end_blocks = [b for b in blocks if len(b & cuts) == 1]
+        end_blocks = [b for b in blocks if len(b & cut_set) == 1]
         assert len(end_blocks) == 2
 
 
@@ -125,8 +130,20 @@ AUX_PAIRS = [(kind, fam) for kind, table in (("bar", BAR_GADGETS), ("tilde", TIL
 @pytest.mark.parametrize("kind,family_id", AUX_PAIRS, ids=[f"{k}-{f}" for k, f in AUX_PAIRS])
 @pytest.mark.parametrize("n", range(0, 5))
 def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
-    g = build_aux(family_spec(family_id), kind, n)
-    assert cut_vertices(g) == set(nx.articulation_points(to_nx(g)))
+    # read off the construction: the chain's shared vertices, the anchor when
+    # something hangs on both sides of it, and every gadget vertex but a leg's last
+    spec = family_spec(family_id)
+    legs = (BAR_GADGETS if kind == "bar" else TILDE_GADGETS)[family_id]
+    g = build_aux(spec, kind, n)
+    expected = {anchor_vertex(spec, i) for i in range(1, n)}
+    if n >= 1 or len(legs) >= 2:
+        expected.add(anchor_vertex(spec, n))
+    for v, label in enumerate(g.labels):
+        if label.block == GADGET_BLOCK and label.position != "root":
+            leg, pos = map(int, label.position[1:].split("_"))
+            if pos < legs[leg - 1]:
+                expected.add(v)
+    assert cuts(g) == expected
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
@@ -135,16 +152,16 @@ def test_anchor_is_a_degree_two_cycle_vertex(spec, n):
     g = build_family(spec, n)
     a = anchor_vertex(spec, n)
     assert g.degree(a) == 2
-    assert a not in cut_vertices(g)
+    assert a not in cuts(g)
 
 
 def test_cut_vertices_examples():
     c5 = build_family(family_spec("pentagonal"), 1)
-    assert cut_vertices(c5) == set()
+    assert cuts(c5) == set()
     bowtie = build_family(family_spec("triangular"), 2)
-    assert cut_vertices(bowtie) == {anchor_vertex(family_spec("triangular"), 1)}
+    assert cuts(bowtie) == {anchor_vertex(family_spec("triangular"), 1)}
     sq3 = build_family(family_spec("square"), 3)
-    assert len(cut_vertices(sq3)) == 2
+    assert len(cuts(sq3)) == 2
 
 
 def test_small_count_examples():
@@ -153,7 +170,7 @@ def test_small_count_examples():
     assert (g.vertex_count, g.edge_count) == (11, 12)
     g = build_family(family_spec("pentagonal"), 3)
     assert (g.vertex_count, g.edge_count) == (13, 15)
-    assert len(cut_vertices(g)) == 2
+    assert len(cuts(g)) == 2
 
 
 def test_aux_base_cases():
@@ -220,5 +237,7 @@ def test_unknown_family_rejected():
         family_spec("heptagonal")
     with pytest.raises(ValueError):
         build_graph("triangular", 1, "ring")
+    with pytest.raises(ValueError):
+        graph_order("triangular", 1, "ring")
     with pytest.raises(ValueError):
         build_family(family_spec("triangular"), -1)

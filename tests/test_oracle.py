@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from _oracles import complement_cliques, subset_filter_masks, subset_filter_slow
+from _oracles import complement_cliques, convolve, subset_filter_masks, subset_filter_slow
 from cactus_mis.graphs import (
     BAR_GADGETS,
     FAMILY_IDS,
@@ -19,7 +19,6 @@ from cactus_mis.oracle import (
     VertexLimitExceeded,
     enumerate_mis,
     is_maximal_independent,
-    mis_count,
 )
 from cactus_mis.series import recurrence_sequence
 
@@ -51,9 +50,9 @@ def test_known_distributions():
 
 
 def test_totals():
-    assert mis_count(build_graph("diamond", 3)) == 7
-    assert mis_count(build_graph("square", 4)) == 16
-    assert mis_count(build_graph("ortho-hexagonal", 3)) == 72
+    assert enumerate_mis(build_graph("diamond", 3)).total == 7
+    assert enumerate_mis(build_graph("square", 4)).total == 16
+    assert enumerate_mis(build_graph("ortho-hexagonal", 3)).total == 72
     assert enumerate_mis(cycle(5)).total == 5
 
 
@@ -95,7 +94,7 @@ def test_disjoint_union_convolution():
         ga, gb = build_graph(fa, na, aa), build_graph(fb, nb, ab)
         edges = list(ga.edges()) + [(u + ga.vertex_count, v + ga.vertex_count) for u, v in gb.edges()]
         union = Graph(ga.vertex_count + gb.vertex_count, edges)
-        assert enumerate_mis(union) == enumerate_mis(ga).convolve(enumerate_mis(gb))
+        assert enumerate_mis(union) == convolve(enumerate_mis(ga).counts, enumerate_mis(gb).counts)
 
 
 def test_determinism():
@@ -151,11 +150,44 @@ def test_vertex_limit_guard():
 
 
 def test_size_distribution_arithmetic():
-    d = SizeDistribution({1: 2, 2: 3})
+    d = SizeDistribution({1: 2, 2: 3, 4: 0})
     assert d.total == 5
-    assert d.shifted(2) == {3: 2, 4: 3}
-    assert d.scaled(3) == {1: 6, 2: 9}
-    assert d + SizeDistribution({2: 1}) == {1: 2, 2: 4}
-    assert d.convolve(SizeDistribution({0: 1})) == d
+    assert (d[2], d[4], d[7]) == (3, 0, 0)
+    assert d == {1: 2, 2: 3} == SizeDistribution({2: 3, 1: 2})
+    assert d.as_dict() == {1: 2, 2: 3} and d.items() == [(1, 2), (2, 3)]
     with pytest.raises(ValueError):
         SizeDistribution({-1: 1})
+    with pytest.raises(ValueError):
+        SizeDistribution({1: -1})
+
+
+def shuffled_components(component_edges, copies, window, seed):
+    """Disjoint copies of one small graph, vertex ids shuffled within each
+    run of `window` ids, so the sweep interleaves several components and
+    merges their choices into shared frontier states."""
+    size = 1 + max(max(e) for e in component_edges)
+    n = size * copies
+    label = list(range(n))
+    rng = random.Random(seed)
+    for start in range(0, n, window):
+        run = label[start:start + window]
+        rng.shuffle(run)
+        label[start:start + window] = run
+    edges = [(label[c * size + u], label[c * size + v])
+             for c in range(copies) for u, v in component_edges]
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_digits_hold_extremal_counts(seed):
+    # one size holds every maximal independent set, so a single digit of the
+    # packed polynomial reaches the largest count the graph has: 2^32 on a
+    # perfect matching of 64 vertices, 3^21 on 21 disjoint triangles (the
+    # Moon-Moser extremal graph on 63 vertices)
+    matching = shuffled_components([(0, 1)], 32, 16, seed)
+    assert matching.vertex_count == 64
+    assert enumerate_mis(matching) == {32: 2 ** 32}
+    triangles = shuffled_components([(0, 1), (1, 2), (0, 2)], 21, 15, seed)
+    assert triangles.vertex_count == 63
+    assert enumerate_mis(triangles) == {21: 3 ** 21}
+    assert enumerate_mis(Graph(0, [])) == {0: 1}
