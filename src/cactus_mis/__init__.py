@@ -12,7 +12,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     VertexLabel,
-    anchor_vertex,
     build_aux,
     build_family,
     build_graph,
@@ -55,8 +54,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "FAMILIES", "FAMILY_IDS", "FamilySpec", "Graph", "VertexLabel",
-    "anchor_vertex", "build_aux", "build_family", "build_graph",
-    "family_spec", "graph_order",
+    "build_aux", "build_family", "build_graph", "family_spec", "graph_order",
     "DEFAULT_VERTEX_LIMIT", "SizeDistribution", "VertexLimitExceeded",
     "enumerate_mis", "is_maximal_independent",
     "BivarPoly", "RationalGF", "UnivarPoly", "UnivarRational",

@@ -226,21 +226,6 @@ def build_family(spec: FamilySpec, n: int) -> Graph:
     return b.freeze()
 
 
-def anchor_vertex(spec: FamilySpec, n: int) -> int:
-    """Vertex where block n+1 (or a gadget) attaches; the lone root when n = 0."""
-    if n == 0:
-        return 0
-    # blocks after the first contribute k-1 fresh vertices; entry of block i
-    # sits d further along block i's cycle
-    k, d = spec.cycle_len, spec.attach_dist
-    # vertex ids follow construction order: block 1 is 0..k-1, block i adds
-    # k-1 vertices. The anchor of block i is its cycle position d.
-    if n == 1:
-        return d
-    base = k + (n - 2) * (k - 1)  # first fresh vertex id of block n
-    return base + d - 1
-
-
 def build_aux(spec: FamilySpec, kind: str, n: int) -> Graph:
     """Family graph of n blocks plus the bar/tilde gadget at the anchor.
 

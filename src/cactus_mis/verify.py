@@ -10,12 +10,18 @@ The oracle is the sole ground truth. Stated claims receive one of three
 verdicts: CONFIRMED (bit-exact agreement over the whole checked range),
 REFUTED (carries a first-mismatch witness), or SKIPPED (resource limit or no
 claim to check). Reports are deterministic and JSON-serializable.
+
+With `workers > 1`, `run_verification` first collects every graph its
+lookups will ask for (one task list for every scope, already cut to the
+vertex guard) and counts them in a process pool. The keys go out size-sorted,
+largest first, in about four chunks per worker, and each child returns the
+distributions of a whole chunk. The serial path (`workers == 1`) starts no
+pool and never imports `concurrent.futures.process`.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping, Optional
 
 from . import asymptotics as asym
@@ -51,7 +57,9 @@ DEFAULT_N_MAX: dict[str, int] = {
 
 TRANSFER_ORDER_CAP = 45  # largest left-hand-side graph enumerated for identities
 
-_ORACLE_CACHE: dict[tuple[str, Optional[str], int], SizeDistribution] = {}
+GraphKey = tuple[str, Optional[str], int]  # (family id, aux kind or None, n)
+
+_ORACLE_CACHE: dict[GraphKey, SizeDistribution] = {}
 
 
 def _aux_of_kind(kind: str) -> Optional[str]:
@@ -74,26 +82,34 @@ def oracle_distribution(family_id: str, kind: str, n: int,
     return dist
 
 
-def _oracle_task(args: tuple[str, Optional[str], int]) -> tuple[tuple[str, Optional[str], int], dict[int, int]]:
-    family_id, aux, n = args
-    dist = enumerate_mis(build_graph(family_id, n, aux), vertex_limit=10 ** 9)
-    return args, dist.as_dict()
+def _oracle_task(keys: list[GraphKey]) -> list[tuple[GraphKey, dict[int, int]]]:
+    """Count one chunk of graphs in a pool child; the keys were guarded by the parent."""
+    done = []
+    for family_id, aux, n in keys:
+        dist = enumerate_mis(build_graph(family_id, n, aux), vertex_limit=10 ** 9)
+        done.append(((family_id, aux, n), dist.as_dict()))
+    return done
 
 
-def _prefill_cache(tasks: list[tuple[str, Optional[str], int]], workers: int) -> None:
-    todo = [t for t in set(tasks) if t not in _ORACLE_CACHE]
-    todo.sort(key=lambda t: (t[0], t[1] or "", t[2]))
-    if not todo:
-        return
-    if workers <= 1 or len(todo) < 4:
-        for t in todo:
-            _ORACLE_CACHE[t] = enumerate_mis(build_graph(*t), vertex_limit=10 ** 9)
-        return
-    # largest graphs first so the pool drains evenly
-    todo.sort(key=lambda t: -graph_order(t[0], t[2], t[1]))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for key, counts in pool.map(_oracle_task, todo, chunksize=1):
-            _ORACLE_CACHE[key] = SizeDistribution(counts)
+def _prefill_cache(tasks: list[GraphKey], workers: int) -> None:
+    """Count the uncached `tasks` in a pool of at most `workers` processes."""
+    # largest graphs first, ties by key, so the chunks and their order are
+    # the same on every run
+    todo = sorted(set(tasks).difference(_ORACLE_CACHE),
+                  key=lambda t: (-graph_order(t[0], t[2], t[1]), t[0], t[1] or "", t[2]))
+    if len(todo) < 4:
+        return  # not worth a pool: the lookups count these in this process
+    # about four chunks per worker: one round trip per chunk instead of one
+    # per graph, with enough chunks left over that a worker finishing early
+    # takes another rather than idling
+    size = -(-len(todo) // (4 * workers))
+    chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        for done in pool.map(_oracle_task, chunks):
+            for key, counts in done:
+                _ORACLE_CACHE[key] = SizeDistribution(counts)
 
 
 def _dist_json(dist: SizeDistribution) -> dict[str, int]:
@@ -412,7 +428,7 @@ def verify_asymptotics(record: FamilyRecord,
 # Full run and report assembly.
 # ----------------------------------------------------------------------------
 
-def _identity_tasks(ident: TransferIdentity, top: int) -> list[tuple[str, Optional[str], int]]:
+def _identity_tasks(ident: TransferIdentity, top: int) -> list[GraphKey]:
     tasks = []
     for n in range(min(ident.stated_from, ident.valid_from), top + 1):
         tasks.append((ident.family_id, _aux_of_kind(ident.lhs_kind), n))
@@ -429,15 +445,16 @@ def _identity_top(ident: TransferIdentity, n_max_override: Optional[int]) -> int
     return top
 
 
-def _collect_tasks(catalog: Catalog, n_max: dict[str, int], vertex_limit: int,
-                   n_max_override: Optional[int] = None) -> list[tuple[str, Optional[str], int]]:
-    tasks: set[tuple[str, Optional[str], int]] = set()
-    for rec in catalog.families:
-        for n in range(n_max[rec.family_id] + 1):
-            tasks.add((rec.family_id, None, n))
-        for check in rec.boundary_checks:
-            tasks.add((rec.family_id, _aux_of_kind(check.kind), check.n))
-    for ident in catalog.identities:
+def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
+                   n_max: dict[str, int], vertex_limit: int,
+                   n_max_override: Optional[int]) -> list[GraphKey]:
+    """Every graph the lookups for `records` and `idents` ask for, within `vertex_limit`."""
+    tasks: set[GraphKey] = set()
+    for rec in records:
+        tasks.update((rec.family_id, None, n) for n in range(n_max[rec.family_id] + 1))
+        tasks.update((rec.family_id, _aux_of_kind(check.kind), check.n)
+                     for check in rec.boundary_checks)
+    for ident in idents:
         tasks.update(_identity_tasks(ident, _identity_top(ident, n_max_override)))
     return [t for t in tasks if graph_order(t[0], t[2], t[1]) <= vertex_limit]
 
@@ -467,22 +484,23 @@ def run_verification(
     n_max = {rec.family_id: (n_max_override if n_max_override is not None
                              else DEFAULT_N_MAX[rec.family_id]) for rec in records}
 
+    family_records = records if scope in ("all", "family") else []
+    idents = ([i for i in catalog.identities if family is None or i.family_id == family]
+              if scope in ("all", "identities") else [])
+    if workers > 1:
+        _prefill_cache(_collect_tasks(family_records, idents, n_max, vertex_limit,
+                                      n_max_override), workers)
+
     claims: dict[str, dict] = {}
     families_out: dict[str, dict] = {}
     identity_range_notes: dict[str, dict] = {}
 
-    if scope in ("all", "family"):
-        if workers > 1:
-            _prefill_cache(_collect_tasks(catalog, n_max, vertex_limit, n_max_override)
-                           if scope == "all" else
-                           [(records[0].family_id, None, n)
-                            for n in range(n_max[records[0].family_id] + 1)], workers)
-        for rec in records:
-            fragment = verify_family(rec, n_max[rec.family_id], vertex_limit)
-            families_out[rec.family_id] = {"entries": fragment["entries"]}
-            claims[rec.gf_anchor] = fragment["gf_claim"]
-            claims[rec.recurrence.anchor] = fragment["recurrence_claim"]
-            claims.update(fragment["boundary_claims"])
+    for rec in family_records:
+        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit)
+        families_out[rec.family_id] = {"entries": fragment["entries"]}
+        claims[rec.gf_anchor] = fragment["gf_claim"]
+        claims[rec.recurrence.anchor] = fragment["recurrence_claim"]
+        claims.update(fragment["boundary_claims"])
 
     if scope in ("all", "asymptotics"):
         for rec in records:
@@ -490,20 +508,13 @@ def run_verification(
             anchor = rec.asymptotic.anchor if rec.asymptotic is not None else _asym_slot_anchor(rec)
             claims[anchor] = claim
 
-    if scope in ("all", "identities"):
-        idents = [i for i in catalog.identities if family is None or i.family_id == family]
-        if workers > 1 and scope == "identities":
-            tasks = []
-            for ident in idents:
-                tasks.extend(_identity_tasks(ident, _identity_top(ident, n_max_override)))
-            _prefill_cache([t for t in tasks if graph_order(t[0], t[2], t[1]) <= vertex_limit], workers)
-        for ident in idents:
-            result = verify_transfer(ident, n_max=_identity_top(ident, n_max_override),
-                                     vertex_limit=vertex_limit)
-            note = result.pop("stated_range_note")
-            claims[ident.anchor] = result
-            if note is not None:
-                identity_range_notes[ident.identity_id] = note
+    for ident in idents:
+        result = verify_transfer(ident, n_max=_identity_top(ident, n_max_override),
+                                 vertex_limit=vertex_limit)
+        note = result.pop("stated_range_note")
+        claims[ident.anchor] = result
+        if note is not None:
+            identity_range_notes[ident.identity_id] = note
 
     report = {
         "config": {

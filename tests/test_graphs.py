@@ -14,7 +14,7 @@ from cactus_mis.graphs import (
     FAMILY_IDS,
     GADGET_BLOCK,
     TILDE_GADGETS,
-    anchor_vertex,
+    VertexLabel,
     build_aux,
     build_family,
     build_graph,
@@ -35,6 +35,16 @@ def to_nx(g):
 
 def cuts(g):
     return set(nx.articulation_points(to_nx(g)))
+
+
+def anchor_of(g, spec, n):
+    """Vertex where block n+1 or a gadget attaches, read off the labels.
+
+    Block n's cycle position d+1 is the next block's entry (a shared vertex
+    keeps the earlier block's label); with no blocks the gadget hangs on the root.
+    """
+    label = VertexLabel(n, spec.attach_dist + 1) if n else VertexLabel(GADGET_BLOCK, "root")
+    return g.labels.index(label)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
@@ -94,7 +104,7 @@ def test_block_decomposition(spec, n):
     blocks = [frozenset(b) for b in nx.biconnected_components(G)]
     assert len(blocks) == n
     cut_set = set(nx.articulation_points(G))
-    assert cut_set == {anchor_vertex(spec, i) for i in range(1, n)}
+    assert cut_set == {anchor_of(g, spec, i) for i in range(1, n)}
     if n >= 2:
         end_blocks = [b for b in blocks if len(b & cut_set) == 1]
         assert len(end_blocks) == 2
@@ -135,9 +145,9 @@ def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
     spec = family_spec(family_id)
     legs = (BAR_GADGETS if kind == "bar" else TILDE_GADGETS)[family_id]
     g = build_aux(spec, kind, n)
-    expected = {anchor_vertex(spec, i) for i in range(1, n)}
+    expected = {anchor_of(g, spec, i) for i in range(1, n)}
     if n >= 1 or len(legs) >= 2:
-        expected.add(anchor_vertex(spec, n))
+        expected.add(anchor_of(g, spec, n))
     for v, label in enumerate(g.labels):
         if label.block == GADGET_BLOCK and label.position != "root":
             leg, pos = map(int, label.position[1:].split("_"))
@@ -150,7 +160,7 @@ def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_anchor_is_a_degree_two_cycle_vertex(spec, n):
     g = build_family(spec, n)
-    a = anchor_vertex(spec, n)
+    a = anchor_of(g, spec, n)
     assert g.degree(a) == 2
     assert a not in cuts(g)
 
@@ -159,7 +169,7 @@ def test_cut_vertices_examples():
     c5 = build_family(family_spec("pentagonal"), 1)
     assert cuts(c5) == set()
     bowtie = build_family(family_spec("triangular"), 2)
-    assert cuts(bowtie) == {anchor_vertex(family_spec("triangular"), 1)}
+    assert cuts(bowtie) == {anchor_of(bowtie, family_spec("triangular"), 1)}
     sq3 = build_family(family_spec("square"), 3)
     assert len(cuts(sq3)) == 2
 
@@ -204,7 +214,7 @@ ANCHOR_DELETION_KIND = {
 def test_anchor_deletion_yields_smaller_aux_graph(spec, n):
     g = build_family(spec, n)
     G = to_nx(g)
-    G.remove_node(anchor_vertex(spec, n))
+    G.remove_node(anchor_of(g, spec, n))
     expected = build_aux(spec, ANCHOR_DELETION_KIND[spec.family_id], n - 1)
     assert nx.is_isomorphic(G, to_nx(expected))
 
@@ -215,7 +225,7 @@ def test_last_block_deletion_yields_smaller_family(spec, n):
     # dropping every vertex of block n except its entry leaves the (n-1)-chain
     g = build_family(spec, n)
     G = to_nx(g)
-    entry = anchor_vertex(spec, n - 1)
+    entry = anchor_of(g, spec, n - 1)
     block_n = set(range(g.vertex_count - (spec.cycle_len - 1), g.vertex_count))
     assert entry not in block_n
     G.remove_nodes_from(block_n)

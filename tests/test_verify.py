@@ -1,11 +1,15 @@
 """Verification engine: claim verdicts, witnesses, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cactus_mis.graphs import build_graph
-from cactus_mis.oracle import enumerate_mis
+from cactus_mis import verify
+from cactus_mis.graphs import build_graph, graph_order
+from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, enumerate_mis
 from cactus_mis.series import series_in_x
 from cactus_mis.verify import (
     DEFAULT_N_MAX,
@@ -204,12 +208,54 @@ def test_report_serialization_deterministic(catalog):
     assert "thm:2.7" in table and "CONFIRMED" in table
 
 
-def test_workers_match_serial(catalog):
-    serial = run_verification(catalog, scope="family", family="triangular",
-                              n_max_override=6, workers=1)
-    parallel = run_verification(catalog, scope="family", family="triangular",
-                                n_max_override=6, workers=2)
-    assert report_to_json(serial) == report_to_json(parallel)
+def test_workers_match_serial(catalog, monkeypatch):
+    # each call starts from an empty cache, so the pooled one really counts
+    # in the pool; "all" and "identities" have more than 4 * workers tasks
+    # and so go out in several chunks
+    parent = os.getpid()
+    parent_counts = []
+    real_enumerate = verify.enumerate_mis
+
+    def counting_enumerate(*args, **kwargs):
+        if os.getpid() == parent:
+            parent_counts.append(1)
+        return real_enumerate(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_mis", counting_enumerate)
+    for kwargs in ({"scope": "family", "family": "triangular", "n_max_override": 6},
+                   {"scope": "all"}, {"scope": "identities"}):
+        monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+        serial = report_to_json(run_verification(catalog, workers=1, **kwargs))
+        assert parent_counts, kwargs
+        parent_counts.clear()
+        monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+        pooled = report_to_json(run_verification(catalog, workers=2, **kwargs))
+        assert parent_counts == [], kwargs  # every graph was counted in a child
+        assert pooled == serial, kwargs
+
+
+@pytest.mark.parametrize("scope", ["family", "identities"])
+def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch, scope):
+    # at n_max 150 the ortho-hexagonal chains reach 751 vertices; the pool
+    # must skip every graph the lookups refuse, as the serial run does
+    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    pooled = run_verification(catalog, scope=scope, family="ortho-hexagonal",
+                              n_max_override=150, workers=2)
+    assert verify._ORACLE_CACHE
+    assert max(graph_order(f, n, aux) for f, aux, n in verify._ORACLE_CACHE) <= DEFAULT_VERTEX_LIMIT
+    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    serial = run_verification(catalog, scope=scope, family="ortho-hexagonal",
+                              n_max_override=150, workers=1)
+    assert report_to_json(pooled) == report_to_json(serial)
+
+
+def test_import_leaves_process_pool_unloaded():
+    # only a pooled verify run needs the process-pool machinery
+    code = ("import sys, cactus_mis, cactus_mis.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_baseline_report_matches_committed(catalog):
