@@ -42,7 +42,6 @@ from .series import (
 from .catalog import Catalog, FamilyRecord, TransferIdentity, load_catalog
 from .asymptotics import (
     AsymptoticEstimate,
-    estimate_count,
     family_estimate,
     leading_constant,
     smallest_positive_root,
@@ -62,7 +61,7 @@ __all__ = [
     "recurrence_from_gf", "recurrence_sequence", "reduce_fraction",
     "series_in_x", "specialize_y1",
     "Catalog", "FamilyRecord", "TransferIdentity", "load_catalog",
-    "AsymptoticEstimate", "estimate_count", "family_estimate",
+    "AsymptoticEstimate", "family_estimate",
     "leading_constant", "smallest_positive_root", "stated_gf_estimate",
     "run_verification", "verify_asymptotics", "verify_family", "verify_transfer",
 ]

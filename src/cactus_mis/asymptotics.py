@@ -2,8 +2,10 @@
 
 For a rational counting series num/den with a simple dominant pole at the
 smallest positive zero rho of den, the counts grow like C / rho^(n+1) with
-C = -num(rho) / den'(rho). Root finding is a fixed-step sign scan followed by
-bisection; degrees here are at most five, so nothing fancier is warranted.
+C = -num(rho) / den'(rho). Root finding is a sign scan in steps of SCAN_STEP
+followed by bisection to BISECT_TOL; degrees here are at most five, so
+nothing fancier is warranted. The tolerances and the ranges of n below are
+fixed, because the committed baseline report is computed with them.
 
 Estimates are anchored to the recurrence claims (which the verification
 pipeline checks against exhaustive enumeration) rather than to the stated
@@ -17,21 +19,14 @@ import math
 from dataclasses import dataclass
 
 from .catalog import FamilyRecord
-from .series import UnivarPoly, UnivarRational
+from .series import UnivarPoly, UnivarRational, recurrence_sequence
 
-
-@dataclass(frozen=True)
-class AsymptoticsConfig:
-    """All numeric tolerances used by this module."""
-
-    scan_step: float = 1e-3
-    bisect_tol: float = 1e-12
-    simple_root_tol: float = 1e-9  # |den'(rho)| below this means a suspect multiple root
-    ratio_tol: float = 1e-6  # consecutive-ratio convergence requirement
-    noise_floor: float = 1e-9  # relative errors below this are float noise
-
-
-DEFAULT_CONFIG = AsymptoticsConfig()
+SCAN_STEP = 1e-3
+BISECT_TOL = 1e-12
+SIMPLE_ROOT_TOL = 1e-9  # |den'(rho)| below this means a suspect multiple root
+RATIO_TOL = 1e-6  # consecutive-ratio convergence requirement
+RATIO_N_FROM, RATIO_N_TO = 30, 60  # n range of ratio_converges
+ERROR_N_FROM, ERROR_N_TO = 15, 40  # n range of relative_errors
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class AsymptoticEstimate:
         return math.exp(log_v)
 
 
-def smallest_positive_root(p: UnivarPoly, config: AsymptoticsConfig = DEFAULT_CONFIG) -> float:
+def smallest_positive_root(p: UnivarPoly) -> float:
     """Smallest x in (0, 1] with p(x) = 0, for p with p(0) = 1.
 
     Scans with a fixed step for the first sign change, then bisects.
@@ -61,13 +56,12 @@ def smallest_positive_root(p: UnivarPoly, config: AsymptoticsConfig = DEFAULT_CO
     """
     if p[0] != 1:
         raise ValueError("polynomial must have constant term 1")
-    step = config.scan_step
     prev_x, prev_v = 0.0, 1.0
     lo = hi = None
     k = 1
     while True:
-        x = k * step
-        if x > 1.0 + step / 2:
+        x = k * SCAN_STEP
+        if x > 1.0 + SCAN_STEP / 2:
             break
         x = min(x, 1.0)
         v = p.eval_float(x)
@@ -81,73 +75,61 @@ def smallest_positive_root(p: UnivarPoly, config: AsymptoticsConfig = DEFAULT_CO
         k += 1
     if lo is None:
         raise ValueError("no sign change in (0, 1]; no dominant positive root found")
-    while hi - lo > config.bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2
         if p.eval_float(lo) * p.eval_float(mid) <= 0:
             hi = mid
         else:
             lo = mid
     root = (lo + hi) / 2
-    if abs(p.derivative().eval_float(root)) < config.simple_root_tol:
+    if abs(p.derivative().eval_float(root)) < SIMPLE_ROOT_TOL:
         raise ValueError(f"derivative nearly vanishes at root {root}; suspected multiple root")
     return root
 
 
-def leading_constant(r: UnivarRational, rho: float,
-                     config: AsymptoticsConfig = DEFAULT_CONFIG) -> float:
+def leading_constant(r: UnivarRational, rho: float) -> float:
     """Residue-derived constant C = -num(rho) / den'(rho) for a simple pole."""
     dprime = r.den.derivative().eval_float(rho)
-    if abs(dprime) < config.simple_root_tol:
+    if abs(dprime) < SIMPLE_ROOT_TOL:
         raise ValueError("den'(rho) is too small; pole is not simple")
     return -r.num.eval_float(rho) / dprime
 
 
-def analyze(r: UnivarRational, config: AsymptoticsConfig = DEFAULT_CONFIG) -> AsymptoticEstimate:
+def analyze(r: UnivarRational) -> AsymptoticEstimate:
     """(rho, C) of a rational counting series."""
-    rho = smallest_positive_root(r.den, config)
-    return AsymptoticEstimate(rho, leading_constant(r, rho, config), r)
+    rho = smallest_positive_root(r.den)
+    return AsymptoticEstimate(rho, leading_constant(r, rho), r)
 
 
-def family_estimate(record: FamilyRecord,
-                    config: AsymptoticsConfig = DEFAULT_CONFIG) -> AsymptoticEstimate:
+def family_estimate(record: FamilyRecord) -> AsymptoticEstimate:
     """Truth-side (rho, C): computed from the recurrence-defined series."""
-    return analyze(record.recurrence.rational(), config)
+    return analyze(record.recurrence.rational())
 
 
-def stated_gf_estimate(record: FamilyRecord,
-                       config: AsymptoticsConfig = DEFAULT_CONFIG) -> AsymptoticEstimate:
+def stated_gf_estimate(record: FamilyRecord) -> AsymptoticEstimate:
     """(rho, C) computed from the stated univariate generating function.
 
     This reproduces how the printed constants were obtained; it can differ
     from family_estimate where the stated closed form is refuted.
     """
-    return analyze(record.univariate_gf, config)
+    return analyze(record.univariate_gf)
 
 
-def estimate_count(record: FamilyRecord, n: int,
-                   config: AsymptoticsConfig = DEFAULT_CONFIG) -> float:
-    """Fast approximate count of maximal independent sets for n blocks."""
-    return family_estimate(record, config).value(n)
-
-
-def ratio_converges(record: FamilyRecord, n_from: int = 30, n_to: int = 60,
-                    config: AsymptoticsConfig = DEFAULT_CONFIG) -> bool:
-    """Empirical simple-pole check: a(n+1)/a(n) stays within ratio_tol of 1/rho."""
-    est = family_estimate(record, config)
-    seq = _sequence(record, n_to + 1)
+def ratio_converges(record: FamilyRecord) -> bool:
+    """Empirical simple-pole check: a(n+1)/a(n) stays within RATIO_TOL of 1/rho."""
+    est = family_estimate(record)
+    seq = _sequence(record, RATIO_N_TO + 1)
     target = 1.0 / est.rho
-    return all(abs(seq[n + 1] / seq[n] - target) <= config.ratio_tol for n in range(n_from, n_to + 1))
+    return all(abs(seq[n + 1] / seq[n] - target) <= RATIO_TOL
+               for n in range(RATIO_N_FROM, RATIO_N_TO + 1))
 
 
 def _sequence(record: FamilyRecord, n_max: int) -> list[int]:
-    from .series import recurrence_sequence
-
     return recurrence_sequence(record.recurrence.lags, record.recurrence.initial, n_max)
 
 
-def relative_errors(record: FamilyRecord, n_from: int = 15, n_to: int = 40,
-                    config: AsymptoticsConfig = DEFAULT_CONFIG) -> list[float]:
-    """|estimate/exact - 1| over a range of n, exact values from the recurrence."""
-    est = family_estimate(record, config)
-    seq = _sequence(record, n_to)
-    return [abs(est.value(n) / seq[n] - 1.0) for n in range(n_from, n_to + 1)]
+def relative_errors(record: FamilyRecord) -> list[float]:
+    """|estimate/exact - 1| for n from ERROR_N_FROM to ERROR_N_TO, exact values from the recurrence."""
+    est = family_estimate(record)
+    seq = _sequence(record, ERROR_N_TO)
+    return [abs(est.value(n) / seq[n] - 1.0) for n in range(ERROR_N_FROM, ERROR_N_TO + 1)]

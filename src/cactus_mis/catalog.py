@@ -28,9 +28,6 @@ class GFCandidate:
     candidate_id: str
     anchor: str
     gf: RationalGF
-    num_literal: str
-    den_literal: str
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -196,9 +193,6 @@ def load_catalog() -> Catalog:
                 candidate_id=c["id"],
                 anchor=c["anchor"],
                 gf=RationalGF.from_literals(c["num"], c["den"], offset=c.get("offset", 0)),
-                num_literal=c["num"],
-                den_literal=c["den"],
-                offset=c.get("offset", 0),
             )
             for c in fam_raw["gf_candidates"]
         )

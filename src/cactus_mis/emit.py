@@ -13,8 +13,8 @@ from typing import Optional
 from .graphs import Graph
 
 
-def to_dot(g: Graph, name: str = "cactus") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph cactus {"]
     for v in range(g.vertex_count):
         lines.append(f'  v{v} [label="{g.label_text(v)}"];')
     for u, v in g.edges():

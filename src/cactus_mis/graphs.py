@@ -93,62 +93,53 @@ def family_spec(family_id: str) -> FamilySpec:
 class Graph:
     """Immutable simple undirected graph with dense 0-based vertex ids.
 
-    Adjacency lists are sorted tuples; construction enforces simplicity
-    (no loops, no parallel edges).
+    Adjacency is one neighbor bitmask per vertex: bit u of `masks[v]` is set
+    iff uv is an edge. Construction enforces simplicity (no loops, no
+    parallel edges).
     """
 
-    __slots__ = ("vertex_count", "adjacency", "labels", "_edge_count")
+    __slots__ = ("vertex_count", "masks", "labels")
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int]],
                  labels: Optional[Sequence[VertexLabel]] = None):
-        neigh: list[set[int]] = [set() for _ in range(vertex_count)]
+        masks = [0] * vertex_count
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if v in neigh[u]:
+            if masks[u] >> v & 1:
                 raise ValueError(f"parallel edge ({u}, {v})")
-            neigh[u].add(v)
-            neigh[v].add(u)
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(s)) for s in neigh))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         if labels is not None and len(labels) != vertex_count:
             raise ValueError("label count does not match vertex count")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
-        object.__setattr__(self, "_edge_count", sum(len(s) for s in neigh) // 2)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Graph is immutable")
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in sorted order."""
-        for u in range(self.vertex_count):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        for u, m in enumerate(self.masks):
+            m >>= u + 1  # the neighbors above u; bit i of m stands for vertex v + 1 + i
+            v = u
+            while m:
+                step = (m & -m).bit_length()
+                v += step
+                m >>= step
+                yield (u, v)
 
     def label_text(self, v: int) -> str:
         if self.labels is None:
             return f"v{v}"
         return self.labels[v].text()
-
-    def neighbor_masks(self) -> list[int]:
-        """Adjacency as bitmasks, one int per vertex."""
-        masks = [0] * self.vertex_count
-        for u in range(self.vertex_count):
-            m = 0
-            for v in self.adjacency[u]:
-                m |= 1 << v
-            masks[u] = m
-        return masks
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"

@@ -111,7 +111,7 @@ def enumerate_mis(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SizeDis
     if n > vertex_limit:
         raise VertexLimitExceeded(n, vertex_limit)
 
-    nb = g.neighbor_masks()
+    nb = g.masks
     # ahead[v]: vertices with a neighbor at index v or later
     ahead = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
@@ -159,14 +159,10 @@ def enumerate_mis(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SizeDis
 
 def is_maximal_independent(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff `vertices` is independent and no outside vertex can be added."""
-    s = set(vertices)
-    for v in s:
+    chosen = 0
+    for v in vertices:
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"vertex {v} out of range")
-    for v in s:
-        if any(w in s for w in g.adjacency[v]):
-            return False
-    for v in range(g.vertex_count):
-        if v not in s and not any(w in s for w in g.adjacency[v]):
-            return False
-    return True
+        chosen |= 1 << v
+    # every chosen vertex has no chosen neighbor, every other vertex has one
+    return all(bool(chosen >> v & 1) != bool(nb & chosen) for v, nb in enumerate(g.masks))

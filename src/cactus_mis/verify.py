@@ -56,6 +56,7 @@ DEFAULT_N_MAX: dict[str, int] = {
 }
 
 TRANSFER_ORDER_CAP = 45  # largest left-hand-side graph enumerated for identities
+CONSISTENCY_N_MAX = 30  # totals of each stated GF are compared with the recurrence to here
 
 GraphKey = tuple[str, Optional[str], int]  # (family id, aux kind or None, n)
 
@@ -258,21 +259,22 @@ def _resolve_candidate(record: FamilyRecord, candidates: dict) -> str:
     return "statement"
 
 
-def _gf_recurrence_consistency(record: FamilyRecord, n_check: int = 30) -> dict:
+def _gf_recurrence_consistency(record: FamilyRecord) -> dict:
     """Does each stated generating function reproduce the stated recurrence?
 
     Lags are compared after cancelling any common univariate factor; totals
-    are compared exactly out to n_check.
+    are compared exactly out to CONSISTENCY_N_MAX.
     """
     stated = list(record.recurrence.lags)
-    rec_totals = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, n_check)
+    n_max = CONSISTENCY_N_MAX
+    rec_totals = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, n_max)
     out = {}
     for cand in record.gf_candidates:
         univ = specialize_y1(cand.gf)
         lags_raw, valid_from = recurrence_from_gf(univ)
         lags_red, _ = recurrence_from_gf(reduce_fraction(univ))
-        totals = univ.series(n_check)
-        first_bad = next((n for n in range(n_check + 1) if totals[n] != rec_totals[n]), None)
+        totals = univ.series(n_max)
+        first_bad = next((n for n in range(n_max + 1) if totals[n] != rec_totals[n]), None)
         out[cand.candidate_id] = {
             "lags_from_gf": list(lags_raw),
             "lags_after_reduction": list(lags_red),
@@ -291,22 +293,30 @@ def _gf_recurrence_consistency(record: FamilyRecord, n_check: int = 30) -> dict:
 # Transfer identities.
 # ----------------------------------------------------------------------------
 
-def _identity_prediction(identity: TransferIdentity, n: int,
-                         vertex_limit: int) -> SizeDistribution:
-    """Right-hand side of the identity at n: sum of mult * term(n - n_shift, k - k_shift)."""
-    acc: dict[int, int] = {}
+def _replay(identity: TransferIdentity, n: int, vertex_limit: int) -> Optional[dict]:
+    """First k where the identity fails at n, as {n, k, lhs, rhs}, or None if it holds.
+
+    The right-hand side is the sum of mult * term(n - n_shift, k - k_shift).
+    Raises VertexLimitExceeded when a graph it needs is above `vertex_limit`.
+    """
+    lhs = oracle_distribution(identity.family_id, identity.lhs_kind, n, vertex_limit)
+    rhs: dict[int, int] = {}
     for term in identity.rhs:
         dist = oracle_distribution(identity.family_id, term.kind, n - term.n_shift, vertex_limit)
         for k, count in dist.counts.items():
             k += term.k_shift
-            acc[k] = acc.get(k, 0) + term.mult * count
-    return SizeDistribution(acc)
+            rhs[k] = rhs.get(k, 0) + term.mult * count
+    bad = _first_mismatch(lhs, rhs)
+    if bad is None:
+        return None
+    return {"n": n, "k": bad["k"], "lhs": bad["oracle"], "rhs": bad["claimed"]}
 
 
-def identity_max_n(identity: TransferIdentity, order_cap: int = TRANSFER_ORDER_CAP) -> int:
+def identity_max_n(identity: TransferIdentity) -> int:
+    """Largest n whose left-hand-side graph has at most TRANSFER_ORDER_CAP vertices."""
     n = identity.valid_from
     aux = _aux_of_kind(identity.lhs_kind)
-    while graph_order(identity.family_id, n + 1, aux) <= order_cap:
+    while graph_order(identity.family_id, n + 1, aux) <= TRANSFER_ORDER_CAP:
         n += 1
     return n
 
@@ -321,17 +331,13 @@ def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
     skipped = []
     for n in range(identity.valid_from, n_max + 1):
         try:
-            lhs = oracle_distribution(identity.family_id, identity.lhs_kind, n, vertex_limit)
-            rhs = _identity_prediction(identity, n, vertex_limit)
+            bad = _replay(identity, n, vertex_limit)
         except VertexLimitExceeded as exc:
             skipped.append({"n": n, "reason": str(exc)})
             continue
         checked.append(n)
-        if first_bad is None and lhs != rhs:
-            for k in sorted(set(lhs.counts) | set(rhs.counts)):
-                if lhs[k] != rhs[k]:
-                    first_bad = {"n": n, "k": k, "lhs": lhs[k], "rhs": rhs[k]}
-                    break
+        if first_bad is None:
+            first_bad = bad
 
     stated_note = None
     if identity.stated_from < identity.valid_from:
@@ -339,13 +345,11 @@ def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
         refuted_instances = []
         for n in range(identity.stated_from, identity.valid_from):
             try:
-                lhs = oracle_distribution(identity.family_id, identity.lhs_kind, n, vertex_limit)
-                rhs = _identity_prediction(identity, n, vertex_limit)
+                bad = _replay(identity, n, vertex_limit)
             except VertexLimitExceeded:
                 continue
-            if lhs != rhs:
-                k_bad = next(k for k in sorted(set(lhs.counts) | set(rhs.counts)) if lhs[k] != rhs[k])
-                refuted_instances.append({"n": n, "k": k_bad, "lhs": lhs[k_bad], "rhs": rhs[k_bad]})
+            if bad is not None:
+                refuted_instances.append(bad)
         stated_note = {
             "stated_from": identity.stated_from,
             "valid_from": identity.valid_from,
@@ -370,8 +374,7 @@ def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
 # Asymptotics.
 # ----------------------------------------------------------------------------
 
-def verify_asymptotics(record: FamilyRecord,
-                       config: asym.AsymptoticsConfig = asym.DEFAULT_CONFIG) -> dict:
+def verify_asymptotics(record: FamilyRecord) -> dict:
     """Adjudicate the stated asymptotic constants for one family.
 
     The claim is judged against the verified counting sequence (is a(n)
@@ -388,12 +391,12 @@ def verify_asymptotics(record: FamilyRecord,
             "note": "exact closed form 2^n; no asymptotic constants are stated for this family",
         }
     claim = record.asymptotic
-    truth = asym.family_estimate(record, config)
-    stated = asym.stated_gf_estimate(record, config)
+    truth = asym.family_estimate(record)
+    stated = asym.stated_gf_estimate(record)
 
     rho_ok = abs(truth.rho - claim.rho) <= claim.rho_tolerance
     const_ok = abs(truth.constant - claim.constant) <= claim.constant_tolerance
-    errors = asym.relative_errors(record, 15, 40, config)
+    errors = asym.relative_errors(record)
     result = {
         "kind": "asymptotics",
         "family": fam,
@@ -408,7 +411,7 @@ def verify_asymptotics(record: FamilyRecord,
         },
         "rho_matches": rho_ok,
         "constant_matches": const_ok,
-        "ratio_convergence": asym.ratio_converges(record, config=config),
+        "ratio_convergence": asym.ratio_converges(record),
         "max_relative_error_15_40": max(errors),
         "witness": None,
     }
@@ -529,7 +532,7 @@ def run_verification(
         "identity_range_notes": {k: v for k, v in sorted(identity_range_notes.items())},
         "summary": _summarize(claims),
     }
-    if scope == "all":
+    if scope == "all" and family is None:
         _check_completeness(catalog, report)
     return report
 

@@ -34,7 +34,7 @@ def subset_filter_masks(g):
     n = g.vertex_count
     if n == 0:
         return {0: 1}
-    nb = g.neighbor_masks()
+    nb = g.masks
     full = (1 << n) - 1
     independent = bytearray(1 << n)
     independent[0] = 1
@@ -58,7 +58,7 @@ def complement_cliques(g):
     n = g.vertex_count
     if n == 0:
         return {0: 1}
-    comp = [set(range(n)) - {v} - set(g.adjacency[v]) for v in range(n)]
+    comp = [{u for u in range(n) if u != v and not g.masks[v] >> u & 1} for v in range(n)]
     counts = {}
 
     def expand(r_size, p, x):

@@ -175,7 +175,7 @@ def test_criterion_6_leading_constant(family_id, catalog):
 def test_criterion_6_estimate_accuracy(catalog):
     with criterion(6, "asymptotics estimate accuracy", 1.0):
         for record in catalog.families:
-            errs = relative_errors(record, 15, 40)
+            errs = relative_errors(record)
             assert max(errs) < 0.01, record.family_id
 
 

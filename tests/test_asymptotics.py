@@ -5,9 +5,7 @@ import math
 import pytest
 
 from cactus_mis.asymptotics import (
-    DEFAULT_CONFIG,
     analyze,
-    estimate_count,
     family_estimate,
     leading_constant,
     ratio_converges,
@@ -16,6 +14,8 @@ from cactus_mis.asymptotics import (
     stated_gf_estimate,
 )
 from cactus_mis.series import UnivarRational, parse_univar, recurrence_sequence
+
+NOISE_FLOOR = 1e-9  # relative errors below this are float noise
 
 
 def test_root_examples():
@@ -57,26 +57,26 @@ def test_square_estimate_is_exact_power_of_two(catalog):
     est = family_estimate(rec)
     assert est.rho == pytest.approx(0.5, abs=1e-10)
     assert est.constant == pytest.approx(0.5, abs=1e-10)
-    assert estimate_count(rec, 20) == pytest.approx(2 ** 20, rel=1e-9)
+    assert family_estimate(rec).value(20) == pytest.approx(2 ** 20, rel=1e-9)
 
 
 def test_estimate_examples(catalog):
     tri = catalog.family("triangular")
     exact = recurrence_sequence(tri.recurrence.lags, tri.recurrence.initial, 15)[15]
     assert exact == 2584
-    assert abs(estimate_count(tri, 15) / exact - 1) < 0.01
+    assert abs(family_estimate(tri).value(15) / exact - 1) < 0.01
 
     mp = catalog.family("meta-pentagonal")
-    assert estimate_count(mp, 2) == pytest.approx(12.98, abs=0.01)
+    assert family_estimate(mp).value(2) == pytest.approx(12.98, abs=0.01)
     exact10 = recurrence_sequence(mp.recurrence.lags, mp.recurrence.initial, 10)[10]
-    assert abs(estimate_count(mp, 10) / exact10 - 1) < 1e-3
+    assert abs(family_estimate(mp).value(10) / exact10 - 1) < 1e-3
 
 
 def test_overflow_safe_large_n(catalog):
     rec = catalog.family("ortho-hexagonal")
-    v = estimate_count(rec, 10_000)
+    v = family_estimate(rec).value(10_000)
     assert v == math.inf  # far beyond float range, reported as infinity
-    assert estimate_count(rec, 300) > 0
+    assert family_estimate(rec).value(300) > 0
 
 
 def test_ratio_convergence_all_families(catalog):
@@ -87,15 +87,14 @@ def test_ratio_convergence_all_families(catalog):
 def test_relative_error_below_one_percent_and_decaying(catalog):
     # Complex subdominant roots make the pointwise error oscillate under a
     # geometrically decaying envelope, so decay is asserted on window maxima.
-    floor = DEFAULT_CONFIG.noise_floor
     for rec in catalog.families:
-        errs = relative_errors(rec, 15, 40)
+        errs = relative_errors(rec)  # n = 15..40
         assert max(errs) < 0.01, rec.family_id
         if rec.family_id == "square":
             continue
         first, second = max(errs[:13]), max(errs[13:])
-        assert second < first or first < floor, rec.family_id
-        assert errs[-1] <= errs[0] or errs[0] < floor, rec.family_id
+        assert second < first or first < NOISE_FLOOR, rec.family_id
+        assert errs[-1] <= errs[0] or errs[0] < NOISE_FLOOR, rec.family_id
 
 
 def test_stated_gf_constants(catalog):

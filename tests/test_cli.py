@@ -131,6 +131,22 @@ def test_verify_family_exit_zero(capsys):
     assert report["summary"]["refuted"] == 0
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_all_scope_for_one_family(workers, catalog):
+    # the whole-catalog completeness check must not run on a one-family report
+    proc = subprocess.run(
+        [sys.executable, "-m", "cactus_mis.cli", "verify", "--scope", "all",
+         "--family", "triangular", "--workers", workers],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rec = catalog.family("triangular")
+    expected = {rec.gf_anchor, rec.recurrence.anchor, rec.asymptotic.anchor}
+    expected.update(check.anchor for check in rec.boundary_checks)
+    expected.update(i.anchor for i in catalog.identities if i.family_id == "triangular")
+    assert set(json.loads(proc.stdout)["claims"]) == expected
+
+
 def test_verify_asymptotics_exit_one(capsys):
     code, out, _ = run_cli(["verify", "--scope", "asymptotics", "--format", "table"], capsys)
     assert code == 1  # refuted printed constants exist

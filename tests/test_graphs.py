@@ -4,6 +4,8 @@ networkx serves as the independent recomputation for articulation points,
 biconnected blocks, and the isomorphism spot checks.
 """
 
+import random
+
 import networkx as nx
 import pytest
 
@@ -14,6 +16,7 @@ from cactus_mis.graphs import (
     FAMILY_IDS,
     GADGET_BLOCK,
     TILDE_GADGETS,
+    Graph,
     VertexLabel,
     build_aux,
     build_family,
@@ -161,7 +164,7 @@ def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
 def test_anchor_is_a_degree_two_cycle_vertex(spec, n):
     g = build_family(spec, n)
     a = anchor_of(g, spec, n)
-    assert g.degree(a) == 2
+    assert g.masks[a].bit_count() == 2
     assert a not in cuts(g)
 
 
@@ -251,3 +254,34 @@ def test_unknown_family_rejected():
         graph_order("triangular", 1, "ring")
     with pytest.raises(ValueError):
         build_family(family_spec("triangular"), -1)
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(1, 1)], "loop"),
+    ([(0, 1), (0, 1)], "parallel edge"),
+    ([(0, 1), (1, 0)], "parallel edge"),
+    ([(0, 3)], "out of range"),
+    ([(-1, 0)], "out of range"),
+], ids=["loop", "parallel", "parallel-reversed", "endpoint-too-large", "endpoint-negative"])
+def test_graph_rejects_non_simple_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, edges)
+
+
+def test_graph_rejects_label_count_mismatch():
+    with pytest.raises(ValueError, match="label count"):
+        Graph(2, [(0, 1)], [VertexLabel(1, 1)])
+
+
+def test_graph_from_random_simple_edge_sets():
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randrange(0, 80)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = rng.sample(pairs, rng.randrange(min(len(pairs), 3 * n) + 1))
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen]
+        g = Graph(n, edges)
+        assert list(g.edges()) == sorted(chosen)
+        assert g.edge_count == len(edges)
+        assert len(g.masks) == n
+        assert all(g.masks[u] >> v & 1 == g.masks[v] >> u & 1 for u in range(n) for v in range(n))
