@@ -16,7 +16,7 @@ is refuted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import FamilyRecord
 from .series import UnivarPoly, UnivarRational, recurrence_sequence
@@ -29,8 +29,7 @@ RATIO_N_FROM, RATIO_N_TO = 30, 60  # n range of ratio_converges
 ERROR_N_FROM, ERROR_N_TO = 15, 40  # n range of relative_errors
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Computed (rho, C) for one rational counting series."""
 
     rho: float

@@ -10,9 +10,8 @@ themselves are never edited.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
-from typing import Optional
+import os
+from typing import NamedTuple, Optional
 
 from .graphs import FAMILIES, FamilySpec
 from .oracle import SizeDistribution
@@ -20,9 +19,10 @@ from .series import RationalGF, UnivarRational, parse_univar
 
 GRAPH_KINDS = ("family", "bar", "tilde")
 
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-@dataclass(frozen=True)
-class GFCandidate:
+
+class GFCandidate(NamedTuple):
     """One stated bivariate generating function for a family."""
 
     candidate_id: str
@@ -30,8 +30,7 @@ class GFCandidate:
     gf: RationalGF
 
 
-@dataclass(frozen=True)
-class RecurrenceClaim:
+class RecurrenceClaim(NamedTuple):
     """a(n) = sum lags[i-1] * a(n-i) for n >= valid_from, seeded by `initial`."""
 
     anchor: str
@@ -45,8 +44,7 @@ class RecurrenceClaim:
         return rational_from_recurrence(self.lags, self.initial)
 
 
-@dataclass(frozen=True)
-class AsymptoticClaim:
+class AsymptoticClaim(NamedTuple):
     """Printed decimals of rho and C in a(n) ~ C / rho^(n+1)."""
 
     anchor: str
@@ -75,8 +73,7 @@ class AsymptoticClaim:
         return self._half_ulp(self.constant_printed)
 
 
-@dataclass(frozen=True)
-class BoundaryCheck:
+class BoundaryCheck(NamedTuple):
     """Stated size distribution of one small graph; sizes not listed are
     claimed to have count zero."""
 
@@ -87,16 +84,14 @@ class BoundaryCheck:
     claimed: SizeDistribution
 
 
-@dataclass(frozen=True)
-class TransferTerm:
+class TransferTerm(NamedTuple):
     mult: int
     kind: str
     n_shift: int
     k_shift: int
 
 
-@dataclass(frozen=True)
-class TransferIdentity:
+class TransferIdentity(NamedTuple):
     """lhs(n, k) = sum of mult * term(n - n_shift, k - k_shift), n >= valid_from.
 
     `stated_from` records the range claimed by the source; it differs from
@@ -113,8 +108,7 @@ class TransferIdentity:
     stated_from: int
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     """Everything the catalog asserts about one polygonal family."""
 
     spec: FamilySpec
@@ -141,8 +135,7 @@ class FamilyRecord:
         raise KeyError(f"no generating-function candidate {candidate_id!r} for {self.family_id}")
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     families: tuple[FamilyRecord, ...]
     identities: tuple[TransferIdentity, ...]
 
@@ -161,9 +154,10 @@ class Catalog:
 
 
 def _data_text(name: str) -> Optional[str]:
-    ref = resources.files("cactus_mis").joinpath("data").joinpath(name)
+    """Text of `data/<name>` beside this module (package-data ships it there), or None."""
     try:
-        return ref.read_text(encoding="utf-8")
+        with open(os.path.join(_DATA_DIR, name), encoding="utf-8") as fh:
+            return fh.read()
     except FileNotFoundError:
         return None
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -154,8 +155,9 @@ def _cmd_estimate(args) -> int:
     est = asym.family_estimate(record)
     value = est.value(args.n)
     payload = {
-        "family": args.family, "n": args.n,
-        "rho": est.rho, "constant": est.constant, "estimate": value,
+        "family": args.family, "n": args.n, "rho": est.rho, "constant": est.constant,
+        # JSON has no Infinity: a value beyond float range prints as null
+        "estimate": value if math.isfinite(value) else None,
     }
     if args.n <= 500:
         exact = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, args.n)[args.n]

@@ -12,14 +12,12 @@ paths ("legs") hanging off the anchor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 GADGET_BLOCK = 0  # sentinel block id for gadget vertices (real blocks are 1-based)
 
 
-@dataclass(frozen=True)
-class VertexLabel:
+class VertexLabel(NamedTuple):
     """Structural label: (block, position) for cycle vertices, slot name for gadget ones.
 
     Shared cut vertices keep the label of the earlier block. Positions are
@@ -35,8 +33,7 @@ class VertexLabel:
         return f"b{self.block}_p{self.position}"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """One polygonal family: identifier, cycle length k, attachment distance d."""
 
     family_id: str

@@ -36,13 +36,16 @@ has to be. On the ortho-hexagonal chains the two forms cost about the same
 at 400-500 vertices; past that the packed form is slower, about three times
 slower at 1501 vertices. The default 64-vertex guard and the verifier's
 graphs (at most 45 vertices) sit far below that crossover.
+
+SizeDistribution is a `__slots__` class, not a frozen dataclass, for the
+import cost (see `_frozen`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._frozen import Frozen
 from .graphs import Graph
 
 DEFAULT_VERTEX_LIMIT = 64
@@ -60,14 +63,13 @@ class VertexLimitExceeded(Exception):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class SizeDistribution:
+class SizeDistribution(Frozen):
     """Exact map from set size k to the number of maximal independent sets."""
 
-    counts: Mapping[int, int]
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
-        frozen = {int(k): int(v) for k, v in self.counts.items() if v}
+    def __init__(self, counts: Mapping[int, int]):
+        frozen = {int(k): int(v) for k, v in counts.items() if v}
         if any(k < 0 or v < 0 for k, v in frozen.items()):
             raise ValueError("sizes and counts must be nonnegative")
         object.__setattr__(self, "counts", frozen)

@@ -15,29 +15,30 @@ one shifted multiple of an earlier band, so the zeros below the lowest
 y-degree (over half of a deep expansion) cost nothing. UnivarPoly has no
 arithmetic operators of its own.
 
-Everything here is exact; floats never appear.
+Everything here is exact; floats never appear. The value classes are
+`__slots__` classes, not frozen dataclasses, for the import cost (see `_frozen`).
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count
+from math import gcd
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
+
+from ._frozen import Frozen
 
 
 # ----------------------------------------------------------------------------
 # Univariate polynomials: plain coefficient lists, trailing zeros trimmed.
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnivarPoly:
+class UnivarPoly(Frozen):
     """Dense univariate polynomial over exact integers."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         c = list(map(int, coeffs))
@@ -89,16 +90,16 @@ class UnivarPoly:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class UnivarRational:
+class UnivarRational(Frozen):
     """Ratio of two integer polynomials with unit constant denominator term."""
 
-    num: UnivarPoly
-    den: UnivarPoly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den[0] != 1:
+    def __init__(self, num: UnivarPoly, den: UnivarPoly):
+        if den[0] != 1:
             raise ValueError("denominator must have constant term 1")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def series(self, n_max: int) -> list[int]:
         """Coefficients a_0 .. a_{n_max} of the power-series expansion."""
@@ -115,72 +116,82 @@ class UnivarRational:
         return f"({self.num.text(var)}) / ({self.den.text(var)})"
 
 
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients (the zero polynomial stays [])."""
+    g = gcd(*p)
+    return [c // g for c in p] if g else p
+
+
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder of a by a nonzero b.
+
+    Each step multiplies a by the leading coefficient of b before it cancels
+    a's leading term, so everything stays in the integers.
+    """
+    a = a[:]
+    lead, tail = b[-1], b[:-1]
+    while len(a) >= len(b):
+        top = a.pop()
+        shift = len(a) - len(tail)
+        a = [c * lead for c in a]
+        for i, c in enumerate(tail):
+            a[shift + i] -= top * c
+        while a and not a[-1]:
+            a.pop()
+    return _primitive(a)
+
+
+def _divexact(a: list[int], b: list[int]) -> Optional[list[int]]:
+    """a / b over the integers, or None when b does not divide a there."""
+    a = a[:]
+    q = [0] * (len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c, rem = divmod(a[-1], b[-1])
+        if rem:
+            return None
+        shift = len(a) - len(b)
+        q[shift] = c
+        for i, bc in enumerate(b):
+            a[shift + i] -= c * bc
+        while a and not a[-1]:
+            a.pop()
+    return None if a else q
+
+
 def reduce_fraction(r: UnivarRational) -> UnivarRational:
     """Cancel a common polynomial factor of num and den, keeping den[0] = 1.
 
-    Uses the Euclidean algorithm over the rationals; returns the input
-    unchanged when num and den are coprime.
+    The gcd comes from primitive pseudo-remainders, all in the integers.
+    Returns the input unchanged when num and den are coprime, or when the
+    reduced form would leave the integers. (By Gauss's lemma the primitive
+    gcd g divides both exactly over the integers, and g(0) * (den / g)(0) =
+    den(0) = 1 makes both factors +-1, so that second case does not arise
+    for a valid UnivarRational.)
     """
     if r.num.is_zero():
         return UnivarRational(UnivarPoly(), UnivarPoly([1]))
-
-    def to_frac(p: UnivarPoly) -> list[Fraction]:
-        return [Fraction(c) for c in p.coeffs]
-
-    def frac_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] -= q * bc
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def frac_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        a = a[:]
-        q = [Fraction(0)] * (len(a) - len(b) + 1)
-        while len(a) >= len(b) and any(a):
-            c = a[-1] / b[-1]
-            q[len(a) - len(b)] = c
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] -= c * bc
-            while a and a[-1] == 0:
-                a.pop()
-        return q
-
-    x, y = to_frac(r.num), to_frac(r.den)
-    while y:
-        x, y = y, frac_mod(x, y)
-    gcd = x
-    if len(gcd) <= 1:
+    num, den = list(r.num.coeffs), list(r.den.coeffs)
+    a, b = _primitive(num), _primitive(den)
+    while b:
+        a, b = b, _primitive_prem(a, b)
+    if len(a) <= 1:
         return r
-    new_num = frac_divexact(to_frac(r.num), gcd)
-    new_den = frac_divexact(to_frac(r.den), gcd)
-    scale = new_den[0]
-    new_num = [c / scale for c in new_num]
-    new_den = [c / scale for c in new_den]
-    if any(c.denominator != 1 for c in new_num + new_den):
-        return r  # reduction would leave the integers; keep the stated form
-    return UnivarRational(UnivarPoly([int(c) for c in new_num]),
-                          UnivarPoly([int(c) for c in new_den]))
+    new_num, new_den = _divexact(num, a), _divexact(den, a)
+    if new_num is None or new_den is None:
+        return r
+    sign = new_den[0]  # +-1, see above; scales den[0] to 1
+    return UnivarRational(UnivarPoly(c * sign for c in new_num),
+                          UnivarPoly(c * sign for c in new_den))
 
 
 # ----------------------------------------------------------------------------
 # Bivariate polynomials.
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BivarPoly:
+class BivarPoly(Frozen):
     """Sparse bivariate polynomial: {(x_deg, y_deg): coefficient}."""
 
-    terms: Mapping[tuple[int, int], int]
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
         frozen = {}
@@ -322,16 +333,16 @@ def parse_univar(text: str) -> UnivarPoly:
 # Rational generating functions in two variables.
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Frozen):
     """num/den with den(0, y) = 1, so the power series in x is well defined."""
 
-    num: BivarPoly
-    den: BivarPoly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if {j: c for (i, j), c in self.den.terms.items() if i == 0} != {0: 1}:
+    def __init__(self, num: BivarPoly, den: BivarPoly):
+        if {j: c for (i, j), c in den.terms.items() if i == 0} != {0: 1}:
             raise ValueError("denominator must satisfy den(0, y) = 1")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_literals(cls, num: str, den: str, offset: int = 0) -> "RationalGF":

@@ -60,7 +60,9 @@ CONSISTENCY_N_MAX = 30  # totals of each stated GF are compared with the recurre
 
 GraphKey = tuple[str, Optional[str], int]  # (family id, aux kind or None, n)
 
-_ORACLE_CACHE: dict[GraphKey, SizeDistribution] = {}
+# each graph's vertex count is kept with its distribution, so a hit checks
+# the vertex guard without working out the graph's order again
+_ORACLE_CACHE: dict[GraphKey, tuple[int, SizeDistribution]] = {}
 
 
 def _aux_of_kind(kind: str) -> Optional[str]:
@@ -71,15 +73,15 @@ def oracle_distribution(family_id: str, kind: str, n: int,
                         vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SizeDistribution:
     """Cached exact size distribution for one generated graph."""
     key = (family_id, _aux_of_kind(kind), n)
-    order = graph_order(family_id, n, key[1])
-    if order > vertex_limit:
-        # enforced before the cache so reports never depend on cache warmth
-        raise VertexLimitExceeded(order, vertex_limit)
     hit = _ORACLE_CACHE.get(key)
+    order = hit[0] if hit is not None else graph_order(family_id, n, key[1])
+    if order > vertex_limit:
+        # enforced on hits too, so reports never depend on cache warmth
+        raise VertexLimitExceeded(order, vertex_limit)
     if hit is not None:
-        return hit
+        return hit[1]
     dist = enumerate_mis(build_graph(family_id, n, key[1]), vertex_limit=vertex_limit)
-    _ORACLE_CACHE[key] = dist
+    _ORACLE_CACHE[key] = (order, dist)
     return dist
 
 
@@ -92,12 +94,12 @@ def _oracle_task(keys: list[GraphKey]) -> list[tuple[GraphKey, dict[int, int]]]:
     return done
 
 
-def _prefill_cache(tasks: list[GraphKey], workers: int) -> None:
-    """Count the uncached `tasks` in a pool of at most `workers` processes."""
+def _prefill_cache(tasks: dict[GraphKey, int], workers: int) -> None:
+    """Count the uncached `tasks` (key: vertex count) in a pool of at most `workers` processes."""
     # largest graphs first, ties by key, so the chunks and their order are
     # the same on every run
-    todo = sorted(set(tasks).difference(_ORACLE_CACHE),
-                  key=lambda t: (-graph_order(t[0], t[2], t[1]), t[0], t[1] or "", t[2]))
+    todo = sorted(tasks.keys() - _ORACLE_CACHE.keys(),
+                  key=lambda t: (-tasks[t], t[0], t[1] or "", t[2]))
     if len(todo) < 4:
         return  # not worth a pool: the lookups count these in this process
     # about four chunks per worker: one round trip per chunk instead of one
@@ -110,7 +112,7 @@ def _prefill_cache(tasks: list[GraphKey], workers: int) -> None:
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         for done in pool.map(_oracle_task, chunks):
             for key, counts in done:
-                _ORACLE_CACHE[key] = SizeDistribution(counts)
+                _ORACLE_CACHE[key] = (tasks[key], SizeDistribution(counts))
 
 
 def _dist_json(dist: SizeDistribution) -> dict[str, int]:
@@ -450,8 +452,9 @@ def _identity_top(ident: TransferIdentity, n_max_override: Optional[int]) -> int
 
 def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
                    n_max: dict[str, int], vertex_limit: int,
-                   n_max_override: Optional[int]) -> list[GraphKey]:
-    """Every graph the lookups for `records` and `idents` ask for, within `vertex_limit`."""
+                   n_max_override: Optional[int]) -> dict[GraphKey, int]:
+    """Every graph the lookups for `records` and `idents` ask for, within
+    `vertex_limit`, with its vertex count."""
     tasks: set[GraphKey] = set()
     for rec in records:
         tasks.update((rec.family_id, None, n) for n in range(n_max[rec.family_id] + 1))
@@ -459,7 +462,7 @@ def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
                      for check in rec.boundary_checks)
     for ident in idents:
         tasks.update(_identity_tasks(ident, _identity_top(ident, n_max_override)))
-    return [t for t in tasks if graph_order(t[0], t[2], t[1]) <= vertex_limit]
+    return {t: order for t in tasks if (order := graph_order(t[0], t[2], t[1])) <= vertex_limit}
 
 
 def run_verification(

@@ -12,11 +12,16 @@ These deliberately share no code with the frontier-sweep oracle
 
 `convolve` gives the distribution of a disjoint union from those of its
 parts (sizes add, counts multiply).
+
+`reduce_fraction_over_q` is the rational-arithmetic reference for the
+integer gcd of `cactus_mis.series.reduce_fraction`.
 """
 
 import itertools
+from fractions import Fraction
 
 from cactus_mis.oracle import is_maximal_independent
+from cactus_mis.series import UnivarPoly, UnivarRational
 
 
 def subset_filter_slow(g):
@@ -81,3 +86,57 @@ def convolve(a, b):
         for kb, vb in b.items():
             out[ka + kb] = out.get(ka + kb, 0) + va * vb
     return out
+
+
+def reduce_fraction_over_q(r):
+    """Reference for `cactus_mis.series.reduce_fraction`: Euclid over the rationals.
+
+    Returns `r` itself when num and den are coprime or when the reduced form
+    would leave the integers.
+    """
+    if r.num.is_zero():
+        return UnivarRational(UnivarPoly(), UnivarPoly([1]))
+
+    def frac_mod(a, b):
+        a = a[:]
+        while len(a) >= len(b) and any(a):
+            if a[-1] == 0:
+                a.pop()
+                continue
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] -= q * bc
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def frac_divexact(a, b):
+        a = a[:]
+        q = [Fraction(0)] * (len(a) - len(b) + 1)
+        while len(a) >= len(b) and any(a):
+            c = a[-1] / b[-1]
+            q[len(a) - len(b)] = c
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] -= c * bc
+            while a and a[-1] == 0:
+                a.pop()
+        return q
+
+    num = [Fraction(c) for c in r.num.coeffs]
+    den = [Fraction(c) for c in r.den.coeffs]
+    x, y = num, den
+    while y:
+        x, y = y, frac_mod(x, y)
+    if len(x) <= 1:
+        return r
+    new_num, new_den = frac_divexact(num, x), frac_divexact(den, x)
+    scale = new_den[0]
+    new_num = [c / scale for c in new_num]
+    new_den = [c / scale for c in new_den]
+    if any(c.denominator != 1 for c in new_num + new_den):
+        return r
+    return UnivarRational(UnivarPoly([int(c) for c in new_num]),
+                          UnivarPoly([int(c) for c in new_den]))

@@ -123,6 +123,19 @@ def test_estimate(capsys):
     assert payload["relative_error"] < 0.01
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_estimate_beyond_float_range_is_strict_json_null(capsys):
+    code, out, _ = run_cli(["estimate", "--family", "triangular", "--n", "100000"], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)  # no Infinity or NaN
+    assert payload["estimate"] is None
+    assert payload["rho"] == pytest.approx(0.618034, abs=1e-6)
+    assert "exact" not in payload
+
+
 def test_verify_family_exit_zero(capsys):
     code, out, _ = run_cli(
         ["verify", "--scope", "family", "--family", "triangular", "--workers", "1"], capsys)

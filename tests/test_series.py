@@ -1,9 +1,15 @@
 """Exact polynomial arithmetic, parsing, series expansion, and recurrences."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import reduce_fraction_over_q
+from cactus_mis.catalog import TransferTerm
+from cactus_mis.graphs import VertexLabel
+from cactus_mis.oracle import SizeDistribution
 from cactus_mis.series import (
     BivarPoly,
     RationalGF,
@@ -249,6 +255,74 @@ def test_rational_from_recurrence_round_trip(catalog):
 def test_reduce_fraction_is_identity_for_coprime():
     r = UnivarRational(parse_univar("1 + 2x"), parse_univar("1 - x - x^2"))
     assert reduce_fraction(r) is r
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+       den_tail=st.lists(st.integers(-6, 6), max_size=4),
+       factor_tail=st.lists(st.integers(-6, 6), max_size=3),
+       unit=st.sampled_from([1, -1]))
+def test_reduce_fraction_matches_rational_reference(num, den_tail, factor_tail, unit):
+    # num * f / (den * f) with den(0) = f(0) = +-1, so den(0) * f(0) = 1
+    f = [unit] + factor_tail
+    r = UnivarRational(UnivarPoly(_times(num, f)), UnivarPoly(_times([unit] + den_tail, f)))
+    got, want = reduce_fraction(r), reduce_fraction_over_q(r)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert (got is r) == (want is r)
+
+
+# For each value class: two equal values built differently, a third that
+# differs, a field to assign, and what the repr must show.
+VALUE_CASES = {
+    "UnivarPoly": (lambda: UnivarPoly([1, -2, 0]), lambda: UnivarPoly((1, -2)),
+                   lambda: UnivarPoly([1, 2]), "coeffs", ["UnivarPoly(coeffs=(1, -2))"]),
+    "BivarPoly": (lambda: BivarPoly({(0, 0): 1, (2, 1): -3, (1, 1): 0}),
+                  lambda: BivarPoly({(2, 1): -3, (0, 0): 1}), lambda: BivarPoly({(0, 0): 1}),
+                  "terms", ["BivarPoly(terms=", "(0, 0): 1", "(2, 1): -3"]),
+    "SizeDistribution": (lambda: SizeDistribution({1: 2, 2: 3, 4: 0}),
+                         lambda: SizeDistribution({2: 3, 1: 2}), lambda: SizeDistribution({1: 2}),
+                         "counts", ["1: 2", "2: 3"]),
+    "UnivarRational": (lambda: UnivarRational(UnivarPoly([1, 1]), UnivarPoly([1, -1, -1])),
+                       lambda: UnivarRational(parse_univar("1 + x"), parse_univar("1 - x - x^2")),
+                       lambda: UnivarRational(UnivarPoly([1]), UnivarPoly([1, -1, -1])),
+                       "den", ["UnivarRational(num=UnivarPoly(coeffs=(1, 1)), "
+                               "den=UnivarPoly(coeffs=(1, -1, -1)))"]),
+    "RationalGF": (lambda: RationalGF(BivarPoly({(1, 1): 1}), BivarPoly({(0, 0): 1, (1, 0): -1})),
+                   lambda: RationalGF.from_literals("xy", "1 - x"),
+                   lambda: RationalGF.from_literals("xy", "1 - 2x"),
+                   "num", ["RationalGF(num=BivarPoly(terms={(1, 1): 1}), den=BivarPoly(terms=",
+                           "(1, 0): -1"]),
+    "VertexLabel": (lambda: VertexLabel(2, 3), lambda: VertexLabel(position=3, block=2),
+                    lambda: VertexLabel(2, "g1_1"), "block", ["VertexLabel(block=2, position=3)"]),
+    "TransferTerm": (lambda: TransferTerm(2, "bar", 1, 0),
+                     lambda: TransferTerm(mult=2, kind="bar", n_shift=1, k_shift=0),
+                     lambda: TransferTerm(2, "bar", 1, 1), "mult",
+                     ["TransferTerm(mult=2, kind='bar', n_shift=1, k_shift=0)"]),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_value_semantics(name):
+    make, make_equal, make_other, field, shown = VALUE_CASES[name]
+    a, b, other = make(), make_equal(), make_other()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b  # unchanged by the refused writes
+    for text in shown:
+        assert text in repr(a), (text, repr(a))
 
 
 def test_big_integer_growth():

@@ -9,7 +9,7 @@ import pytest
 
 from cactus_mis import verify
 from cactus_mis.graphs import build_graph, graph_order
-from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, enumerate_mis
+from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
 from cactus_mis.series import series_in_x
 from cactus_mis.verify import (
     DEFAULT_N_MAX,
@@ -242,18 +242,36 @@ def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch,
     pooled = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=2)
     assert verify._ORACLE_CACHE
-    assert max(graph_order(f, n, aux) for f, aux, n in verify._ORACLE_CACHE) <= DEFAULT_VERTEX_LIMIT
+    # each entry keeps its graph's vertex count, as a serial lookup stores it
+    for (f, aux, n), (order, _dist) in verify._ORACLE_CACHE.items():
+        assert order == graph_order(f, n, aux) <= DEFAULT_VERTEX_LIMIT
     monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
     serial = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=1)
     assert report_to_json(pooled) == report_to_json(serial)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_vertex_guard_holds_on_cache_hits(catalog, monkeypatch, workers):
+    # a cache warmed under the default guard must not let a lower guard pass
+    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    cold = report_to_json(run_verification(catalog, scope="family", family="triangular",
+                                           vertex_limit=9, workers=workers))
+    run_verification(catalog, scope="family", family="triangular", workers=workers)
+    with pytest.raises(VertexLimitExceeded):
+        verify.oracle_distribution("triangular", "family", 5, vertex_limit=9)
+    warm = report_to_json(run_verification(catalog, scope="family", family="triangular",
+                                           vertex_limit=9, workers=workers))
+    assert warm == cold and '"SKIPPED"' in warm
+
+
 def test_import_leaves_process_pool_unloaded():
-    # only a pooled verify run needs the process-pool machinery
-    code = ("import sys, cactus_mis, cactus_mis.cli; "
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-            "if m in sys.modules))")
+    # only a pooled verify run needs the process-pool machinery, and no
+    # start-up path needs dataclasses (with inspect) or fractions (with decimal)
+    unloaded = ("concurrent.futures.process", "multiprocessing",
+                "dataclasses", "inspect", "fractions", "decimal")
+    code = ("import sys, cactus_mis, cactus_mis.cli; cactus_mis.load_catalog(); "
+            f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
