@@ -124,10 +124,6 @@ class FamilyRecord(NamedTuple):
     def family_id(self) -> str:
         return self.spec.family_id
 
-    @property
-    def symbol(self) -> str:
-        return self.spec.symbol
-
     def gf(self, candidate_id: str = "statement") -> RationalGF:
         for cand in self.gf_candidates:
             if cand.candidate_id == candidate_id:

@@ -16,10 +16,11 @@ from typing import Optional
 from . import asymptotics as asym
 from .catalog import load_catalog
 from .emit import emit
-from .graphs import FAMILIES, FAMILY_IDS, build_graph, graph_order
-from .oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
+from .graphs import FAMILIES, FAMILY_IDS, build_graph
+from .oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded
 from .series import recurrence_sequence, series_in_x
-from .verify import has_refuted, report_to_json, report_to_table, run_verification
+from .verify import (has_refuted, oracle_distribution, report_to_json, report_to_table,
+                     run_verification)
 
 VERTEX_LIMIT_ENV = "CACTUS_MIS_VERTEX_LIMIT"
 
@@ -84,12 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _vertex_limit(args) -> int:
-    if args.vertex_limit is not None:
-        return args.vertex_limit
-    env = os.environ.get(VERTEX_LIMIT_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_VERTEX_LIMIT
+    """--vertex-limit, else the environment, else the default; negative is a usage error."""
+    source, limit = "--vertex-limit", args.vertex_limit
+    if limit is None:
+        source = VERTEX_LIMIT_ENV
+        limit = int(os.environ.get(VERTEX_LIMIT_ENV) or DEFAULT_VERTEX_LIMIT)
+    if limit < 0:
+        raise ValueError(f"{source} must be >= 0, got {limit}")
+    return limit
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -107,13 +110,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    limit = _vertex_limit(args)
-    order = graph_order(args.family, args.n, args.aux)
-    if order > limit:
-        sys.stderr.write(f"error: graph has {order} vertices, above the limit of {limit}; "
-                         f"pass --vertex-limit to override\n")
-        return 1
-    dist = enumerate_mis(build_graph(args.family, args.n, args.aux), vertex_limit=limit)
+    dist = oracle_distribution(args.family, args.aux or "family", args.n, _vertex_limit(args))
     if args.format == "json":
         payload = {
             "family": args.family, "aux": args.aux, "n": args.n,

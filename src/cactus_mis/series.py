@@ -112,9 +112,6 @@ class UnivarRational(Frozen):
             out.append(v)
         return out
 
-    def text(self, var: str = "x") -> str:
-        return f"({self.num.text(var)}) / ({self.den.text(var)})"
-
 
 def _primitive(p: list[int]) -> list[int]:
     """p divided by the gcd of its coefficients (the zero polynomial stays [])."""

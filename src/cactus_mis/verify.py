@@ -11,12 +11,18 @@ verdicts: CONFIRMED (bit-exact agreement over the whole checked range),
 REFUTED (carries a first-mismatch witness), or SKIPPED (resource limit or no
 claim to check). Reports are deterministic and JSON-serializable.
 
+Every catalog graph is counted by `oracle_distribution`: a memo hit, else the
+vertex guard, `build_graph` and `enumerate_mis`. Each `run_verification` call
+keeps its counts in one memo of its own and nothing at module level, so a memo
+serves one run and one vertex limit, and a hit needs no second guard.
+
 With `workers > 1`, `run_verification` first collects every graph its
 lookups will ask for (one task list for every scope, already cut to the
-vertex guard) and counts them in a process pool. The keys go out size-sorted,
-largest first, in about four chunks per worker, and each child returns the
-distributions of a whole chunk. The serial path (`workers == 1`) starts no
-pool and never imports `concurrent.futures.process`.
+vertex guard) and has a process pool fill the memo. The keys go out
+size-sorted, largest first, in about four chunks per worker; each child
+counts its chunk through `oracle_distribution` under the run's limit and
+returns the distributions. The serial path (`workers == 1`) starts no pool
+and never imports `concurrent.futures.process`.
 """
 
 from __future__ import annotations
@@ -58,11 +64,8 @@ DEFAULT_N_MAX: dict[str, int] = {
 TRANSFER_ORDER_CAP = 45  # largest left-hand-side graph enumerated for identities
 CONSISTENCY_N_MAX = 30  # totals of each stated GF are compared with the recurrence to here
 
-GraphKey = tuple[str, Optional[str], int]  # (family id, aux kind or None, n)
-
-# each graph's vertex count is kept with its distribution, so a hit checks
-# the vertex guard without working out the graph's order again
-_ORACLE_CACHE: dict[GraphKey, tuple[int, SizeDistribution]] = {}
+GraphKey = tuple[str, str, int]  # (family id, graph kind, n); kind is "family", "bar" or "tilde"
+Memo = dict[GraphKey, SizeDistribution]  # one run's counts
 
 
 def _aux_of_kind(kind: str) -> Optional[str]:
@@ -70,38 +73,38 @@ def _aux_of_kind(kind: str) -> Optional[str]:
 
 
 def oracle_distribution(family_id: str, kind: str, n: int,
-                        vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SizeDistribution:
-    """Cached exact size distribution for one generated graph."""
-    key = (family_id, _aux_of_kind(kind), n)
-    hit = _ORACLE_CACHE.get(key)
-    order = hit[0] if hit is not None else graph_order(family_id, n, key[1])
+                        vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+                        memo: Optional[Memo] = None) -> SizeDistribution:
+    """Exact size distribution of one catalog graph: a `memo` hit, else a guarded count.
+
+    Raises VertexLimitExceeded, before building, above `vertex_limit` vertices.
+    """
+    key = (family_id, kind, n)
+    if memo is not None and key in memo:
+        return memo[key]
+    aux = _aux_of_kind(kind)
+    order = graph_order(family_id, n, aux)
     if order > vertex_limit:
-        # enforced on hits too, so reports never depend on cache warmth
         raise VertexLimitExceeded(order, vertex_limit)
-    if hit is not None:
-        return hit[1]
-    dist = enumerate_mis(build_graph(family_id, n, key[1]), vertex_limit=vertex_limit)
-    _ORACLE_CACHE[key] = (order, dist)
+    dist = enumerate_mis(build_graph(family_id, n, aux), vertex_limit=vertex_limit)
+    if memo is not None:
+        memo[key] = dist
     return dist
 
 
-def _oracle_task(keys: list[GraphKey]) -> list[tuple[GraphKey, dict[int, int]]]:
-    """Count one chunk of graphs in a pool child; the keys were guarded by the parent."""
-    done = []
-    for family_id, aux, n in keys:
-        dist = enumerate_mis(build_graph(family_id, n, aux), vertex_limit=10 ** 9)
-        done.append(((family_id, aux, n), dist.as_dict()))
-    return done
+def _oracle_task(keys: list[GraphKey], vertex_limit: int) -> Memo:
+    """Count one chunk of graphs in a pool child."""
+    return {key: oracle_distribution(*key, vertex_limit) for key in keys}
 
 
-def _prefill_cache(tasks: dict[GraphKey, int], workers: int) -> None:
-    """Count the uncached `tasks` (key: vertex count) in a pool of at most `workers` processes."""
+def _pool_counts(tasks: dict[GraphKey, int], vertex_limit: int, workers: int) -> Memo:
+    """A memo of every one of `tasks` (key: vertex count), counted in a pool
+    of at most `workers` processes."""
+    if len(tasks) < 4:
+        return {}  # not worth a pool: the lookups count these in this process
     # largest graphs first, ties by key, so the chunks and their order are
     # the same on every run
-    todo = sorted(tasks.keys() - _ORACLE_CACHE.keys(),
-                  key=lambda t: (-tasks[t], t[0], t[1] or "", t[2]))
-    if len(todo) < 4:
-        return  # not worth a pool: the lookups count these in this process
+    todo = sorted(tasks, key=lambda t: (-tasks[t], t))
     # about four chunks per worker: one round trip per chunk instead of one
     # per graph, with enough chunks left over that a worker finishing early
     # takes another rather than idling
@@ -110,9 +113,8 @@ def _prefill_cache(tasks: dict[GraphKey, int], workers: int) -> None:
     from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
 
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        for done in pool.map(_oracle_task, chunks):
-            for key, counts in done:
-                _ORACLE_CACHE[key] = (tasks[key], SizeDistribution(counts))
+        done = pool.map(_oracle_task, chunks, [vertex_limit] * len(chunks))
+        return {key: dist for chunk in done for key, dist in chunk.items()}
 
 
 def _dist_json(dist: SizeDistribution) -> dict[str, int]:
@@ -139,7 +141,8 @@ def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Opt
 # ----------------------------------------------------------------------------
 
 def verify_family(record: FamilyRecord, n_max: int,
-                  vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> dict:
+                  vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+                  memo: Optional[Memo] = None) -> dict:
     """Compare oracle distributions with the stated series and recurrence.
 
     Returns a report fragment: per-n entries plus claim verdicts for the
@@ -158,7 +161,7 @@ def verify_family(record: FamilyRecord, n_max: int,
     checked_to = -1
     for n in range(n_max + 1):
         try:
-            oracle = oracle_distribution(fam, "family", n, vertex_limit)
+            oracle = oracle_distribution(fam, "family", n, vertex_limit, memo)
         except VertexLimitExceeded as exc:
             entries.append({
                 "n": n,
@@ -227,7 +230,7 @@ def verify_family(record: FamilyRecord, n_max: int,
     boundary_claims = {}
     for check in record.boundary_checks:
         try:
-            oracle = oracle_distribution(fam, check.kind, check.n, vertex_limit)
+            oracle = oracle_distribution(fam, check.kind, check.n, vertex_limit, memo)
         except VertexLimitExceeded as exc:
             boundary_claims[check.anchor] = {
                 "kind": "boundary", "family": fam, "graph_kind": check.kind, "n": check.n,
@@ -295,16 +298,18 @@ def _gf_recurrence_consistency(record: FamilyRecord) -> dict:
 # Transfer identities.
 # ----------------------------------------------------------------------------
 
-def _replay(identity: TransferIdentity, n: int, vertex_limit: int) -> Optional[dict]:
+def _replay(identity: TransferIdentity, n: int, vertex_limit: int,
+            memo: Optional[Memo]) -> Optional[dict]:
     """First k where the identity fails at n, as {n, k, lhs, rhs}, or None if it holds.
 
     The right-hand side is the sum of mult * term(n - n_shift, k - k_shift).
     Raises VertexLimitExceeded when a graph it needs is above `vertex_limit`.
     """
-    lhs = oracle_distribution(identity.family_id, identity.lhs_kind, n, vertex_limit)
+    lhs = oracle_distribution(identity.family_id, identity.lhs_kind, n, vertex_limit, memo)
     rhs: dict[int, int] = {}
     for term in identity.rhs:
-        dist = oracle_distribution(identity.family_id, term.kind, n - term.n_shift, vertex_limit)
+        dist = oracle_distribution(identity.family_id, term.kind, n - term.n_shift,
+                                   vertex_limit, memo)
         for k, count in dist.counts.items():
             k += term.k_shift
             rhs[k] = rhs.get(k, 0) + term.mult * count
@@ -315,16 +320,17 @@ def _replay(identity: TransferIdentity, n: int, vertex_limit: int) -> Optional[d
 
 
 def identity_max_n(identity: TransferIdentity) -> int:
-    """Largest n whose left-hand-side graph has at most TRANSFER_ORDER_CAP vertices."""
-    n = identity.valid_from
+    """Largest n whose left-hand-side graph has at most TRANSFER_ORDER_CAP vertices,
+    but at least `valid_from`; for n >= 1 the order is first + step * (n - 1)."""
     aux = _aux_of_kind(identity.lhs_kind)
-    while graph_order(identity.family_id, n + 1, aux) <= TRANSFER_ORDER_CAP:
-        n += 1
-    return n
+    first = graph_order(identity.family_id, 1, aux)
+    step = graph_order(identity.family_id, 2, aux) - first
+    return max(identity.valid_from, 1 + (TRANSFER_ORDER_CAP - first) // step)
 
 
 def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
-                    vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> dict:
+                    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+                    memo: Optional[Memo] = None) -> dict:
     """Replay one identity against oracle distributions over its valid range."""
     if n_max is None:
         n_max = identity_max_n(identity)
@@ -333,7 +339,7 @@ def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
     skipped = []
     for n in range(identity.valid_from, n_max + 1):
         try:
-            bad = _replay(identity, n, vertex_limit)
+            bad = _replay(identity, n, vertex_limit, memo)
         except VertexLimitExceeded as exc:
             skipped.append({"n": n, "reason": str(exc)})
             continue
@@ -347,7 +353,7 @@ def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
         refuted_instances = []
         for n in range(identity.stated_from, identity.valid_from):
             try:
-                bad = _replay(identity, n, vertex_limit)
+                bad = _replay(identity, n, vertex_limit, memo)
             except VertexLimitExceeded:
                 continue
             if bad is not None:
@@ -436,10 +442,10 @@ def verify_asymptotics(record: FamilyRecord) -> dict:
 def _identity_tasks(ident: TransferIdentity, top: int) -> list[GraphKey]:
     tasks = []
     for n in range(min(ident.stated_from, ident.valid_from), top + 1):
-        tasks.append((ident.family_id, _aux_of_kind(ident.lhs_kind), n))
+        tasks.append((ident.family_id, ident.lhs_kind, n))
         for term in ident.rhs:
             if n - term.n_shift >= 0:
-                tasks.append((ident.family_id, _aux_of_kind(term.kind), n - term.n_shift))
+                tasks.append((ident.family_id, term.kind, n - term.n_shift))
     return tasks
 
 
@@ -457,12 +463,12 @@ def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
     `vertex_limit`, with its vertex count."""
     tasks: set[GraphKey] = set()
     for rec in records:
-        tasks.update((rec.family_id, None, n) for n in range(n_max[rec.family_id] + 1))
-        tasks.update((rec.family_id, _aux_of_kind(check.kind), check.n)
-                     for check in rec.boundary_checks)
+        tasks.update((rec.family_id, "family", n) for n in range(n_max[rec.family_id] + 1))
+        tasks.update((rec.family_id, check.kind, check.n) for check in rec.boundary_checks)
     for ident in idents:
         tasks.update(_identity_tasks(ident, _identity_top(ident, n_max_override)))
-    return {t: order for t in tasks if (order := graph_order(t[0], t[2], t[1])) <= vertex_limit}
+    return {t: order for t in tasks
+            if (order := graph_order(t[0], t[2], _aux_of_kind(t[1]))) <= vertex_limit}
 
 
 def run_verification(
@@ -493,16 +499,17 @@ def run_verification(
     family_records = records if scope in ("all", "family") else []
     idents = ([i for i in catalog.identities if family is None or i.family_id == family]
               if scope in ("all", "identities") else [])
+    memo: Memo = {}
     if workers > 1:
-        _prefill_cache(_collect_tasks(family_records, idents, n_max, vertex_limit,
-                                      n_max_override), workers)
+        memo = _pool_counts(_collect_tasks(family_records, idents, n_max, vertex_limit,
+                                           n_max_override), vertex_limit, workers)
 
     claims: dict[str, dict] = {}
     families_out: dict[str, dict] = {}
     identity_range_notes: dict[str, dict] = {}
 
     for rec in family_records:
-        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit)
+        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit, memo)
         families_out[rec.family_id] = {"entries": fragment["entries"]}
         claims[rec.gf_anchor] = fragment["gf_claim"]
         claims[rec.recurrence.anchor] = fragment["recurrence_claim"]
@@ -516,7 +523,7 @@ def run_verification(
 
     for ident in idents:
         result = verify_transfer(ident, n_max=_identity_top(ident, n_max_override),
-                                 vertex_limit=vertex_limit)
+                                 vertex_limit=vertex_limit, memo=memo)
         note = result.pop("stated_range_note")
         claims[ident.anchor] = result
         if note is not None:

@@ -14,12 +14,15 @@ These deliberately share no code with the frontier-sweep oracle
 parts (sizes add, counts multiply).
 
 `reduce_fraction_over_q` is the rational-arithmetic reference for the
-integer gcd of `cactus_mis.series.reduce_fraction`.
+integer gcd of `cactus_mis.series.reduce_fraction`, and `identity_max_n_walk`
+the step-by-step reference for the closed form of
+`cactus_mis.verify.identity_max_n`.
 """
 
 import itertools
 from fractions import Fraction
 
+from cactus_mis.graphs import graph_order
 from cactus_mis.oracle import is_maximal_independent
 from cactus_mis.series import UnivarPoly, UnivarRational
 
@@ -140,3 +143,13 @@ def reduce_fraction_over_q(r):
         return r
     return UnivarRational(UnivarPoly([int(c) for c in new_num]),
                           UnivarPoly([int(c) for c in new_den]))
+
+
+def identity_max_n_walk(identity, cap):
+    """Reference for `cactus_mis.verify.identity_max_n`: walk n up from
+    `valid_from` while the next left-hand-side graph has at most `cap` vertices."""
+    n = identity.valid_from
+    aux = None if identity.lhs_kind == "family" else identity.lhs_kind
+    while graph_order(identity.family_id, n + 1, aux) <= cap:
+        n += 1
+    return n

@@ -71,9 +71,10 @@ def test_census_square_table(capsys):
 
 
 def test_census_vertex_limit_exit_code(capsys):
-    code, _, err = run_cli(["census", "--family", "triangular", "--n", "40"], capsys)
-    assert code == 1
-    assert "limit" in err
+    code, out, err = run_cli(["census", "--family", "triangular", "--n", "40"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: graph has 81 vertices, above the enumeration limit of 64; "
+                   "raise the limit explicitly to proceed\n")
     code, out, _ = run_cli(
         ["--vertex-limit", "51", "census", "--family", "triangular", "--n", "25",
          "--format", "json"], capsys)
@@ -92,6 +93,18 @@ def test_vertex_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("CACTUS_MIS_VERTEX_LIMIT", "5")
     code, _, err = run_cli(["census", "--family", "square", "--n", "2"], capsys)
     assert code == 1 and "limit" in err
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["--vertex-limit", "-5", "census", "--family", "square", "--n", "2"], None,
+     "--vertex-limit must be >= 0, got -5"),
+    (["verify", "--scope", "identities"], "-1", "CACTUS_MIS_VERTEX_LIMIT must be >= 0, got -1"),
+], ids=["flag", "env"])
+def test_negative_vertex_limit_is_a_usage_error(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("CACTUS_MIS_VERTEX_LIMIT", env)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_series_totals(capsys):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from _oracles import identity_max_n_walk
 from cactus_mis import verify
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
@@ -89,6 +90,14 @@ def test_transfer_dbar4_stated_range_refuted(catalog):
 def test_transfer_identity_caps(catalog):
     assert identity_max_n(catalog.identity("t1")) == 22
     assert identity_max_n(catalog.identity("qhtil44")) == 8
+
+
+@pytest.mark.parametrize("cap", [0, 1, 4, 5, 12, 44, 45, 46, 100])
+def test_identity_max_n_closed_form_matches_walk(catalog, monkeypatch, cap):
+    monkeypatch.setattr(verify, "TRANSFER_ORDER_CAP", cap)
+    assert len(catalog.identities) == 20
+    for ident in catalog.identities:
+        assert identity_max_n(ident) == identity_max_n_walk(ident, cap), ident.identity_id
 
 
 def test_asymptotics_confirmed_and_refuted(catalog):
@@ -208,27 +217,31 @@ def test_report_serialization_deterministic(catalog):
     assert "thm:2.7" in table and "CONFIRMED" in table
 
 
-def test_workers_match_serial(catalog, monkeypatch):
-    # each call starts from an empty cache, so the pooled one really counts
-    # in the pool; "all" and "identities" have more than 4 * workers tasks
-    # and so go out in several chunks
+@pytest.fixture
+def parent_counts(monkeypatch):
+    """One entry per `verify.enumerate_mis` call made in this process, not in pool children."""
     parent = os.getpid()
-    parent_counts = []
+    calls = []
     real_enumerate = verify.enumerate_mis
 
     def counting_enumerate(*args, **kwargs):
         if os.getpid() == parent:
-            parent_counts.append(1)
+            calls.append(1)
         return real_enumerate(*args, **kwargs)
 
     monkeypatch.setattr(verify, "enumerate_mis", counting_enumerate)
+    return calls
+
+
+def test_workers_match_serial(catalog, parent_counts):
+    # each run counts afresh, so the pooled one really counts in the pool;
+    # "all" and "identities" have more than 4 * workers tasks and so go out
+    # in several chunks
     for kwargs in ({"scope": "family", "family": "triangular", "n_max_override": 6},
                    {"scope": "all"}, {"scope": "identities"}):
-        monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
         serial = report_to_json(run_verification(catalog, workers=1, **kwargs))
         assert parent_counts, kwargs
         parent_counts.clear()
-        monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
         pooled = report_to_json(run_verification(catalog, workers=2, **kwargs))
         assert parent_counts == [], kwargs  # every graph was counted in a child
         assert pooled == serial, kwargs
@@ -238,14 +251,20 @@ def test_workers_match_serial(catalog, monkeypatch):
 def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch, scope):
     # at n_max 150 the ortho-hexagonal chains reach 751 vertices; the pool
     # must skip every graph the lookups refuse, as the serial run does
-    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    memos = []
+    real_pool_counts = verify._pool_counts
+
+    def spy(*args, **kwargs):
+        memos.append(real_pool_counts(*args, **kwargs))
+        return memos[-1]
+
+    monkeypatch.setattr(verify, "_pool_counts", spy)
     pooled = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=2)
-    assert verify._ORACLE_CACHE
-    # each entry keeps its graph's vertex count, as a serial lookup stores it
-    for (f, aux, n), (order, _dist) in verify._ORACLE_CACHE.items():
-        assert order == graph_order(f, n, aux) <= DEFAULT_VERTEX_LIMIT
-    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    [memo] = memos
+    assert memo
+    for f, kind, n in memo:
+        assert graph_order(f, n, None if kind == "family" else kind) <= DEFAULT_VERTEX_LIMIT
     serial = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=1)
     assert report_to_json(pooled) == report_to_json(serial)
@@ -254,7 +273,6 @@ def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch,
 @pytest.mark.parametrize("workers", [1, 2])
 def test_vertex_guard_holds_on_cache_hits(catalog, monkeypatch, workers):
     # a cache warmed under the default guard must not let a lower guard pass
-    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
     cold = report_to_json(run_verification(catalog, scope="family", family="triangular",
                                            vertex_limit=9, workers=workers))
     run_verification(catalog, scope="family", family="triangular", workers=workers)
@@ -263,6 +281,16 @@ def test_vertex_guard_holds_on_cache_hits(catalog, monkeypatch, workers):
     warm = report_to_json(run_verification(catalog, scope="family", family="triangular",
                                            vertex_limit=9, workers=workers))
     assert warm == cold and '"SKIPPED"' in warm
+
+
+@pytest.mark.parametrize("workers, parent_calls", [(1, 243), (2, 0)])
+def test_each_run_counts_afresh(catalog, parent_counts, workers, parent_calls):
+    # the memo belongs to one run: a second run in the same process counts
+    # every graph again (serially in this process, pooled in the children)
+    for _ in range(2):
+        parent_counts.clear()
+        run_verification(catalog, scope="all", workers=workers)
+        assert len(parent_counts) == parent_calls
 
 
 def test_import_leaves_process_pool_unloaded():
