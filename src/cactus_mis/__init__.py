@@ -23,7 +23,6 @@ from .oracle import (
     SizeDistribution,
     VertexLimitExceeded,
     enumerate_mis,
-    is_maximal_independent,
 )
 from .series import (
     BivarPoly,
@@ -55,7 +54,7 @@ __all__ = [
     "FAMILIES", "FAMILY_IDS", "FamilySpec", "Graph", "VertexLabel",
     "build_aux", "build_family", "build_graph", "family_spec", "graph_order",
     "DEFAULT_VERTEX_LIMIT", "SizeDistribution", "VertexLimitExceeded",
-    "enumerate_mis", "is_maximal_independent",
+    "enumerate_mis",
     "BivarPoly", "RationalGF", "UnivarPoly", "UnivarRational",
     "parse_bivar", "parse_univar", "rational_from_recurrence",
     "recurrence_from_gf", "recurrence_sequence", "reduce_fraction",

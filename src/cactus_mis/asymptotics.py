@@ -2,10 +2,30 @@
 
 For a rational counting series num/den with a simple dominant pole at the
 smallest positive zero rho of den, the counts grow like C / rho^(n+1) with
-C = -num(rho) / den'(rho). Root finding is a sign scan in steps of SCAN_STEP
-followed by bisection to BISECT_TOL; degrees here are at most five, so
-nothing fancier is warranted. The tolerances and the ranges of n below are
+C = -num(rho) / den'(rho). The tolerances and the ranges of n below are
 fixed, because the committed baseline report is computed with them.
+
+Root finding looks for the first grid point x_k = min(k * SCAN_STEP, 1) at
+which the float (Horner) value of p is not positive, then bisects to
+BISECT_TOL. The result must be the float that evaluating every grid point
+gives, so the scan only skips points whose float value is provably positive.
+For p = sum c_i x^i of degree d, at a grid point with float value v > 0:
+
+* Horner's rounding error on [0, 1] is at most gamma_2d * sum |c_i| x^i
+  (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), where
+  gamma_2d = 2du / (1 - 2du) and u = 2**-53. That is below
+  E = 1e-12 * sum |c_i| while d <= 4500 and every c_i is a float exactly
+  (|c_i| <= 2**53). So the exact value there is at least v - E.
+* p is Lipschitz on [0, 1] with L = max(1, sum i |c_i|).
+* Grid points j steps apart are at most j * SCAN_STEP + 1e-15 apart.
+
+So every point j steps on with v - 2E - L * (j * SCAN_STEP + 1e-15) > 0 has
+a positive float value too, and the scan jumps to the first one that may not.
+Outside those two conditions it takes single steps. The bracket's low end is
+x_(k-1) from the grid formula, whether or not that point was evaluated. The
+sign test is v < 0 alone: every point before it has a positive value, and a
+nonzero value is at least 2**-53 in size (Horner's last step adds c_0 = 1),
+so a product of two of them cannot underflow to zero.
 
 Estimates are anchored to the recurrence claims (which the verification
 pipeline checks against exhaustive enumeration) rather than to the stated
@@ -49,13 +69,21 @@ class AsymptoticEstimate(NamedTuple):
 def smallest_positive_root(p: UnivarPoly) -> float:
     """Smallest x in (0, 1] with p(x) = 0, for p with p(0) = 1.
 
-    Scans with a fixed step for the first sign change, then bisects.
-    Raises ValueError when no sign change exists or the located root looks
-    multiple (derivative vanishing there too).
+    Finds the first grid point x_k = min(k * SCAN_STEP, 1) whose float value
+    is not positive, jumping over the points the module docstring proves
+    positive, then bisects between x_(k-1) and x_k. Raises ValueError when no
+    sign change exists or the located root looks multiple (derivative
+    vanishing there too).
     """
     if p[0] != 1:
         raise ValueError("polynomial must have constant term 1")
-    prev_x, prev_v = 0.0, 1.0
+    coeffs = p.coeffs
+    # the skip's error bound needs exact float coefficients and gamma_2d <= 1e-12
+    certified = p.degree <= 4500 and max(map(abs, coeffs)) <= 2 ** 53
+    if certified:
+        lip = max(1, sum(i * abs(c) for i, c in enumerate(coeffs)))
+        slack = 2e-12 * sum(map(abs, coeffs)) + lip * 1e-15
+        stride = lip * SCAN_STEP
     lo = hi = None
     k = 1
     while True:
@@ -67,19 +95,20 @@ def smallest_positive_root(p: UnivarPoly) -> float:
         if v == 0.0:
             lo = hi = x
             break
-        if prev_v * v < 0:
-            lo, hi = prev_x, x
+        if v < 0:
+            lo, hi = min((k - 1) * SCAN_STEP, 1.0), x
             break
-        prev_x, prev_v = x, v
-        k += 1
+        k += max(1, int((v - slack) / stride)) if certified else 1
     if lo is None:
         raise ValueError("no sign change in (0, 1]; no dominant positive root found")
+    v_lo = p.eval_float(lo)
     while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2
-        if p.eval_float(lo) * p.eval_float(mid) <= 0:
+        v_mid = p.eval_float(mid)
+        if v_lo * v_mid <= 0:
             hi = mid
         else:
-            lo = mid
+            lo, v_lo = mid, v_mid
     root = (lo + hi) / 2
     if abs(p.derivative().eval_float(root)) < SIMPLE_ROOT_TOL:
         raise ValueError(f"derivative nearly vanishes at root {root}; suspected multiple root")

@@ -197,6 +197,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         "verify": _cmd_verify,
         "list-families": _cmd_list_families,
     }
+    # exact counts are printed in full: lift CPython's cap on int -> str
+    # digits (3.10.7 and later; 0 means no cap) for this command only, and
+    # leave in-process callers as they were
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return handlers[args.command](args)
     except VertexLimitExceeded as exc:
@@ -205,6 +211,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,12 @@
 """Graph output formats: DOT, JSON, and flat edge lists.
 
 All emitters are deterministic. The DOT form carries one node per vertex with
-its structural label and round-trips through parse_dot.
+its structural label, then one line per edge.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Optional
 
 from .graphs import Graph
@@ -21,30 +20,6 @@ def to_dot(g: Graph) -> str:
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_DOT_NODE = re.compile(r'^\s*v(\d+)\s*\[label="([^"]*)"\];\s*$')
-_DOT_EDGE = re.compile(r"^\s*v(\d+)\s*--\s*v(\d+);\s*$")
-
-
-def parse_dot(text: str) -> tuple[int, list[tuple[int, int]], dict[int, str]]:
-    """Read back the DOT produced by to_dot: (vertex_count, edges, labels)."""
-    labels: dict[int, str] = {}
-    edges: list[tuple[int, int]] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("graph") or stripped == "}":
-            continue
-        m = _DOT_NODE.match(line)
-        if m:
-            labels[int(m.group(1))] = m.group(2)
-            continue
-        m = _DOT_EDGE.match(line)
-        if m:
-            edges.append((int(m.group(1)), int(m.group(2))))
-            continue
-        raise ValueError(f"unrecognized DOT line: {line!r}")
-    return len(labels), edges, labels
 
 
 def to_json(g: Graph, family: Optional[str] = None, n: Optional[int] = None,

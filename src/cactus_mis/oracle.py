@@ -43,7 +43,7 @@ import cost (see `_frozen`).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ._frozen import Frozen
 from .graphs import Graph
@@ -157,14 +157,3 @@ def enumerate_mis(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SizeDis
         packed >>= w
         k += 1
     return SizeDistribution(counts)
-
-
-def is_maximal_independent(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff `vertices` is independent and no outside vertex can be added."""
-    chosen = 0
-    for v in vertices:
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(f"vertex {v} out of range")
-        chosen |= 1 << v
-    # every chosen vertex has no chosen neighbor, every other vertex has one
-    return all(bool(chosen >> v & 1) != bool(nb & chosen) for v, nb in enumerate(g.masks))

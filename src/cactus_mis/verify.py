@@ -117,6 +117,15 @@ def _pool_counts(tasks: dict[GraphKey, int], vertex_limit: int, workers: int) ->
         return {key: dist for chunk in done for key, dist in chunk.items()}
 
 
+def _last_n_within(family_id: str, kind: str, cap: int) -> int:
+    """Largest n >= 1 whose graph has at most `cap` vertices, or 0 if none has;
+    for n >= 1 the order is first + step * (n - 1)."""
+    aux = _aux_of_kind(kind)
+    first = graph_order(family_id, 1, aux)
+    step = graph_order(family_id, 2, aux) - first
+    return max(0, 1 + (cap - first) // step)
+
+
 def _dist_json(dist: SizeDistribution) -> dict[str, int]:
     return {str(k): v for k, v in dist.items()}
 
@@ -149,10 +158,12 @@ def verify_family(record: FamilyRecord, n_max: int,
     family's generating function, recurrence, and boundary checks.
     """
     fam = record.family_id
+    # the guard skips every n past this one, so no series is expanded further
+    expand_to = min(n_max, _last_n_within(fam, "family", vertex_limit))
     candidates = {}
     series_by_candidate = {}
     for cand in record.gf_candidates:
-        series_by_candidate[cand.candidate_id] = series_in_x(cand.gf, n_max)
+        series_by_candidate[cand.candidate_id] = series_in_x(cand.gf, expand_to)
         candidates[cand.candidate_id] = {"anchor": cand.anchor, "first_mismatch": None}
     rec_totals = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, n_max)
 
@@ -321,11 +332,9 @@ def _replay(identity: TransferIdentity, n: int, vertex_limit: int,
 
 def identity_max_n(identity: TransferIdentity) -> int:
     """Largest n whose left-hand-side graph has at most TRANSFER_ORDER_CAP vertices,
-    but at least `valid_from`; for n >= 1 the order is first + step * (n - 1)."""
-    aux = _aux_of_kind(identity.lhs_kind)
-    first = graph_order(identity.family_id, 1, aux)
-    step = graph_order(identity.family_id, 2, aux) - first
-    return max(identity.valid_from, 1 + (TRANSFER_ORDER_CAP - first) // step)
+    but at least `valid_from`."""
+    return max(identity.valid_from,
+               _last_n_within(identity.family_id, identity.lhs_kind, TRANSFER_ORDER_CAP))
 
 
 def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,

@@ -14,17 +14,58 @@ These deliberately share no code with the frontier-sweep oracle
 parts (sizes add, counts multiply).
 
 `reduce_fraction_over_q` is the rational-arithmetic reference for the
-integer gcd of `cactus_mis.series.reduce_fraction`, and `identity_max_n_walk`
+integer gcd of `cactus_mis.series.reduce_fraction`, `identity_max_n_walk`
 the step-by-step reference for the closed form of
-`cactus_mis.verify.identity_max_n`.
+`cactus_mis.verify.identity_max_n`, and `scan_root_reference` the
+every-grid-point scan that `cactus_mis.asymptotics.smallest_positive_root`
+must match bit for bit.
+
+`is_maximal_independent` is the maximality predicate and `parse_dot` reads
+back the DOT text of `cactus_mis.emit.to_dot`; only the tests use them.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
+from cactus_mis.asymptotics import BISECT_TOL, SCAN_STEP, SIMPLE_ROOT_TOL
 from cactus_mis.graphs import graph_order
-from cactus_mis.oracle import is_maximal_independent
 from cactus_mis.series import UnivarPoly, UnivarRational
+
+
+def is_maximal_independent(g, vertices):
+    """True iff `vertices` is independent and no outside vertex can be added."""
+    chosen = 0
+    for v in vertices:
+        if not (0 <= v < g.vertex_count):
+            raise ValueError(f"vertex {v} out of range")
+        chosen |= 1 << v
+    # every chosen vertex has no chosen neighbor, every other vertex has one
+    return all(bool(chosen >> v & 1) != bool(nb & chosen) for v, nb in enumerate(g.masks))
+
+
+_DOT_NODE = re.compile(r'^\s*v(\d+)\s*\[label="([^"]*)"\];\s*$')
+_DOT_EDGE = re.compile(r"^\s*v(\d+)\s*--\s*v(\d+);\s*$")
+
+
+def parse_dot(text):
+    """Read back the DOT produced by `to_dot`: (vertex_count, edges, labels)."""
+    labels = {}
+    edges = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("graph") or stripped == "}":
+            continue
+        m = _DOT_NODE.match(line)
+        if m:
+            labels[int(m.group(1))] = m.group(2)
+            continue
+        m = _DOT_EDGE.match(line)
+        if m:
+            edges.append((int(m.group(1)), int(m.group(2))))
+            continue
+        raise ValueError(f"unrecognized DOT line: {line!r}")
+    return len(labels), edges, labels
 
 
 def subset_filter_slow(g):
@@ -153,3 +194,45 @@ def identity_max_n_walk(identity, cap):
     while graph_order(identity.family_id, n + 1, aux) <= cap:
         n += 1
     return n
+
+
+def scan_root_reference(p):
+    """Reference for `cactus_mis.asymptotics.smallest_positive_root`: the scan
+    that evaluates every grid point. Smallest x in (0, 1] with p(x) = 0, for p
+    with p(0) = 1.
+
+    Scans with a fixed step for the first sign change, then bisects.
+    Raises ValueError when no sign change exists or the located root looks
+    multiple (derivative vanishing there too).
+    """
+    if p[0] != 1:
+        raise ValueError("polynomial must have constant term 1")
+    prev_x, prev_v = 0.0, 1.0
+    lo = hi = None
+    k = 1
+    while True:
+        x = k * SCAN_STEP
+        if x > 1.0 + SCAN_STEP / 2:
+            break
+        x = min(x, 1.0)
+        v = p.eval_float(x)
+        if v == 0.0:
+            lo = hi = x
+            break
+        if prev_v * v < 0:
+            lo, hi = prev_x, x
+            break
+        prev_x, prev_v = x, v
+        k += 1
+    if lo is None:
+        raise ValueError("no sign change in (0, 1]; no dominant positive root found")
+    while hi - lo > BISECT_TOL:
+        mid = (lo + hi) / 2
+        if p.eval_float(lo) * p.eval_float(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    root = (lo + hi) / 2
+    if abs(p.derivative().eval_float(root)) < SIMPLE_ROOT_TOL:
+        raise ValueError(f"derivative nearly vanishes at root {root}; suspected multiple root")
+    return root

@@ -1,9 +1,11 @@
 """Root finding, leading constants, and estimate quality."""
 
 import math
+import random
 
 import pytest
 
+from _oracles import scan_root_reference
 from cactus_mis.asymptotics import (
     analyze,
     family_estimate,
@@ -13,7 +15,8 @@ from cactus_mis.asymptotics import (
     smallest_positive_root,
     stated_gf_estimate,
 )
-from cactus_mis.series import UnivarRational, parse_univar, recurrence_sequence
+from cactus_mis.series import UnivarPoly, UnivarRational, parse_univar, recurrence_sequence
+from cactus_mis.verify import run_verification
 
 NOISE_FLOOR = 1e-9  # relative errors below this are float noise
 
@@ -109,3 +112,65 @@ def test_stated_gf_constants(catalog):
 def test_analyze_rejects_divergent_input():
     with pytest.raises(ValueError):
         analyze(UnivarRational(parse_univar("1"), parse_univar("1 + x + x^2")))
+
+
+def _root_or_error(find, p):
+    """The root's float.hex, or the ValueError message, so equal means bit-identical."""
+    try:
+        return find(p).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_same_as_reference(polys):
+    for p in polys:
+        assert _root_or_error(smallest_positive_root, p) == _root_or_error(scan_root_reference, p), p
+
+
+def test_root_matches_full_scan_on_random_polynomials():
+    rng = random.Random(20221)
+    _assert_same_as_reference(
+        UnivarPoly([1] + [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+        for _ in range(5000))
+
+
+def test_root_matches_full_scan_near_double_roots():
+    # 1 - a x + b x^2 has a double root where a^2 = 4b, and a close pair nearby
+    _assert_same_as_reference(UnivarPoly([1, -a, b]) for a in range(1, 60) for b in range(1, 60))
+
+
+@pytest.mark.parametrize("text", [
+    "1 + x",  # no root in (0, 1]
+    "1 - 2x + x^2",  # double root at 1
+    "2 - x",  # constant term != 1
+    "1",  # constant
+    "1 - x - x^2",
+    "1 - 1000x",  # root below the first grid point
+    "1 - x",  # root at the last grid point
+])
+def test_root_matches_full_scan_on_edge_cases(text):
+    _assert_same_as_reference([parse_univar(text)])
+
+
+def test_root_matches_full_scan_beyond_exact_float_coefficients():
+    # coefficients above 2**53 do not convert to floats exactly, so the
+    # scan evaluates every grid point there
+    big = 2 ** 60
+    _assert_same_as_reference([UnivarPoly([1, -big, big + 1]), UnivarPoly([1, 3, -big]),
+                               UnivarPoly([1, big, -big - 7])])
+
+
+def test_root_finding_evaluation_count(monkeypatch):
+    # a machine-independent cost gate: the full-scan root finder made 12,556
+    # float evaluations in one verify run, the skipping scan about 1,540
+    calls = 0
+    eval_float = UnivarPoly.eval_float
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return eval_float(self, x)
+
+    monkeypatch.setattr(UnivarPoly, "eval_float", counting)
+    run_verification(scope="all", workers=1)
+    assert calls <= 2000

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
+from _oracles import parse_dot
 from cactus_mis.cli import main
-from cactus_mis.emit import parse_dot
 
 
 def run_cli(args, capsys):
@@ -125,6 +125,42 @@ def test_series_negative_n_max_is_an_error(extra, capsys):
     code, out, err = run_cli(["series", "--family", "triangular", "--n-max", "-1", *extra], capsys)
     assert (code, out) == (2, "")
     assert "n_max must be >= 0" in err
+
+
+def test_series_prints_counts_beyond_the_int_str_digit_cap(capsys):
+    # a(7042) of para-hexagonal is the first count with more than 4300 digits,
+    # CPython's default cap on int -> str; the command lifts it for itself only
+    digits = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["series", "--family", "para-hexagonal", "--n-max", "7042"], capsys)
+    assert (code, err) == (0, "")
+    last = out.splitlines()[-1]
+    assert last.startswith("7042: ") and len(last) == len("7042: ") + 4301
+    assert sys.get_int_max_str_digits() == digits
+
+
+_UNDER_MEMORY_CAP = """
+import resource, sys
+cap = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from cactus_mis.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_deep_verify_finishes_under_a_memory_cap():
+    # the guard admits para-hexagonal graphs only to n = 12, so no series is
+    # expanded further; expanding all 7101 rows ran out of memory under 3 GB
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_CAP, "verify", "--scope", "family",
+         "--family", "para-hexagonal", "--n-max", "7100", "--workers", "1"],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    # the report's totals run past 4300 digits: keep integers as text here
+    report = json.loads(proc.stdout, parse_int=str)
+    entries = report["families"]["para-hexagonal"]["entries"]
+    assert len(entries) == 7101
+    assert max(int(e["n"]) for e in entries if e["status"] != "SKIPPED") == 12
 
 
 def test_estimate(capsys):

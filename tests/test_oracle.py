@@ -5,7 +5,13 @@ import sys
 
 import pytest
 
-from _oracles import complement_cliques, convolve, subset_filter_masks, subset_filter_slow
+from _oracles import (
+    complement_cliques,
+    convolve,
+    is_maximal_independent,
+    subset_filter_masks,
+    subset_filter_slow,
+)
 from cactus_mis.graphs import (
     BAR_GADGETS,
     FAMILY_IDS,
@@ -18,7 +24,6 @@ from cactus_mis.oracle import (
     SizeDistribution,
     VertexLimitExceeded,
     enumerate_mis,
-    is_maximal_independent,
 )
 from cactus_mis.series import recurrence_sequence
 
