@@ -12,8 +12,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     VertexLabel,
-    build_aux,
-    build_family,
     build_graph,
     family_spec,
     graph_order,
@@ -52,7 +50,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "FAMILIES", "FAMILY_IDS", "FamilySpec", "Graph", "VertexLabel",
-    "build_aux", "build_family", "build_graph", "family_spec", "graph_order",
+    "build_graph", "family_spec", "graph_order",
     "DEFAULT_VERTEX_LIMIT", "SizeDistribution", "VertexLimitExceeded",
     "enumerate_mis",
     "BivarPoly", "RationalGF", "UnivarPoly", "UnivarRational",

@@ -13,11 +13,9 @@ import json
 import os
 from typing import NamedTuple, Optional
 
-from .graphs import FAMILIES, FamilySpec
+from .graphs import FAMILIES, GRAPH_KINDS, FamilySpec
 from .oracle import SizeDistribution
 from .series import RationalGF, UnivarRational, parse_univar
-
-GRAPH_KINDS = ("family", "bar", "tilde")
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

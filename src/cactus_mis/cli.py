@@ -16,7 +16,7 @@ from typing import Optional
 from . import asymptotics as asym
 from .catalog import load_catalog
 from .emit import emit
-from .graphs import FAMILIES, FAMILY_IDS, build_graph
+from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, build_graph
 from .oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded
 from .series import recurrence_sequence, series_in_x
 from .verify import (has_refuted, oracle_distribution, report_to_json, report_to_table,
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="construct a graph and print it")
     add_family_arg(p_build)
     p_build.add_argument("--n", type=int, required=True, help="number of blocks (>= 0)")
-    p_build.add_argument("--aux", choices=("bar", "tilde"), default=None,
+    p_build.add_argument("--aux", choices=GRAPH_KINDS[1:], default=None,
                          help="attach the pendant gadget variant")
     p_build.add_argument("--format", choices=("dot", "json", "edges"), default="dot")
     p_build.add_argument("--output", default=None, help="write to a file instead of stdout")
@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census = sub.add_parser("census", help="enumerate maximal independent sets by size")
     add_family_arg(p_census)
     p_census.add_argument("--n", type=int, required=True)
-    p_census.add_argument("--aux", choices=("bar", "tilde"), default=None)
+    p_census.add_argument("--aux", choices=GRAPH_KINDS[1:], default=None)
     p_census.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p_census.add_argument("--output", default=None)
 
@@ -104,7 +104,7 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _cmd_build(args) -> int:
-    g = build_graph(args.family, args.n, args.aux)
+    g = build_graph(args.family, args.n, args.aux or "family")
     _write(emit(g, args.format, family=args.family, n=args.n, aux=args.aux), args.output)
     return 0
 

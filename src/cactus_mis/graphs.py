@@ -58,6 +58,10 @@ FAMILIES: dict[str, FamilySpec] = {
 
 FAMILY_IDS = tuple(FAMILIES)
 
+# A graph is named by (family id, kind, n): the n-block chain itself, or the
+# chain with its bar or tilde gadget.
+GRAPH_KINDS = ("family", "bar", "tilde")
+
 # Pendant-path gadgets, as tuples of leg lengths hanging off the anchor.
 BAR_GADGETS: dict[str, tuple[int, ...]] = {
     "triangular": (1,),
@@ -75,8 +79,6 @@ TILDE_GADGETS: dict[str, tuple[int, ...]] = {
     "para-hexagonal": (2, 2),
     "ortho-hexagonal": (4,),
 }
-
-AUX_KINDS = ("bar", "tilde")
 
 
 def family_spec(family_id: str) -> FamilySpec:
@@ -142,109 +144,64 @@ class Graph:
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
-class _Builder:
-    """Mutable accumulator used by the construction functions."""
-
-    def __init__(self):
-        self.edges: list[tuple[int, int]] = []
-        self.labels: list[VertexLabel] = []
-
-    def add_vertex(self, label: VertexLabel) -> int:
-        self.labels.append(label)
-        return len(self.labels) - 1
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.edges.append((u, v))
-
-    def freeze(self) -> Graph:
-        return Graph(len(self.labels), self.edges, self.labels)
-
-
-def _append_block(b: _Builder, entry: Optional[int], block_no: int, k: int) -> list[int]:
-    """Add one k-cycle, reusing `entry` as its position-1 vertex when given."""
-    cyc: list[int] = []
-    for pos in range(1, k + 1):
-        if pos == 1 and entry is not None:
-            cyc.append(entry)
-        else:
-            cyc.append(b.add_vertex(VertexLabel(block_no, pos)))
-    for i in range(k):
-        b.add_edge(cyc[i], cyc[(i + 1) % k])
-    return cyc
-
-
-def _append_chain(b: _Builder, spec: FamilySpec, n: int) -> Optional[int]:
-    """Add blocks 1..n; return the vertex where block n+1 would attach (None for n = 0)."""
-    if n < 0:
-        raise ValueError("block count must be >= 0")
-    entry: Optional[int] = None
-    for block_no in range(1, n + 1):
-        cyc = _append_block(b, entry, block_no, spec.cycle_len)
-        entry = cyc[spec.attach_dist]
-    return entry
-
-
 def _gadget_legs(family_id: str, kind: str) -> tuple[int, ...]:
-    """Leg lengths of the bar/tilde gadget; ValueError if the family has none."""
-    if kind not in AUX_KINDS:
-        raise ValueError(f"unknown auxiliary kind {kind!r}; expected one of {AUX_KINDS}")
+    """Leg lengths of the kind's gadget, () for "family"; ValueError if the family has none."""
+    if kind not in GRAPH_KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
+    if kind == "family":
+        return ()
     table = BAR_GADGETS if kind == "bar" else TILDE_GADGETS
     if family_id not in table:
         raise ValueError(f"no {kind} auxiliary graph for family {family_id!r}")
     return table[family_id]
 
 
-def _attach_gadget(b: _Builder, anchor: int, legs: Sequence[int]) -> None:
+def build_graph(family_id: str, n: int, kind: str = "family") -> Graph:
+    """The chain of n blocks, plus the kind's gadget at the anchor for "bar" and "tilde".
+
+    Block i+1 attaches at the vertex of block i at cycle distance d from
+    block i's own entry vertex, so the chain has |V| = (k-1)n + 1 and
+    |E| = kn for n >= 1, and is the empty graph for n = 0. A gadget on the
+    empty chain hangs on a lone root vertex.
+    """
+    spec = family_spec(family_id)
+    if n < 0:
+        raise ValueError("block count must be >= 0")
+    legs = _gadget_legs(spec.family_id, kind)
+    labels: list[VertexLabel] = []
+    edges: list[tuple[int, int]] = []
+    anchor: Optional[int] = None  # where block n+1 would attach
+    for block_no in range(1, n + 1):
+        cyc = [] if anchor is None else [anchor]  # the anchor is the next block's position 1
+        for pos in range(len(cyc) + 1, spec.cycle_len + 1):
+            cyc.append(len(labels))
+            labels.append(VertexLabel(block_no, pos))
+        edges += zip(cyc, cyc[1:] + cyc[:1])
+        anchor = cyc[spec.attach_dist]
+    if legs and anchor is None:
+        anchor = len(labels)
+        labels.append(VertexLabel(GADGET_BLOCK, "root"))
     for leg_no, length in enumerate(legs, start=1):
         prev = anchor
         for pos in range(1, length + 1):
-            v = b.add_vertex(VertexLabel(GADGET_BLOCK, f"g{leg_no}_{pos}"))
-            b.add_edge(prev, v)
-            prev = v
+            edges.append((prev, len(labels)))
+            prev = len(labels)
+            labels.append(VertexLabel(GADGET_BLOCK, f"g{leg_no}_{pos}"))
+    return Graph(len(labels), edges, labels)
 
 
-def build_family(spec: FamilySpec, n: int) -> Graph:
-    """Chain of n blocks; the empty graph for n = 0.
-
-    Block i+1 attaches at the vertex of block i at cycle distance d from
-    block i's own entry vertex, so |V| = (k-1)n + 1 and |E| = kn for n >= 1.
-    """
-    b = _Builder()
-    _append_chain(b, spec, n)
-    return b.freeze()
-
-
-def build_aux(spec: FamilySpec, kind: str, n: int) -> Graph:
-    """Family graph of n blocks plus the bar/tilde gadget at the anchor.
-
-    For n = 0 the result is the gadget hung on a lone root vertex.
-    """
-    b = _Builder()
-    anchor = _append_chain(b, spec, n)
+def graph_order(family_id: str, n: int, kind: str = "family") -> int:
+    """Vertex count of build_graph(family_id, n, kind) without building it."""
+    spec = family_spec(family_id)
     legs = _gadget_legs(spec.family_id, kind)
-    if anchor is None:
-        anchor = b.add_vertex(VertexLabel(GADGET_BLOCK, "root"))
-    _attach_gadget(b, anchor, legs)
-    return b.freeze()
+    chain = (spec.cycle_len - 1) * n + 1 if n >= 1 else 0
+    if not legs:
+        return chain
+    return max(chain, 1) + sum(legs)  # n = 0: the lone root
 
 
-def build_graph(family_id: str, n: int, aux: Optional[str] = None) -> Graph:
-    """Convenience front end: family graph, or bar/tilde variant when aux given."""
-    spec = family_spec(family_id)
-    if aux is None:
-        return build_family(spec, n)
-    return build_aux(spec, aux, n)
-
-
-def gadget_size(family_id: str, kind: str) -> int:
-    """Number of vertices (= edges) the gadget adds."""
-    return sum(_gadget_legs(family_id, kind))
-
-
-def graph_order(family_id: str, n: int, aux: Optional[str] = None) -> int:
-    """Vertex count of build_graph(family_id, n, aux) without building it."""
-    spec = family_spec(family_id)
-    base = (spec.cycle_len - 1) * n + 1 if n >= 1 else 0
-    if aux is None:
-        return base
-    return max(base, 1) + gadget_size(spec.family_id, aux)  # n = 0: the lone root
+def last_n_within(family_id: str, kind: str, cap: int) -> int:
+    """Largest n >= 1 whose graph has at most `cap` vertices, or 0 if none has;
+    each block past the first adds k - 1 vertices."""
+    first = graph_order(family_id, 1, kind)
+    return max(0, 1 + (cap - first) // (family_spec(family_id).cycle_len - 1))

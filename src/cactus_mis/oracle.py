@@ -94,9 +94,6 @@ class SizeDistribution(Frozen):
     def items(self):
         return sorted(self.counts.items())
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(sorted(self.counts.items()))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in self.items())
         return "{" + inner + "}"

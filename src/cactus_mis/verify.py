@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 
 from . import asymptotics as asym
 from .catalog import Catalog, FamilyRecord, TransferIdentity, load_catalog
-from .graphs import build_graph, graph_order
+from .graphs import build_graph, graph_order, last_n_within
 from .oracle import DEFAULT_VERTEX_LIMIT, SizeDistribution, VertexLimitExceeded, enumerate_mis
 from .series import (
     recurrence_from_gf,
@@ -64,12 +64,8 @@ DEFAULT_N_MAX: dict[str, int] = {
 TRANSFER_ORDER_CAP = 45  # largest left-hand-side graph enumerated for identities
 CONSISTENCY_N_MAX = 30  # totals of each stated GF are compared with the recurrence to here
 
-GraphKey = tuple[str, str, int]  # (family id, graph kind, n); kind is "family", "bar" or "tilde"
+GraphKey = tuple[str, str, int]  # (family id, kind, n), the kind one of graphs.GRAPH_KINDS
 Memo = dict[GraphKey, SizeDistribution]  # one run's counts
-
-
-def _aux_of_kind(kind: str) -> Optional[str]:
-    return None if kind == "family" else kind
 
 
 def oracle_distribution(family_id: str, kind: str, n: int,
@@ -82,11 +78,10 @@ def oracle_distribution(family_id: str, kind: str, n: int,
     key = (family_id, kind, n)
     if memo is not None and key in memo:
         return memo[key]
-    aux = _aux_of_kind(kind)
-    order = graph_order(family_id, n, aux)
+    order = graph_order(family_id, n, kind)
     if order > vertex_limit:
         raise VertexLimitExceeded(order, vertex_limit)
-    dist = enumerate_mis(build_graph(family_id, n, aux), vertex_limit=vertex_limit)
+    dist = enumerate_mis(build_graph(family_id, n, kind), vertex_limit=vertex_limit)
     if memo is not None:
         memo[key] = dist
     return dist
@@ -115,15 +110,6 @@ def _pool_counts(tasks: dict[GraphKey, int], vertex_limit: int, workers: int) ->
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         done = pool.map(_oracle_task, chunks, [vertex_limit] * len(chunks))
         return {key: dist for chunk in done for key, dist in chunk.items()}
-
-
-def _last_n_within(family_id: str, kind: str, cap: int) -> int:
-    """Largest n >= 1 whose graph has at most `cap` vertices, or 0 if none has;
-    for n >= 1 the order is first + step * (n - 1)."""
-    aux = _aux_of_kind(kind)
-    first = graph_order(family_id, 1, aux)
-    step = graph_order(family_id, 2, aux) - first
-    return max(0, 1 + (cap - first) // step)
 
 
 def _dist_json(dist: SizeDistribution) -> dict[str, int]:
@@ -159,7 +145,7 @@ def verify_family(record: FamilyRecord, n_max: int,
     """
     fam = record.family_id
     # the guard skips every n past this one, so no series is expanded further
-    expand_to = min(n_max, _last_n_within(fam, "family", vertex_limit))
+    expand_to = min(n_max, last_n_within(fam, "family", vertex_limit))
     candidates = {}
     series_by_candidate = {}
     for cand in record.gf_candidates:
@@ -334,7 +320,7 @@ def identity_max_n(identity: TransferIdentity) -> int:
     """Largest n whose left-hand-side graph has at most TRANSFER_ORDER_CAP vertices,
     but at least `valid_from`."""
     return max(identity.valid_from,
-               _last_n_within(identity.family_id, identity.lhs_kind, TRANSFER_ORDER_CAP))
+               last_n_within(identity.family_id, identity.lhs_kind, TRANSFER_ORDER_CAP))
 
 
 def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
@@ -477,7 +463,7 @@ def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
     for ident in idents:
         tasks.update(_identity_tasks(ident, _identity_top(ident, n_max_override)))
     return {t: order for t in tasks
-            if (order := graph_order(t[0], t[2], _aux_of_kind(t[1]))) <= vertex_limit}
+            if (order := graph_order(t[0], t[2], t[1])) <= vertex_limit}
 
 
 def run_verification(

@@ -14,9 +14,9 @@ These deliberately share no code with the frontier-sweep oracle
 parts (sizes add, counts multiply).
 
 `reduce_fraction_over_q` is the rational-arithmetic reference for the
-integer gcd of `cactus_mis.series.reduce_fraction`, `identity_max_n_walk`
+integer gcd of `cactus_mis.series.reduce_fraction`, `last_n_within_walk`
 the step-by-step reference for the closed form of
-`cactus_mis.verify.identity_max_n`, and `scan_root_reference` the
+`cactus_mis.graphs.last_n_within`, and `scan_root_reference` the
 every-grid-point scan that `cactus_mis.asymptotics.smallest_positive_root`
 must match bit for bit.
 
@@ -186,12 +186,11 @@ def reduce_fraction_over_q(r):
                           UnivarPoly([int(c) for c in new_den]))
 
 
-def identity_max_n_walk(identity, cap):
-    """Reference for `cactus_mis.verify.identity_max_n`: walk n up from
-    `valid_from` while the next left-hand-side graph has at most `cap` vertices."""
-    n = identity.valid_from
-    aux = None if identity.lhs_kind == "family" else identity.lhs_kind
-    while graph_order(identity.family_id, n + 1, aux) <= cap:
+def last_n_within_walk(family_id, kind, cap):
+    """Reference for `cactus_mis.graphs.last_n_within`: walk n up from 0 while
+    the next graph of the kind has at most `cap` vertices."""
+    n = 0
+    while graph_order(family_id, n + 1, kind) <= cap:
         n += 1
     return n
 

@@ -18,7 +18,8 @@ import pytest
 
 from _oracles import complement_cliques, convolve, subset_filter_masks
 from cactus_mis.asymptotics import family_estimate, relative_errors, stated_gf_estimate
-from cactus_mis.graphs import BAR_GADGETS, FAMILY_IDS, TILDE_GADGETS, Graph, build_graph, graph_order
+from cactus_mis.graphs import (BAR_GADGETS, FAMILIES, FAMILY_IDS, TILDE_GADGETS, Graph, build_graph,
+                               graph_order)
 from cactus_mis.oracle import enumerate_mis
 from cactus_mis.series import recurrence_from_gf, recurrence_sequence, reduce_fraction, specialize_y1
 from cactus_mis.verify import DEFAULT_N_MAX, verify_family, verify_transfer
@@ -37,20 +38,20 @@ def criterion(number, name, budget_seconds):
     assert elapsed < budget_seconds, f"criterion {number} exceeded {budget_seconds}s ({elapsed:.1f}s)"
 
 
-# (symbol, aux-kind, n) -> {k: count}; transcribed from the acceptance list
+# (family, kind, n) -> {k: count}; transcribed from the acceptance list
 CRITERION_1_VALUES = [
-    ("triangular", None, 1, {1: 3}),
-    ("triangular", None, 2, {1: 1, 2: 4}),
+    ("triangular", "family", 1, {1: 3}),
+    ("triangular", "family", 2, {1: 1, 2: 4}),
     ("triangular", "bar", 0, {1: 2}),
-    ("diamond", None, 1, {2: 2}),
+    ("diamond", "family", 1, {2: 2}),
     ("diamond", "bar", 0, {1: 1, 2: 1}),
     ("square", "bar", 0, {1: 1, 2: 1}),
-    ("pentagonal", None, 1, {2: 5}),
-    ("pentagonal", None, 2, {3: 4, 4: 9}),
+    ("pentagonal", "family", 1, {2: 5}),
+    ("pentagonal", "family", 2, {3: 4, 4: 9}),
     ("pentagonal", "bar", 1, {3: 7}),
-    ("meta-pentagonal", None, 1, {2: 5}),
+    ("meta-pentagonal", "family", 1, {2: 5}),
     ("meta-pentagonal", "tilde", 0, {2: 3}),
-    ("meta-hexagonal", None, 1, {2: 3, 3: 2}),
+    ("meta-hexagonal", "family", 1, {2: 3, 3: 2}),
     ("meta-hexagonal", "tilde", 0, {2: 3, 3: 1}),
     ("meta-hexagonal", "tilde", 1, {3: 2, 4: 5, 5: 4, 6: 1}),
     ("para-hexagonal", "bar", 0, {1: 1, 2: 1}),
@@ -61,10 +62,10 @@ CRITERION_1_VALUES = [
 
 def test_criterion_1_boundary_values():
     with criterion(1, "boundary-value suite", 10.0):
-        for fam, aux, n, expected in CRITERION_1_VALUES:
-            dist = enumerate_mis(build_graph(fam, n, aux))
+        for fam, kind, n, expected in CRITERION_1_VALUES:
+            dist = enumerate_mis(build_graph(fam, n, kind))
             for k, count in expected.items():
-                assert dist[k] == count, (fam, aux, n, k)
+                assert dist[k] == count, (fam, kind, n, k)
 
 
 def test_criterion_2_recurrences_match_oracle(catalog):
@@ -137,9 +138,8 @@ def test_criterion_5_transfer_identities(catalog):
             assert result["verdict"] == "CONFIRMED", identity.identity_id
             assert result["checked_n"][0] == identity.valid_from
             last = result["checked_n"][-1]
-            aux = None if identity.lhs_kind == "family" else identity.lhs_kind
-            assert graph_order(identity.family_id, last, aux) <= 45
-            assert graph_order(identity.family_id, last + 1, aux) > 45
+            assert graph_order(identity.family_id, last, identity.lhs_kind) <= 45
+            assert graph_order(identity.family_id, last + 1, identity.lhs_kind) > 45
 
 
 ASYMPTOTIC_FAMILIES = [
@@ -183,16 +183,15 @@ def test_criterion_7_oracle_self_consistency():
     with criterion(7, "oracle self-consistency", 60.0):
         graphs = []
         for fam in FAMILY_IDS:
-            for aux in (None, "bar", "tilde"):
-                table = {"bar": BAR_GADGETS, "tilde": TILDE_GADGETS}.get(aux)
-                if aux is not None and fam not in table:
+            for kind, table in (("family", FAMILIES), ("bar", BAR_GADGETS), ("tilde", TILDE_GADGETS)):
+                if fam not in table:
                     continue
                 n = 0
-                while graph_order(fam, n, aux) <= 20:
-                    graphs.append(build_graph(fam, n, aux))
+                while graph_order(fam, n, kind) <= 20:
+                    graphs.append(build_graph(fam, n, kind))
                     n += 1
         for g in graphs:
-            reference = enumerate_mis(g).as_dict()
+            reference = enumerate_mis(g).counts
             assert subset_filter_masks(g) == reference
             assert complement_cliques(g) == reference
         rng = random.Random(7)

@@ -2,8 +2,10 @@
 
 A traced pass of `perfbench/one_pass.py` checks the report bytes and every
 counter pinned in `perfbench/expected.json` (lookups, graph builds, oracle
-calls, root calls, the pooled pass's parent-side zeros). Running one here
-makes a drift in any of them fail the test suite, not only a benchmark run.
+calls, root calls, the pooled pass's parent-side zeros), and on `algebra-deep`
+the sha256 of the series and estimate output, its byte count, and the series
+terms and coefficient bits. Running one pass of each workload here makes a
+drift in any of them fail the test suite, not only a benchmark run.
 The pass reads `perfbench/` and writes nothing there.
 """
 
@@ -18,7 +20,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("workload", ["verify-all", "verify-pool"])
+@pytest.mark.parametrize("workload", ["verify-all", "verify-pool", "algebra-deep"])
 def test_traced_pass_fails_no_check(workload):
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run(

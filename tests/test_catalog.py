@@ -80,8 +80,7 @@ def test_every_boundary_check_against_oracle(catalog, baseline):
     exactly; refuted ones must genuinely disagree (that is what the verdict records)."""
     for rec in catalog.families:
         for check in rec.boundary_checks:
-            aux = None if check.kind == "family" else check.kind
-            actual = enumerate_mis(build_graph(rec.family_id, check.n, aux))
+            actual = enumerate_mis(build_graph(rec.family_id, check.n, check.kind))
             if _refuted(baseline, check.check_id):
                 assert actual != check.claimed, check.check_id
             else:

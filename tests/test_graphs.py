@@ -5,25 +5,25 @@ biconnected blocks, and the isomorphism spot checks.
 """
 
 import random
+import re
 
 import networkx as nx
 import pytest
 
+from _oracles import last_n_within_walk
 from cactus_mis.graphs import (
-    AUX_KINDS,
     BAR_GADGETS,
     FAMILIES,
     FAMILY_IDS,
     GADGET_BLOCK,
+    GRAPH_KINDS,
     TILDE_GADGETS,
     Graph,
     VertexLabel,
-    build_aux,
-    build_family,
     build_graph,
     family_spec,
-    gadget_size,
     graph_order,
+    last_n_within,
 )
 
 ALL_SPECS = [FAMILIES[f] for f in FAMILY_IDS]
@@ -53,7 +53,7 @@ def anchor_of(g, spec, n):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
 @pytest.mark.parametrize("n", range(0, 11))
 def test_family_vertex_and_edge_counts(spec, n):
-    g = build_family(spec, n)
+    g = build_graph(spec.family_id, n)
     if n == 0:
         assert g.vertex_count == 0 and g.edge_count == 0
     else:
@@ -64,20 +64,20 @@ def test_family_vertex_and_edge_counts(spec, n):
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
-@pytest.mark.parametrize("kind", AUX_KINDS)
+@pytest.mark.parametrize("kind", GRAPH_KINDS[1:])
 @pytest.mark.parametrize("n", range(0, 11))
 def test_aux_gadget_deltas(spec, kind, n):
     table = BAR_GADGETS if kind == "bar" else TILDE_GADGETS
     if spec.family_id not in table:
         with pytest.raises(ValueError):
-            build_aux(spec, kind, n)
+            build_graph(spec.family_id, n, kind)
         with pytest.raises(ValueError, match=f"no {kind} auxiliary graph"):
             graph_order(spec.family_id, n, kind)
         return
-    g = build_aux(spec, kind, n)
+    g = build_graph(spec.family_id, n, kind)
     base_v = (spec.cycle_len - 1) * n + 1 if n >= 1 else 1
     base_e = spec.cycle_len * n
-    delta = gadget_size(spec.family_id, kind)
+    delta = sum(table[spec.family_id])
     assert g.vertex_count == base_v + delta
     assert g.edge_count == base_e + delta
     assert nx.is_connected(to_nx(g))
@@ -85,24 +85,25 @@ def test_aux_gadget_deltas(spec, kind, n):
 
 
 def test_expected_gadget_sizes():
+    # a gadget on the empty chain hangs on a lone root: the order less one is its size
     # one pendant for triangular/meta-pentagonal bars, two for the other bars
     # except square (path of 2) and pentagonal (path of 3); tilde gadgets add
     # 3 vertices for meta-pentagonal and 4 for the hexagonal families
-    assert gadget_size("triangular", "bar") == 1
-    assert gadget_size("diamond", "bar") == 2
-    assert gadget_size("square", "bar") == 2
-    assert gadget_size("pentagonal", "bar") == 3
-    assert gadget_size("meta-pentagonal", "bar") == 1
-    assert gadget_size("meta-pentagonal", "tilde") == 3
+    assert graph_order("triangular", 0, "bar") - 1 == 1
+    assert graph_order("diamond", 0, "bar") - 1 == 2
+    assert graph_order("square", 0, "bar") - 1 == 2
+    assert graph_order("pentagonal", 0, "bar") - 1 == 3
+    assert graph_order("meta-pentagonal", 0, "bar") - 1 == 1
+    assert graph_order("meta-pentagonal", 0, "tilde") - 1 == 3
     for fam in ("meta-hexagonal", "para-hexagonal", "ortho-hexagonal"):
-        assert gadget_size(fam, "bar") == 2
-        assert gadget_size(fam, "tilde") == 4
+        assert graph_order(fam, 0, "bar") - 1 == 2
+        assert graph_order(fam, 0, "tilde") - 1 == 4
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
 @pytest.mark.parametrize("n", range(1, 9))
 def test_block_decomposition(spec, n):
-    g = build_family(spec, n)
+    g = build_graph(spec.family_id, n)
     G = to_nx(g)
     blocks = [frozenset(b) for b in nx.biconnected_components(G)]
     assert len(blocks) == n
@@ -118,17 +119,17 @@ def test_block_decomposition(spec, n):
 def test_cactus_property(spec, n):
     # every block of a family graph is a single cycle of length k; gadget
     # edges of auxiliary graphs are bridges (they lie on no cycle)
-    g = build_family(spec, n)
+    g = build_graph(spec.family_id, n)
     G = to_nx(g)
     for block in nx.biconnected_components(G):
         sub = G.subgraph(block)
         assert sub.number_of_nodes() == spec.cycle_len
         assert sub.number_of_edges() == spec.cycle_len
-    for kind in AUX_KINDS:
+    for kind in GRAPH_KINDS[1:]:
         table = BAR_GADGETS if kind == "bar" else TILDE_GADGETS
         if spec.family_id not in table:
             continue
-        aux = build_aux(spec, kind, n)
+        aux = build_graph(spec.family_id, n, kind)
         bridges = set(nx.bridges(to_nx(aux)))
         gadget_vertices = set(range(g.vertex_count, aux.vertex_count))
         for u, v in aux.edges():
@@ -136,8 +137,10 @@ def test_cactus_property(spec, n):
                 assert (u, v) in bridges or (v, u) in bridges
 
 
-AUX_PAIRS = [(kind, fam) for kind, table in (("bar", BAR_GADGETS), ("tilde", TILDE_GADGETS))
-             for fam in FAMILY_IDS if fam in table]
+KIND_PAIRS = [(kind, fam) for kind, table in (("family", FAMILIES), ("bar", BAR_GADGETS),
+                                            ("tilde", TILDE_GADGETS))
+              for fam in FAMILY_IDS if fam in table]
+AUX_PAIRS = [(kind, fam) for kind, fam in KIND_PAIRS if kind != "family"]
 
 
 @pytest.mark.parametrize("kind,family_id", AUX_PAIRS, ids=[f"{k}-{f}" for k, f in AUX_PAIRS])
@@ -147,7 +150,7 @@ def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
     # something hangs on both sides of it, and every gadget vertex but a leg's last
     spec = family_spec(family_id)
     legs = (BAR_GADGETS if kind == "bar" else TILDE_GADGETS)[family_id]
-    g = build_aux(spec, kind, n)
+    g = build_graph(family_id, n, kind)
     expected = {anchor_of(g, spec, i) for i in range(1, n)}
     if n >= 1 or len(legs) >= 2:
         expected.add(anchor_of(g, spec, n))
@@ -162,38 +165,38 @@ def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
 @pytest.mark.parametrize("n", range(1, 9))
 def test_anchor_is_a_degree_two_cycle_vertex(spec, n):
-    g = build_family(spec, n)
+    g = build_graph(spec.family_id, n)
     a = anchor_of(g, spec, n)
     assert g.masks[a].bit_count() == 2
     assert a not in cuts(g)
 
 
 def test_cut_vertices_examples():
-    c5 = build_family(family_spec("pentagonal"), 1)
+    c5 = build_graph("pentagonal", 1)
     assert cuts(c5) == set()
-    bowtie = build_family(family_spec("triangular"), 2)
+    bowtie = build_graph("triangular", 2)
     assert cuts(bowtie) == {anchor_of(bowtie, family_spec("triangular"), 1)}
-    sq3 = build_family(family_spec("square"), 3)
+    sq3 = build_graph("square", 3)
     assert len(cuts(sq3)) == 2
 
 
 def test_small_count_examples():
-    assert build_family(family_spec("triangular"), 1).vertex_count == 3
-    g = build_family(family_spec("meta-hexagonal"), 2)
+    assert build_graph("triangular", 1).vertex_count == 3
+    g = build_graph("meta-hexagonal", 2)
     assert (g.vertex_count, g.edge_count) == (11, 12)
-    g = build_family(family_spec("pentagonal"), 3)
+    g = build_graph("pentagonal", 3)
     assert (g.vertex_count, g.edge_count) == (13, 15)
     assert len(cuts(g)) == 2
 
 
 def test_aux_base_cases():
-    k2 = build_aux(family_spec("triangular"), "bar", 0)
+    k2 = build_graph("triangular", 0, "bar")
     assert (k2.vertex_count, k2.edge_count) == (2, 1)
-    p4 = build_aux(family_spec("pentagonal"), "bar", 0)
+    p4 = build_graph("pentagonal", 0, "bar")
     assert nx.is_isomorphic(to_nx(p4), nx.path_graph(4))
-    p5 = build_aux(family_spec("ortho-hexagonal"), "tilde", 0)
+    p5 = build_graph("ortho-hexagonal", 0, "tilde")
     assert nx.is_isomorphic(to_nx(p5), nx.path_graph(5))
-    star = build_aux(family_spec("diamond"), "bar", 0)
+    star = build_graph("diamond", 0, "bar")
     assert nx.is_isomorphic(to_nx(star), nx.star_graph(2))
 
 
@@ -215,10 +218,10 @@ ANCHOR_DELETION_KIND = {
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
 @pytest.mark.parametrize("n", range(1, 5))
 def test_anchor_deletion_yields_smaller_aux_graph(spec, n):
-    g = build_family(spec, n)
+    g = build_graph(spec.family_id, n)
     G = to_nx(g)
     G.remove_node(anchor_of(g, spec, n))
-    expected = build_aux(spec, ANCHOR_DELETION_KIND[spec.family_id], n - 1)
+    expected = build_graph(spec.family_id, n - 1, ANCHOR_DELETION_KIND[spec.family_id])
     assert nx.is_isomorphic(G, to_nx(expected))
 
 
@@ -226,13 +229,13 @@ def test_anchor_deletion_yields_smaller_aux_graph(spec, n):
 @pytest.mark.parametrize("n", range(2, 5))
 def test_last_block_deletion_yields_smaller_family(spec, n):
     # dropping every vertex of block n except its entry leaves the (n-1)-chain
-    g = build_family(spec, n)
+    g = build_graph(spec.family_id, n)
     G = to_nx(g)
     entry = anchor_of(g, spec, n - 1)
     block_n = set(range(g.vertex_count - (spec.cycle_len - 1), g.vertex_count))
     assert entry not in block_n
     G.remove_nodes_from(block_n)
-    assert nx.is_isomorphic(G, to_nx(build_family(spec, n - 1)))
+    assert nx.is_isomorphic(G, to_nx(build_graph(spec.family_id, n - 1)))
 
 
 def test_labels_are_reproducible():
@@ -245,6 +248,23 @@ def test_labels_are_reproducible():
     assert root.label_text(0) == "root"
 
 
+@pytest.mark.parametrize("kind,family_id", KIND_PAIRS, ids=[f"{k}-{f}" for k, f in KIND_PAIRS])
+def test_last_n_within_matches_walk(kind, family_id):
+    first = graph_order(family_id, 1, kind)
+    for cap in range(81):
+        last = last_n_within(family_id, kind, cap)
+        assert last == last_n_within_walk(family_id, kind, cap), cap
+        if cap < first:  # cap 0 among them
+            assert last == 0, cap
+
+
+@pytest.mark.parametrize("kind", [None, "foo"])
+@pytest.mark.parametrize("func", [build_graph, graph_order], ids=["build_graph", "graph_order"])
+def test_unknown_kind_rejected(func, kind):
+    with pytest.raises(ValueError, match=re.escape(str(GRAPH_KINDS))):
+        func("triangular", 1, kind)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         family_spec("heptagonal")
@@ -253,7 +273,7 @@ def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         graph_order("triangular", 1, "ring")
     with pytest.raises(ValueError):
-        build_family(family_spec("triangular"), -1)
+        build_graph("triangular", -1)
 
 
 @pytest.mark.parametrize("edges,message", [

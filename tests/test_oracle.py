@@ -14,6 +14,7 @@ from _oracles import (
 )
 from cactus_mis.graphs import (
     BAR_GADGETS,
+    FAMILIES,
     FAMILY_IDS,
     TILDE_GADGETS,
     Graph,
@@ -35,15 +36,19 @@ def cycle(n):
 def small_generated_graphs(max_order):
     out = []
     for fam in FAMILY_IDS:
-        for aux in (None, "bar", "tilde"):
-            table = {"bar": BAR_GADGETS, "tilde": TILDE_GADGETS}.get(aux)
-            if aux is not None and fam not in table:
+        for kind, table in (("family", FAMILIES), ("bar", BAR_GADGETS), ("tilde", TILDE_GADGETS)):
+            if fam not in table:
                 continue
             n = 0
-            while graph_order(fam, n, aux) <= max_order:
-                out.append((fam, aux, n))
+            while graph_order(fam, n, kind) <= max_order:
+                out.append((fam, kind, n))
                 n += 1
     return out
+
+
+def graph_id(value):
+    """Parameter id: the chain itself keeps its earlier id "None", so test ids stay stable."""
+    return "None" if value == "family" else None
 
 
 def test_known_distributions():
@@ -71,32 +76,32 @@ def test_is_maximal_independent():
         is_maximal_independent(k2, {5})
 
 
-@pytest.mark.parametrize("fam,aux,n", small_generated_graphs(14))
-def test_matches_slow_subset_filter(fam, aux, n):
-    g = build_graph(fam, n, aux)
-    assert enumerate_mis(g).as_dict() == subset_filter_slow(g)
+@pytest.mark.parametrize("fam,kind,n", small_generated_graphs(14), ids=graph_id)
+def test_matches_slow_subset_filter(fam, kind, n):
+    g = build_graph(fam, n, kind)
+    assert enumerate_mis(g).counts == subset_filter_slow(g)
 
 
-@pytest.mark.parametrize("fam,aux,n", small_generated_graphs(14))
-def test_mask_filter_agrees_with_slow_filter(fam, aux, n):
+@pytest.mark.parametrize("fam,kind,n", small_generated_graphs(14), ids=graph_id)
+def test_mask_filter_agrees_with_slow_filter(fam, kind, n):
     # validates the faster all-masks oracle used by the acceptance suite
-    g = build_graph(fam, n, aux)
+    g = build_graph(fam, n, kind)
     assert subset_filter_masks(g) == subset_filter_slow(g)
 
 
-@pytest.mark.parametrize("fam,aux,n", small_generated_graphs(18))
-def test_matches_complement_cliques(fam, aux, n):
-    g = build_graph(fam, n, aux)
-    assert enumerate_mis(g).as_dict() == complement_cliques(g)
+@pytest.mark.parametrize("fam,kind,n", small_generated_graphs(18), ids=graph_id)
+def test_matches_complement_cliques(fam, kind, n):
+    g = build_graph(fam, n, kind)
+    assert enumerate_mis(g).counts == complement_cliques(g)
 
 
 def test_disjoint_union_convolution():
     rng = random.Random(20240817)
     pool = small_generated_graphs(12)
     for _ in range(10):
-        fa, aa, na = rng.choice(pool)
-        fb, ab, nb = rng.choice(pool)
-        ga, gb = build_graph(fa, na, aa), build_graph(fb, nb, ab)
+        fa, ka, na = rng.choice(pool)
+        fb, kb, nb = rng.choice(pool)
+        ga, gb = build_graph(fa, na, ka), build_graph(fb, nb, kb)
         edges = list(ga.edges()) + [(u + ga.vertex_count, v + ga.vertex_count) for u, v in gb.edges()]
         union = Graph(ga.vertex_count + gb.vertex_count, edges)
         assert enumerate_mis(union) == convolve(enumerate_mis(ga).counts, enumerate_mis(gb).counts)
@@ -124,7 +129,7 @@ def test_matches_independent_oracles_on_random_graphs():
     rng = random.Random(20261018)
     for _ in range(30):
         g = random_graph(rng)
-        dist = enumerate_mis(g).as_dict()
+        dist = enumerate_mis(g).counts
         assert dist == subset_filter_masks(g)
         assert dist == complement_cliques(g)
 
@@ -159,7 +164,7 @@ def test_size_distribution_arithmetic():
     assert d.total == 5
     assert (d[2], d[4], d[7]) == (3, 0, 0)
     assert d == {1: 2, 2: 3} == SizeDistribution({2: 3, 1: 2})
-    assert d.as_dict() == {1: 2, 2: 3} and d.items() == [(1, 2), (2, 3)]
+    assert d.counts == {1: 2, 2: 3} and d.items() == [(1, 2), (2, 3)]
     with pytest.raises(ValueError):
         SizeDistribution({-1: 1})
     with pytest.raises(ValueError):

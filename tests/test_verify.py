@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from _oracles import identity_max_n_walk
+from _oracles import last_n_within_walk
 from cactus_mis import verify
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
@@ -97,7 +97,8 @@ def test_identity_max_n_closed_form_matches_walk(catalog, monkeypatch, cap):
     monkeypatch.setattr(verify, "TRANSFER_ORDER_CAP", cap)
     assert len(catalog.identities) == 20
     for ident in catalog.identities:
-        assert identity_max_n(ident) == identity_max_n_walk(ident, cap), ident.identity_id
+        walk = last_n_within_walk(ident.family_id, ident.lhs_kind, cap)
+        assert identity_max_n(ident) == max(ident.valid_from, walk), ident.identity_id
 
 
 def test_asymptotics_confirmed_and_refuted(catalog):
@@ -177,8 +178,7 @@ def test_refuted_witnesses_replay(full_report, catalog):
             assert oracle[witness["k"]] == witness["oracle"]
             assert coeff[witness["k"]] == witness["claimed"]
         else:
-            aux = None if claim["graph_kind"] == "family" else claim["graph_kind"]
-            oracle = enumerate_mis(build_graph(claim["family"], claim["n"], aux))
+            oracle = enumerate_mis(build_graph(claim["family"], claim["n"], claim["graph_kind"]))
             assert oracle[witness["k"]] == witness["oracle"]
             check = next(c for rec in catalog.families for c in rec.boundary_checks
                          if c.anchor == anchor)
@@ -264,7 +264,7 @@ def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch,
     [memo] = memos
     assert memo
     for f, kind, n in memo:
-        assert graph_order(f, n, None if kind == "family" else kind) <= DEFAULT_VERTEX_LIMIT
+        assert graph_order(f, n, kind) <= DEFAULT_VERTEX_LIMIT
     serial = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=1)
     assert report_to_json(pooled) == report_to_json(serial)
