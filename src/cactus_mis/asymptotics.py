@@ -54,7 +54,6 @@ class AsymptoticEstimate(NamedTuple):
 
     rho: float
     constant: float
-    source: UnivarRational
 
     def value(self, n: int) -> float:
         """C / rho^(n+1), via logarithms so large n cannot overflow."""
@@ -126,7 +125,7 @@ def leading_constant(r: UnivarRational, rho: float) -> float:
 def analyze(r: UnivarRational) -> AsymptoticEstimate:
     """(rho, C) of a rational counting series."""
     rho = smallest_positive_root(r.den)
-    return AsymptoticEstimate(rho, leading_constant(r, rho), r)
+    return AsymptoticEstimate(rho, leading_constant(r, rho))
 
 
 def family_estimate(record: FamilyRecord) -> AsymptoticEstimate:

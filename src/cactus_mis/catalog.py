@@ -233,11 +233,15 @@ def load_catalog() -> Catalog:
             TransferTerm(t["mult"], t["kind"], t["n_shift"], t["k_shift"])
             for t in ident_raw["rhs"]
         )
+        first_n = min(ident_raw["valid_from"], ident_raw["stated_from"])  # first n replayed
         for t in terms:
             if t.kind not in GRAPH_KINDS:
                 raise ValueError(f"bad graph kind {t.kind!r} in identity {ident_raw['id']}")
             if not (1 <= t.mult <= 4):
                 raise ValueError(f"unexpected multiplier {t.mult} in identity {ident_raw['id']}")
+            if t.n_shift > first_n:
+                raise ValueError(f"identity {ident_raw['id']} reaches block count "
+                                 f"{first_n - t.n_shift} at n = {first_n}")
         identities.append(
             TransferIdentity(
                 identity_id=ident_raw["id"],

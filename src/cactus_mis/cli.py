@@ -76,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_family_arg(p_verify, required=False)
     p_verify.add_argument("--n-max", type=int, default=None, help="override the per-family depth")
     p_verify.add_argument("--format", choices=("json", "table"), default="json")
-    p_verify.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                          help="worker processes for enumeration")
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="worker processes for enumeration (default 1)")
     p_verify.add_argument("--output", default=None)
 
     sub.add_parser("list-families", help="list family ids and their one-letter symbols")
@@ -168,12 +168,14 @@ def _cmd_verify(args) -> int:
     if args.scope == "family" and args.family is None:
         sys.stderr.write("error: --scope family requires --family\n")
         return 2
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     report = run_verification(
         scope=args.scope,
         family=args.family,
         n_max_override=args.n_max,
         vertex_limit=_vertex_limit(args),
-        workers=max(1, args.workers),
+        workers=args.workers,
     )
     text = report_to_json(report) if args.format == "json" else report_to_table(report)
     _write(text, args.output)

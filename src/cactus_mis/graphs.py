@@ -193,8 +193,10 @@ def build_graph(family_id: str, n: int, kind: str = "family") -> Graph:
 def graph_order(family_id: str, n: int, kind: str = "family") -> int:
     """Vertex count of build_graph(family_id, n, kind) without building it."""
     spec = family_spec(family_id)
+    if n < 0:
+        raise ValueError("block count must be >= 0")
     legs = _gadget_legs(spec.family_id, kind)
-    chain = (spec.cycle_len - 1) * n + 1 if n >= 1 else 0
+    chain = (spec.cycle_len - 1) * n + 1 if n else 0
     if not legs:
         return chain
     return max(chain, 1) + sum(legs)  # n = 0: the lone root

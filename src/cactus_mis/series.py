@@ -211,9 +211,6 @@ class BivarPoly(Frozen):
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -225,9 +222,6 @@ class BivarPoly(Frozen):
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) - c
         return BivarPoly(out)
-
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         out: dict[tuple[int, int], int] = {}
@@ -250,33 +244,6 @@ class BivarPoly(Frozen):
         for i, c in out.items():
             dense[i] = c
         return UnivarPoly(dense)
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
-            body = ""
-            if i == 1:
-                body += "x"
-            elif i > 1:
-                body += f"x^{i}"
-            if j == 1:
-                body += "y"
-            elif j > 1:
-                body += f"y^{j}"
-            mag = abs(c)
-            if not body:
-                frag = str(mag)
-            elif mag == 1:
-                frag = body
-            else:
-                frag = f"{mag}{body}"
-            parts.append(("- " if c < 0 else "+ ") + frag)
-        head = parts[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + parts[1:])
 
 
 _TERM_RE = re.compile(

@@ -16,13 +16,16 @@ vertex guard, `build_graph` and `enumerate_mis`. Each `run_verification` call
 keeps its counts in one memo of its own and nothing at module level, so a memo
 serves one run and one vertex limit, and a hit needs no second guard.
 
-With `workers > 1`, `run_verification` first collects every graph its
-lookups will ask for (one task list for every scope, already cut to the
-vertex guard) and has a process pool fill the memo. The keys go out
+One lookup plan, shared by the checks and the pool, names the graphs each
+claim reads: a family's chain at every n to its depth, each boundary check's
+graph, and for an identity at each n of `_replay_ns` the graphs of
+`_replay_keys`, in order, up to the first one above the guard. With
+`workers > 1`, `run_verification` first has a process pool count that plan
+(`_collect_tasks`) into the memo, so the checks only hit it. The keys go out
 size-sorted, largest first, in about four chunks per worker; each child
-counts its chunk through `oracle_distribution` under the run's limit and
-returns the distributions. The serial path (`workers == 1`) starts no pool
-and never imports `concurrent.futures.process`.
+counts its chunk through `oracle_distribution` under the run's limit. The
+serial path (`workers == 1`) starts no pool and never imports
+`concurrent.futures.process`.
 """
 
 from __future__ import annotations
@@ -112,12 +115,8 @@ def _pool_counts(tasks: dict[GraphKey, int], vertex_limit: int, workers: int) ->
         return {key: dist for chunk in done for key, dist in chunk.items()}
 
 
-def _dist_json(dist: SizeDistribution) -> dict[str, int]:
-    return {str(k): v for k, v in dist.items()}
-
-
-def _poly_json(coeffs) -> dict[str, int]:
-    return {str(k): c for k, c in enumerate(coeffs) if c}
+def _counts_json(counts: Mapping[int, int]) -> dict[str, int]:
+    return {str(k): c for k, c in counts.items() if c}
 
 
 def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Optional[dict]:
@@ -146,11 +145,11 @@ def verify_family(record: FamilyRecord, n_max: int,
     fam = record.family_id
     # the guard skips every n past this one, so no series is expanded further
     expand_to = min(n_max, last_n_within(fam, "family", vertex_limit))
-    candidates = {}
-    series_by_candidate = {}
-    for cand in record.gf_candidates:
-        series_by_candidate[cand.candidate_id] = series_in_x(cand.gf, expand_to)
-        candidates[cand.candidate_id] = {"anchor": cand.anchor, "first_mismatch": None}
+    # each candidate's claimed {k: count} at every n up to there
+    claimed = {cand.candidate_id: [dict(enumerate(p.coeffs)) for p in series_in_x(cand.gf, expand_to)]
+               for cand in record.gf_candidates}
+    candidates = {cand.candidate_id: {"anchor": cand.anchor, "first_mismatch": None}
+                  for cand in record.gf_candidates}
     rec_totals = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, n_max)
 
     entries = []
@@ -171,32 +170,24 @@ def verify_family(record: FamilyRecord, n_max: int,
             })
             continue
         checked_to = n
-        for cand_id, series in series_by_candidate.items():
-            if candidates[cand_id]["first_mismatch"] is None:
-                bad = _first_mismatch(oracle, dict(enumerate(series[n].coeffs)))
-                if bad is not None:
-                    candidates[cand_id]["first_mismatch"] = {"n": n, **bad}
+        mismatch_at_n = {cid: _first_mismatch(oracle, series[n]) for cid, series in claimed.items()}
+        for cid, bad in mismatch_at_n.items():
+            if bad is not None and candidates[cid]["first_mismatch"] is None:
+                candidates[cid]["first_mismatch"] = {"n": n, **bad}
         if recurrence_mismatch is None and oracle.total != rec_totals[n]:
             recurrence_mismatch = {"n": n, "oracle_total": oracle.total, "claimed_total": rec_totals[n]}
         resolved = _resolve_candidate(record, candidates)
-        claimed_poly = series_by_candidate[resolved][n]
-        entry_mismatch = _first_mismatch(oracle, dict(enumerate(claimed_poly.coeffs)))
-        status = CONFIRMED
         mismatch_field = None
-        if entry_mismatch is not None:
-            status = REFUTED
-            mismatch_field = {**entry_mismatch, "claim": record.gf_anchor}
+        if mismatch_at_n[resolved] is not None:
+            mismatch_field = {**mismatch_at_n[resolved], "claim": record.gf_anchor}
         elif oracle.total != rec_totals[n]:
-            status = REFUTED
-            mismatch_field = {
-                "k": None, "oracle": oracle.total, "claimed": rec_totals[n],
-                "claim": record.recurrence.anchor,
-            }
+            mismatch_field = {"k": None, "oracle": oracle.total, "claimed": rec_totals[n],
+                              "claim": record.recurrence.anchor}
         entries.append({
             "n": n,
-            "status": status,
-            "oracle": _dist_json(oracle),
-            "gf_coefficient": _poly_json(claimed_poly.coeffs),
+            "status": CONFIRMED if mismatch_field is None else REFUTED,
+            "oracle": _counts_json(oracle.counts),
+            "gf_coefficient": _counts_json(claimed[resolved][n]),
             "recurrence_total": rec_totals[n],
             "first_mismatch": mismatch_field,
         })
@@ -212,7 +203,7 @@ def verify_family(record: FamilyRecord, n_max: int,
         "verdict": statement["verdict"] if checked_to >= 0 else SKIPPED,
         "checked_n_max": checked_to,
         "first_mismatch": statement["first_mismatch"],
-        "candidates": {cid: dict(meta) for cid, meta in sorted(candidates.items())},
+        "candidates": candidates,
         "resolution": resolution if candidates[resolution]["verdict"] == CONFIRMED else None,
         "recurrence_consistency": _gf_recurrence_consistency(record),
     }
@@ -226,23 +217,15 @@ def verify_family(record: FamilyRecord, n_max: int,
 
     boundary_claims = {}
     for check in record.boundary_checks:
+        claim = {"kind": "boundary", "family": fam, "graph_kind": check.kind, "n": check.n}
         try:
             oracle = oracle_distribution(fam, check.kind, check.n, vertex_limit, memo)
         except VertexLimitExceeded as exc:
-            boundary_claims[check.anchor] = {
-                "kind": "boundary", "family": fam, "graph_kind": check.kind, "n": check.n,
-                "verdict": SKIPPED, "reason": str(exc),
-            }
+            boundary_claims[check.anchor] = {**claim, "verdict": SKIPPED, "reason": str(exc)}
             continue
         bad = _first_mismatch(oracle, check.claimed.counts)
-        boundary_claims[check.anchor] = {
-            "kind": "boundary",
-            "family": fam,
-            "graph_kind": check.kind,
-            "n": check.n,
-            "verdict": CONFIRMED if bad is None else REFUTED,
-            "first_mismatch": None if bad is None else {"n": check.n, **bad},
-        }
+        boundary_claims[check.anchor] = {**claim, "verdict": CONFIRMED if bad is None else REFUTED,
+                                         "first_mismatch": None if bad is None else {"n": check.n, **bad}}
 
     return {
         "family": fam,
@@ -295,6 +278,18 @@ def _gf_recurrence_consistency(record: FamilyRecord) -> dict:
 # Transfer identities.
 # ----------------------------------------------------------------------------
 
+def _replay_keys(identity: TransferIdentity, n: int) -> list[GraphKey]:
+    """The graphs a replay at n reads, in order: the left-hand side, then each term."""
+    fam = identity.family_id
+    return [(fam, identity.lhs_kind, n)] + [(fam, term.kind, n - term.n_shift) for term in identity.rhs]
+
+
+def _replay_ns(identity: TransferIdentity, n_max: int) -> range:
+    """The n an identity is replayed at: the stated range before `valid_from`,
+    whatever `n_max` is, then `valid_from` to `n_max`."""
+    return range(min(identity.stated_from, identity.valid_from), max(identity.valid_from, n_max + 1))
+
+
 def _replay(identity: TransferIdentity, n: int, vertex_limit: int,
             memo: Optional[Memo]) -> Optional[dict]:
     """First k where the identity fails at n, as {n, k, lhs, rhs}, or None if it holds.
@@ -302,12 +297,11 @@ def _replay(identity: TransferIdentity, n: int, vertex_limit: int,
     The right-hand side is the sum of mult * term(n - n_shift, k - k_shift).
     Raises VertexLimitExceeded when a graph it needs is above `vertex_limit`.
     """
-    lhs = oracle_distribution(identity.family_id, identity.lhs_kind, n, vertex_limit, memo)
+    lhs_key, *term_keys = _replay_keys(identity, n)
+    lhs = oracle_distribution(*lhs_key, vertex_limit, memo)
     rhs: dict[int, int] = {}
-    for term in identity.rhs:
-        dist = oracle_distribution(identity.family_id, term.kind, n - term.n_shift,
-                                   vertex_limit, memo)
-        for k, count in dist.counts.items():
+    for term, key in zip(identity.rhs, term_keys):
+        for k, count in oracle_distribution(*key, vertex_limit, memo).counts.items():
             k += term.k_shift
             rhs[k] = rhs.get(k, 0) + term.mult * count
     bad = _first_mismatch(lhs, rhs)
@@ -326,38 +320,36 @@ def identity_max_n(identity: TransferIdentity) -> int:
 def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
                     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
                     memo: Optional[Memo] = None) -> dict:
-    """Replay one identity against oracle distributions over its valid range."""
+    """Replay one identity against oracle distributions over its valid range,
+    and over any stated range before it (reported in `stated_range_note`)."""
     if n_max is None:
         n_max = identity_max_n(identity)
     first_bad = None
     checked = []
     skipped = []
-    for n in range(identity.valid_from, n_max + 1):
+    witnesses = []  # failures in the stated range before valid_from
+    for n in _replay_ns(identity, n_max):
+        valid = n >= identity.valid_from
         try:
             bad = _replay(identity, n, vertex_limit, memo)
         except VertexLimitExceeded as exc:
-            skipped.append({"n": n, "reason": str(exc)})
+            if valid:
+                skipped.append({"n": n, "reason": str(exc)})
             continue
-        checked.append(n)
-        if first_bad is None:
-            first_bad = bad
+        if valid:
+            checked.append(n)
+            first_bad = first_bad or bad
+        elif bad is not None:
+            witnesses.append(bad)
 
     stated_note = None
     if identity.stated_from < identity.valid_from:
-        # the source applied the identity from an earlier n; replay that range too
-        refuted_instances = []
-        for n in range(identity.stated_from, identity.valid_from):
-            try:
-                bad = _replay(identity, n, vertex_limit, memo)
-            except VertexLimitExceeded:
-                continue
-            if bad is not None:
-                refuted_instances.append(bad)
+        # the source applied the identity from an earlier n
         stated_note = {
             "stated_from": identity.stated_from,
             "valid_from": identity.valid_from,
-            "stated_range_refuted": bool(refuted_instances),
-            "witnesses": refuted_instances,
+            "stated_range_refuted": bool(witnesses),
+            "witnesses": witnesses,
         }
 
     verdict = SKIPPED if not checked else (CONFIRMED if first_bad is None else REFUTED)
@@ -434,16 +426,6 @@ def verify_asymptotics(record: FamilyRecord) -> dict:
 # Full run and report assembly.
 # ----------------------------------------------------------------------------
 
-def _identity_tasks(ident: TransferIdentity, top: int) -> list[GraphKey]:
-    tasks = []
-    for n in range(min(ident.stated_from, ident.valid_from), top + 1):
-        tasks.append((ident.family_id, ident.lhs_kind, n))
-        for term in ident.rhs:
-            if n - term.n_shift >= 0:
-                tasks.append((ident.family_id, term.kind, n - term.n_shift))
-    return tasks
-
-
 def _identity_top(ident: TransferIdentity, n_max_override: Optional[int]) -> int:
     top = identity_max_n(ident)
     if n_max_override is not None:
@@ -454,16 +436,23 @@ def _identity_top(ident: TransferIdentity, n_max_override: Optional[int]) -> int
 def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
                    n_max: dict[str, int], vertex_limit: int,
                    n_max_override: Optional[int]) -> dict[GraphKey, int]:
-    """Every graph the lookups for `records` and `idents` ask for, within
-    `vertex_limit`, with its vertex count."""
-    tasks: set[GraphKey] = set()
-    for rec in records:
-        tasks.update((rec.family_id, "family", n) for n in range(n_max[rec.family_id] + 1))
-        tasks.update((rec.family_id, check.kind, check.n) for check in rec.boundary_checks)
+    """Every graph the lookups for `records` and `idents` count, with its vertex count.
+
+    Each lookup sequence of the plan stops at its first graph above
+    `vertex_limit`, as the checks' own lookups do.
+    """
+    plan = [[(rec.family_id, "family", n)] for rec in records for n in range(n_max[rec.family_id] + 1)]
+    plan += [[(rec.family_id, check.kind, check.n)] for rec in records for check in rec.boundary_checks]
     for ident in idents:
-        tasks.update(_identity_tasks(ident, _identity_top(ident, n_max_override)))
-    return {t: order for t in tasks
-            if (order := graph_order(t[0], t[2], t[1])) <= vertex_limit}
+        plan += [_replay_keys(ident, n) for n in _replay_ns(ident, _identity_top(ident, n_max_override))]
+    tasks: dict[GraphKey, int] = {}
+    for keys in plan:
+        for key in keys:
+            order = graph_order(key[0], key[2], key[1])
+            if order > vertex_limit:
+                break
+            tasks[key] = order
+    return tasks
 
 
 def run_verification(

@@ -117,6 +117,19 @@ def test_transfer_identity_invariants(catalog):
             assert ident.stated_from == ident.valid_from
 
 
+@pytest.mark.parametrize("ident_id, n_shift", [("dbar4", 2), ("t1", 4)])
+def test_identity_reaching_a_negative_block_count_is_rejected(monkeypatch, ident_id, n_shift):
+    # dbar4 is replayed from its stated n = 1, t1 from n = 3
+    from cactus_mis import catalog as catalog_mod
+
+    raw = json.loads(catalog_mod._data_text("catalog.json"))
+    [ident] = [i for i in raw["transfer_identities"] if i["id"] == ident_id]
+    ident["rhs"][0]["n_shift"] = n_shift
+    monkeypatch.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
+    with pytest.raises(ValueError, match=f"^identity {ident_id} reaches block count -1 at n = "):
+        catalog_mod.load_catalog()
+
+
 def test_recurrence_lag_consistency_is_surfaced(catalog):
     """Wherever the stated gf and recurrence agree, the gf-derived lags
     reproduce the stated ones (possibly after cancelling a common factor)."""

@@ -230,6 +230,22 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "family" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_a_usage_error(capsys, workers):
+    code, out, err = run_cli(["verify", "--scope", "identities", "--workers", workers], capsys)
+    assert (code, out, err) == (2, "", f"error: --workers must be >= 1, got {workers}\n")
+
+
+def test_default_verify_starts_no_pool():
+    # --workers defaults to 1: a whole verify run never loads the pool machinery
+    code = ("import contextlib, io, sys; from cactus_mis import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['verify', '--scope', 'all'])\n"
+            "print(rc, 'concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "False"]
+
+
 @pytest.mark.parametrize("command", ["build", "census", "series", "estimate", "verify"])
 def test_help_lists_flags(command):
     proc = subprocess.run(

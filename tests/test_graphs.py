@@ -258,6 +258,14 @@ def test_last_n_within_matches_walk(kind, family_id):
             assert last == 0, cap
 
 
+@pytest.mark.parametrize("kind,family_id", KIND_PAIRS, ids=[f"{k}-{f}" for k, f in KIND_PAIRS])
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_block_count_rejected_by_builder_and_sizer(kind, family_id, n):
+    for func in (build_graph, graph_order):
+        with pytest.raises(ValueError, match="^block count must be >= 0$"):
+            func(family_id, n, kind)
+
+
 @pytest.mark.parametrize("kind", [None, "foo"])
 @pytest.mark.parametrize("func", [build_graph, graph_order], ids=["build_graph", "graph_order"])
 def test_unknown_kind_rejected(func, kind):

@@ -39,7 +39,7 @@ def test_parse_basic_terms():
     assert q.terms == {(2, 4): -11, (1, 2): 5}
     r = parse_bivar("3 * x^2 * y - y")
     assert r.terms == {(2, 1): 3, (0, 1): -1}
-    assert parse_bivar("x - x").is_zero()
+    assert parse_bivar("x - x").terms == {}
     assert parse_univar("-4x^3 - 5x^2 - x + 1").coeffs == (1, -1, -5, -4)
 
 
@@ -98,11 +98,6 @@ def test_univar_text_round_trip(coeffs):
     p = UnivarPoly(coeffs)
     assert parse_univar(p.text("x")) == p
     assert parse_bivar(p.text("y")) == BivarPoly({(0, j): c for j, c in enumerate(p.coeffs)})
-
-
-def test_poly_text_round_trip():
-    p = parse_bivar("1 - 2xy + 2xy^2 - 2x^2y^3 + x^2y^2 + x^2y^4")
-    assert parse_bivar(p.text()) == p
 
 
 def test_ring_examples():

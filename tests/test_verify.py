@@ -87,6 +87,14 @@ def test_transfer_dbar4_stated_range_refuted(catalog):
     assert note["witnesses"] == [{"n": 1, "k": 1, "lhs": 0, "rhs": 1}]
 
 
+def test_stated_range_replayed_beyond_n_max(catalog):
+    # the stated range (n = 1) lies before valid_from (2) and is replayed
+    # whatever n_max is; the valid range is empty at n_max = 0
+    result = verify_transfer(catalog.identity("dbar4"), n_max=0)
+    assert result["checked_n"] == [] and result["verdict"] == "SKIPPED"
+    assert result["stated_range_note"]["witnesses"] == [{"n": 1, "k": 1, "lhs": 0, "rhs": 1}]
+
+
 def test_transfer_identity_caps(catalog):
     assert identity_max_n(catalog.identity("t1")) == 22
     assert identity_max_n(catalog.identity("qhtil44")) == 8
@@ -268,6 +276,39 @@ def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch,
     serial = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=1)
     assert report_to_json(pooled) == report_to_json(serial)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"scope": "all"},
+    {"scope": "family", "family": "diamond"},
+    {"scope": "identities"},
+    {"scope": "all", "n_max_override": 0},
+    {"scope": "all", "n_max_override": 150},
+    {"scope": "identities", "vertex_limit": 9},
+    {"scope": "all", "family": "diamond", "n_max_override": 1},
+], ids=["all", "family", "identities", "all-n0", "all-n150", "identities-limit9",
+        "all-diamond-n1"])
+def test_pool_plan_matches_serial_lookups(catalog, monkeypatch, kwargs):
+    # the pool's task list is exactly the set of graphs the checks count
+    plans = []
+    counted = set()
+    real_collect, real_lookup = verify._collect_tasks, verify.oracle_distribution
+
+    def collect(*args):
+        plans.append(real_collect(*args))
+        return plans[-1]
+
+    def lookup(family_id, kind, n, *args):
+        dist = real_lookup(family_id, kind, n, *args)  # a refused graph raises here
+        counted.add((family_id, kind, n))
+        return dist
+
+    monkeypatch.setattr(verify, "_collect_tasks", collect)
+    monkeypatch.setattr(verify, "_pool_counts", lambda tasks, limit, workers: {})  # count serially
+    monkeypatch.setattr(verify, "oracle_distribution", lookup)
+    run_verification(catalog, workers=2, **kwargs)
+    [plan] = plans
+    assert counted and set(plan) == counted
 
 
 @pytest.mark.parametrize("workers", [1, 2])
