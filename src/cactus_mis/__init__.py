@@ -11,7 +11,6 @@ from .graphs import (
     FAMILY_IDS,
     FamilySpec,
     Graph,
-    VertexLabel,
     build_graph,
     family_spec,
     graph_order,
@@ -49,7 +48,7 @@ from .verify import run_verification, verify_asymptotics, verify_family, verify_
 __version__ = "1.0.0"
 
 __all__ = [
-    "FAMILIES", "FAMILY_IDS", "FamilySpec", "Graph", "VertexLabel",
+    "FAMILIES", "FAMILY_IDS", "FamilySpec", "Graph",
     "build_graph", "family_spec", "graph_order",
     "DEFAULT_VERTEX_LIMIT", "SizeDistribution", "VertexLimitExceeded",
     "enumerate_mis",

@@ -13,7 +13,7 @@ import json
 import os
 from typing import NamedTuple, Optional
 
-from .graphs import FAMILIES, GRAPH_KINDS, FamilySpec
+from .graphs import FAMILIES, FamilySpec, graph_order
 from .oracle import SizeDistribution
 from .series import RationalGF, UnivarRational, parse_univar
 
@@ -212,8 +212,10 @@ def load_catalog() -> Catalog:
             for c in fam_raw["boundary_checks"]
         )
         for c in checks:
-            if c.kind not in GRAPH_KINDS:
-                raise ValueError(f"bad graph kind {c.kind!r} in {c.check_id}")
+            try:
+                graph_order(spec.family_id, c.n, c.kind)
+            except ValueError as exc:
+                raise ValueError(f"boundary check {c.check_id}: {exc}") from None
         families.append(
             FamilyRecord(
                 spec=spec,
@@ -235,13 +237,17 @@ def load_catalog() -> Catalog:
         )
         first_n = min(ident_raw["valid_from"], ident_raw["stated_from"])  # first n replayed
         for t in terms:
-            if t.kind not in GRAPH_KINDS:
-                raise ValueError(f"bad graph kind {t.kind!r} in identity {ident_raw['id']}")
             if not (1 <= t.mult <= 4):
                 raise ValueError(f"unexpected multiplier {t.mult} in identity {ident_raw['id']}")
             if t.n_shift > first_n:
                 raise ValueError(f"identity {ident_raw['id']} reaches block count "
                                  f"{first_n - t.n_shift} at n = {first_n}")
+        try:  # the first replay's graphs must exist; later replays only add blocks
+            graph_order(ident_raw["family"], first_n, ident_raw["lhs"])
+            for t in terms:
+                graph_order(ident_raw["family"], first_n - t.n_shift, t.kind)
+        except ValueError as exc:
+            raise ValueError(f"identity {ident_raw['id']}: {exc}") from None
         identities.append(
             TransferIdentity(
                 identity_id=ident_raw["id"],

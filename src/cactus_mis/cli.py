@@ -25,15 +25,10 @@ from .verify import (has_refuted, oracle_distribution, report_to_json, report_to
 VERTEX_LIMIT_ENV = "CACTUS_MIS_VERTEX_LIMIT"
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 2 on usage problems, matching the contract
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cactus-mis",
-                     description="Exact maximal-independent-set counts for polygonal cactus chains.")
+    parser = argparse.ArgumentParser(
+        prog="cactus-mis",
+        description="Exact maximal-independent-set counts for polygonal cactus chains.")
     parser.add_argument("--vertex-limit", type=int, default=None,
                         help=f"enumeration size guard (default {DEFAULT_VERTEX_LIMIT}; "
                              f"env {VERTEX_LIMIT_ENV})")
@@ -165,9 +160,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.scope == "family" and args.family is None:
-        sys.stderr.write("error: --scope family requires --family\n")
-        return 2
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     report = run_verification(

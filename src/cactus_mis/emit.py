@@ -14,10 +14,8 @@ from .graphs import Graph
 
 def to_dot(g: Graph) -> str:
     lines = ["graph cactus {"]
-    for v in range(g.vertex_count):
-        lines.append(f'  v{v} [label="{g.label_text(v)}"];')
-    for u, v in g.edges():
-        lines.append(f"  v{u} -- v{v};")
+    lines += [f'  v{v} [label="{label}"];' for v, label in enumerate(g.labels)]
+    lines += [f"  v{u} -- v{v};" for u, v in g.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -30,7 +28,7 @@ def to_json(g: Graph, family: Optional[str] = None, n: Optional[int] = None,
         "n": n,
         "vertex_count": g.vertex_count,
         "edges": [[u, v] for u, v in g.edges()],
-        "labels": {str(v): g.label_text(v) for v in range(g.vertex_count)},
+        "labels": {str(v): label for v, label in enumerate(g.labels)},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

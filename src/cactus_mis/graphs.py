@@ -8,29 +8,17 @@ block attaches. Eight (k, d) combinations are supported, one per family.
 Auxiliary graphs attach a small pendant tree ("gadget") at the anchor vertex,
 i.e. the vertex where block n+1 would attach. Each gadget is a set of pendant
 paths ("legs") hanging off the anchor.
+
+Vertex labels are the text the output formats print: `b<block>_p<pos>` on the
+cycles (1-based; a cut vertex keeps the earlier block's label), `root` for a
+gadget's anchor on the empty chain, and `g<leg>_<pos>` on the gadget legs.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-GADGET_BLOCK = 0  # sentinel block id for gadget vertices (real blocks are 1-based)
-
-
-class VertexLabel(NamedTuple):
-    """Structural label: (block, position) for cycle vertices, slot name for gadget ones.
-
-    Shared cut vertices keep the label of the earlier block. Positions are
-    1-based within a block's cycle.
-    """
-
-    block: int
-    position: "int | str"
-
-    def text(self) -> str:
-        if self.block == GADGET_BLOCK:
-            return str(self.position)
-        return f"b{self.block}_p{self.position}"
+from ._frozen import Frozen
 
 
 class FamilySpec(NamedTuple):
@@ -89,18 +77,18 @@ def family_spec(family_id: str) -> FamilySpec:
     return FAMILIES[key]
 
 
-class Graph:
-    """Immutable simple undirected graph with dense 0-based vertex ids.
+class Graph(Frozen):
+    """Simple undirected graph with dense 0-based vertex ids, a `Frozen` value.
 
     Adjacency is one neighbor bitmask per vertex: bit u of `masks[v]` is set
     iff uv is an edge. Construction enforces simplicity (no loops, no
-    parallel edges).
+    parallel edges). Each vertex has a text label, `v<i>` if none is given.
     """
 
     __slots__ = ("vertex_count", "masks", "labels")
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int]],
-                 labels: Optional[Sequence[VertexLabel]] = None):
+                 labels: Optional[Sequence[str]] = None):
         masks = [0] * vertex_count
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -115,10 +103,10 @@ class Graph:
             raise ValueError("label count does not match vertex count")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
+        object.__setattr__(self, "labels", tuple(labels or (f"v{v}" for v in range(vertex_count))))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Graph is immutable")
+    def __reduce__(self):
+        return Graph, (self.vertex_count, tuple(self.edges()), self.labels)
 
     @property
     def edge_count(self) -> int:
@@ -134,11 +122,6 @@ class Graph:
                 v += step
                 m >>= step
                 yield (u, v)
-
-    def label_text(self, v: int) -> str:
-        if self.labels is None:
-            return f"v{v}"
-        return self.labels[v].text()
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"
@@ -168,25 +151,25 @@ def build_graph(family_id: str, n: int, kind: str = "family") -> Graph:
     if n < 0:
         raise ValueError("block count must be >= 0")
     legs = _gadget_legs(spec.family_id, kind)
-    labels: list[VertexLabel] = []
+    labels: list[str] = []
     edges: list[tuple[int, int]] = []
     anchor: Optional[int] = None  # where block n+1 would attach
     for block_no in range(1, n + 1):
         cyc = [] if anchor is None else [anchor]  # the anchor is the next block's position 1
         for pos in range(len(cyc) + 1, spec.cycle_len + 1):
             cyc.append(len(labels))
-            labels.append(VertexLabel(block_no, pos))
+            labels.append(f"b{block_no}_p{pos}")
         edges += zip(cyc, cyc[1:] + cyc[:1])
         anchor = cyc[spec.attach_dist]
     if legs and anchor is None:
         anchor = len(labels)
-        labels.append(VertexLabel(GADGET_BLOCK, "root"))
+        labels.append("root")
     for leg_no, length in enumerate(legs, start=1):
         prev = anchor
         for pos in range(1, length + 1):
             edges.append((prev, len(labels)))
             prev = len(labels)
-            labels.append(VertexLabel(GADGET_BLOCK, f"g{leg_no}_{pos}"))
+            labels.append(f"g{leg_no}_{pos}")
     return Graph(len(labels), edges, labels)
 
 

@@ -203,12 +203,7 @@ class BivarPoly(Frozen):
     def constant(cls, c: int) -> "BivarPoly":
         return cls({(0, 0): c})
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BivarPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
+    def __hash__(self):  # Frozen's hash cannot take the dict slot
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":

@@ -473,6 +473,8 @@ def run_verification(
         raise ValueError(f"unknown scope {scope!r}")
     if scope == "family" and family is None:
         raise ValueError("scope 'family' requires a family id")
+    if n_max_override is not None and n_max_override < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max_override}")
 
     records = list(catalog.families)
     if family is not None:

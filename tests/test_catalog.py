@@ -1,6 +1,7 @@
 """Catalog integrity: parseability, invariants, and agreement with the oracle."""
 
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -117,17 +118,51 @@ def test_transfer_identity_invariants(catalog):
             assert ident.stated_from == ident.valid_from
 
 
-@pytest.mark.parametrize("ident_id, n_shift", [("dbar4", 2), ("t1", 4)])
-def test_identity_reaching_a_negative_block_count_is_rejected(monkeypatch, ident_id, n_shift):
-    # dbar4 is replayed from its stated n = 1, t1 from n = 3
+def _load_edited(monkeypatch, edit):
+    """`load_catalog()` over the shipped catalog after `edit(raw)` changed it in place."""
     from cactus_mis import catalog as catalog_mod
 
     raw = json.loads(catalog_mod._data_text("catalog.json"))
-    [ident] = [i for i in raw["transfer_identities"] if i["id"] == ident_id]
-    ident["rhs"][0]["n_shift"] = n_shift
+    edit(raw)
     monkeypatch.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
+    return catalog_mod.load_catalog()
+
+
+def _raw_identity(raw, ident_id):
+    [ident] = [i for i in raw["transfer_identities"] if i["id"] == ident_id]
+    return ident
+
+
+@pytest.mark.parametrize("ident_id, n_shift", [("dbar4", 2), ("t1", 4)])
+def test_identity_reaching_a_negative_block_count_is_rejected(monkeypatch, ident_id, n_shift):
+    # dbar4 is replayed from its stated n = 1, t1 from n = 3
+    def edit(raw):
+        _raw_identity(raw, ident_id)["rhs"][0]["n_shift"] = n_shift
+
     with pytest.raises(ValueError, match=f"^identity {ident_id} reaches block count -1 at n = "):
-        catalog_mod.load_catalog()
+        _load_edited(monkeypatch, edit)
+
+
+def _square_check(raw, check_id):
+    [fam] = [f for f in raw["families"] if f["id"] == "square"]
+    [check] = [c for c in fam["boundary_checks"] if c["id"] == check_id]
+    return check
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: _raw_identity(raw, "s1").update(lhs="bogus"),
+     "identity s1: unknown graph kind 'bogus'; expected one of ('family', 'bar', 'tilde')"),
+    (lambda raw: _raw_identity(raw, "s1").update(family="heptagonal"),
+     "identity s1: unknown family 'heptagonal'; known: "),
+    (lambda raw: _raw_identity(raw, "s1")["rhs"][1].update(kind="tilde"),
+     "identity s1: no tilde auxiliary graph for family 'square'"),
+    (lambda raw: _square_check(raw, "check:sbar:0").update(kind="tilde"),
+     "boundary check check:sbar:0: no tilde auxiliary graph for family 'square'"),
+], ids=["unknown-lhs-kind", "unknown-family", "missing-term-gadget", "missing-check-gadget"])
+def test_catalog_naming_a_missing_graph_is_rejected(monkeypatch, edit, message):
+    # rejected at load time, not mid-way through a verify run
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        _load_edited(monkeypatch, edit)
 
 
 def test_recurrence_lag_consistency_is_surfaced(catalog):

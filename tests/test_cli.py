@@ -226,8 +226,15 @@ def test_verify_identities_with_depth_override(capsys):
 
 
 def test_verify_usage_errors(capsys):
-    code, _, err = run_cli(["verify", "--scope", "family"], capsys)
-    assert code == 2 and "family" in err
+    code, out, err = run_cli(["verify", "--scope", "family"], capsys)
+    assert (code, out, err) == (2, "", "error: scope 'family' requires a family id\n")
+
+
+@pytest.mark.parametrize("scope", ["all", "family", "identities", "asymptotics"])
+def test_negative_n_max_is_a_usage_error(capsys, scope):
+    family = ["--family", "triangular"] if scope == "family" else []
+    code, out, err = run_cli(["verify", "--scope", scope, *family, "--n-max", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: n_max must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -21,7 +21,7 @@ def test_dot_round_trip(fam, kind, n):
     vertex_count, edges, labels = parse_dot(to_dot(g))
     assert vertex_count == g.vertex_count
     assert sorted(edges) == sorted(g.edges())
-    assert labels == {v: g.label_text(v) for v in range(g.vertex_count)}
+    assert labels == dict(enumerate(g.labels))
 
 
 def test_json_payload():

@@ -15,11 +15,9 @@ from cactus_mis.graphs import (
     BAR_GADGETS,
     FAMILIES,
     FAMILY_IDS,
-    GADGET_BLOCK,
     GRAPH_KINDS,
     TILDE_GADGETS,
     Graph,
-    VertexLabel,
     build_graph,
     family_spec,
     graph_order,
@@ -46,8 +44,7 @@ def anchor_of(g, spec, n):
     Block n's cycle position d+1 is the next block's entry (a shared vertex
     keeps the earlier block's label); with no blocks the gadget hangs on the root.
     """
-    label = VertexLabel(n, spec.attach_dist + 1) if n else VertexLabel(GADGET_BLOCK, "root")
-    return g.labels.index(label)
+    return g.labels.index(f"b{n}_p{spec.attach_dist + 1}" if n else "root")
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
@@ -155,8 +152,8 @@ def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
     if n >= 1 or len(legs) >= 2:
         expected.add(anchor_of(g, spec, n))
     for v, label in enumerate(g.labels):
-        if label.block == GADGET_BLOCK and label.position != "root":
-            leg, pos = map(int, label.position[1:].split("_"))
+        if label.startswith("g"):  # g<leg>_<pos>
+            leg, pos = map(int, label[1:].split("_"))
             if pos < legs[leg - 1]:
                 expected.add(v)
     assert cuts(g) == expected
@@ -240,12 +237,12 @@ def test_last_block_deletion_yields_smaller_family(spec, n):
 
 def test_labels_are_reproducible():
     g = build_graph("triangular", 2)
-    texts = [g.label_text(v) for v in range(g.vertex_count)]
-    assert texts == ["b1_p1", "b1_p2", "b1_p3", "b2_p2", "b2_p3"]
+    assert g.labels == ("b1_p1", "b1_p2", "b1_p3", "b2_p2", "b2_p3")
     aux = build_graph("triangular", 1, "bar")
-    assert aux.label_text(aux.vertex_count - 1) == "g1_1"
+    assert aux.labels[aux.vertex_count - 1] == "g1_1"
     root = build_graph("diamond", 0, "bar")
-    assert root.label_text(0) == "root"
+    assert root.labels[0] == "root"
+    assert Graph(2, [(0, 1)]).labels == ("v0", "v1")
 
 
 @pytest.mark.parametrize("kind,family_id", KIND_PAIRS, ids=[f"{k}-{f}" for k, f in KIND_PAIRS])
@@ -298,7 +295,7 @@ def test_graph_rejects_non_simple_edges(edges, message):
 
 def test_graph_rejects_label_count_mismatch():
     with pytest.raises(ValueError, match="label count"):
-        Graph(2, [(0, 1)], [VertexLabel(1, 1)])
+        Graph(2, [(0, 1)], ["b1_p1"])
 
 
 def test_graph_from_random_simple_edge_sets():

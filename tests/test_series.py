@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import reduce_fraction_over_q
 from cactus_mis.catalog import TransferTerm
-from cactus_mis.graphs import VertexLabel
+from cactus_mis.graphs import Graph, build_graph
 from cactus_mis.oracle import SizeDistribution
 from cactus_mis.series import (
     BivarPoly,
@@ -295,8 +295,10 @@ VALUE_CASES = {
                    lambda: RationalGF.from_literals("xy", "1 - 2x"),
                    "num", ["RationalGF(num=BivarPoly(terms={(1, 1): 1}), den=BivarPoly(terms=",
                            "(1, 0): -1"]),
-    "VertexLabel": (lambda: VertexLabel(2, 3), lambda: VertexLabel(position=3, block=2),
-                    lambda: VertexLabel(2, "g1_1"), "block", ["VertexLabel(block=2, position=3)"]),
+    "Graph": (lambda: build_graph("triangular", 1),
+              lambda: Graph(3, [(2, 0), (1, 2), (0, 1)], ["b1_p1", "b1_p2", "b1_p3"]),
+              lambda: Graph(3, [(0, 1), (1, 2)], ["b1_p1", "b1_p2", "b1_p3"]),
+              "masks", ["Graph(|V|=3, |E|=3)"]),
     "TransferTerm": (lambda: TransferTerm(2, "bar", 1, 0),
                      lambda: TransferTerm(mult=2, kind="bar", n_shift=1, k_shift=0),
                      lambda: TransferTerm(2, "bar", 1, 1), "mult",
