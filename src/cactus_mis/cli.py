@@ -1,7 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success (and, for verify, no refuted claims), 1 refuted claims
-or resource limit, 2 usage errors.
+Exit codes: 0 success (and, for verify, no refuted claims), 1 refuted claims,
+resource limit or a reader that closed stdout early, 2 usage errors.
+
+Every command writes through `_write`, which passes an iterable of strings to
+`writelines` on stdout or on the `--output` file. `series` hands it one line
+per row as the line is formatted, so its output is never joined into one
+string; the other commands hand it their whole text as a one-element list.
+Everything that can fail (catalog load, expansion, verification) runs before
+the output file is opened, so a usage error creates no file.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import asymptotics as asym
 from .catalog import load_catalog
@@ -90,17 +97,18 @@ def _vertex_limit(args) -> int:
     return limit
 
 
-def _write(text: str, path: Optional[str]) -> None:
+def _write(parts: Iterable[str], path: Optional[str]) -> None:
+    """Write the strings of `parts` in turn to stdout, or to the file at `path`."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _cmd_build(args) -> int:
     g = build_graph(args.family, args.n, args.aux or "family")
-    _write(emit(g, args.format, family=args.family, n=args.n, aux=args.aux), args.output)
+    _write([emit(g, args.format, family=args.family, n=args.n, aux=args.aux)], args.output)
     return 0
 
 
@@ -123,21 +131,19 @@ def _cmd_census(args) -> int:
         rows += [f"{k:>4}  {v}" for k, v in dist.items()]
         rows.append(f"total  {dist.total}")
         text = "\n".join(rows) + "\n"
-    _write(text, args.output)
+    _write([text], args.output)
     return 0
 
 
 def _cmd_series(args) -> int:
-    catalog = load_catalog()
-    record = catalog.family(args.family)
+    record = load_catalog().family(args.family)
     if args.bivariate:
         coeffs = series_in_x(record.gf(), args.n_max)
-        lines = [c.text("y") for c in coeffs]
-        text = "\n".join(f"{n}: {line}" for n, line in enumerate(lines)) + "\n"
+        rows = (f"{n}: {c.text('y')}\n" for n, c in enumerate(coeffs))
     else:
         totals = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, args.n_max)
-        text = "\n".join(f"{n}: {v}" for n, v in enumerate(totals)) + "\n"
-    _write(text, args.output)
+        rows = (f"{n}: {v}\n" for n, v in enumerate(totals))
+    _write(rows, args.output)
     return 0
 
 
@@ -155,7 +161,7 @@ def _cmd_estimate(args) -> int:
         exact = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, args.n)[args.n]
         payload["exact"] = exact
         payload["relative_error"] = abs(value / exact - 1.0) if exact else None
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    _write([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.output)
     return 0
 
 
@@ -170,13 +176,13 @@ def _cmd_verify(args) -> int:
         workers=args.workers,
     )
     text = report_to_json(report) if args.format == "json" else report_to_table(report)
-    _write(text, args.output)
+    _write([text], args.output)
     return 1 if has_refuted(report) else 0
 
 
 def _cmd_list_families(args) -> int:
     lines = [f"{fam:<16} {FAMILIES[fam].symbol.upper()}" for fam in FAMILY_IDS]
-    _write("\n".join(lines) + "\n", None)
+    _write(["\n".join(lines) + "\n"], None)
     return 0
 
 
@@ -205,6 +211,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): stop quietly, and point
+        # stdout at devnull so that the interpreter's last flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)

@@ -12,8 +12,10 @@ series_in_x expands num/den in powers of x. It splits den into sparse rows of
 as a band: the lowest y-degree any of its terms can reach and the plain list
 of ints from there to the highest such degree. Each denominator term subtracts
 one shifted multiple of an earlier band, so the zeros below the lowest
-y-degree (over half of a deep expansion) cost nothing. UnivarPoly has no
-arithmetic operators of its own.
+y-degree (over half of a deep expansion) cost nothing. Each row's tuple is
+built once, as lo zeros and the trimmed band, without UnivarPoly's checks.
+recurrence_sequence keeps only the last len(lags) terms in a window.
+UnivarPoly has no arithmetic operators of its own.
 
 Everything here is exact; floats never appear. The value classes are
 `__slots__` classes, not frozen dataclasses, for the import cost (see `_frozen`).
@@ -25,7 +27,7 @@ import re
 from collections import deque
 from itertools import compress, count
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._frozen import Frozen
@@ -45,6 +47,13 @@ class UnivarPoly(Frozen):
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> "UnivarPoly":
+        """A polynomial from a tuple of ints with no trailing zero, taken unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     @property
     def degree(self) -> int:
@@ -327,7 +336,8 @@ def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
     built as a band (lo, list): lo is the lowest y-degree any term can reach
     and the list runs from there to the highest such degree. A term d*y^s of
     D_j subtracts d times the band of c_{n-j}, shifted up by s, in one slice
-    assignment; the dense UnivarPoly is built once per row.
+    assignment. The band loses its trailing zeros, and the row's coefficient
+    tuple is built once from it, as lo zeros followed by the band.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -357,8 +367,10 @@ def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
                 c[at:end] = map(sub, c[at:end], prev)
             else:
                 c[at:end] = map(sub, c[at:end], map(d.__mul__, prev))
+        while c and not c[-1]:  # a cancelled top term; the trimmed band is the same
+            c.pop()
         bands.append((lo, c))
-        out.append(UnivarPoly([0] * lo + c))
+        out.append(UnivarPoly._trusted((0,) * lo + tuple(c) if c else ()))
     return out
 
 
@@ -383,12 +395,21 @@ def recurrence_from_gf(r: UnivarRational) -> tuple[tuple[int, ...], int]:
 
 
 def recurrence_sequence(lags: Sequence[int], initial: Sequence[int], n_max: int) -> list[int]:
-    """a_0 .. a_{n_max} by exact iteration."""
+    """a_0 .. a_{n_max} by exact iteration, taking a_m = 0 for m < 0.
+
+    With no lags, every term past `initial` is 0.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     vals = [int(a) for a in initial[: n_max + 1]]
-    for m in range(len(vals), n_max + 1):
-        vals.append(sum(lag * vals[m - i] for i, lag in enumerate(lags, start=1) if m - i >= 0))
+    reversed_lags = tuple(reversed(lags))
+    # the last len(lags) terms, oldest first; zeros stand for those before a_0
+    window = deque([0] * len(lags), maxlen=len(lags))
+    window.extend(vals)
+    for _ in range(len(vals), n_max + 1):
+        v = sum(map(mul, reversed_lags, window))
+        vals.append(v)
+        window.append(v)
     return vals
 
 

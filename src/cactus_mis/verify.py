@@ -466,6 +466,8 @@ def run_verification(
     """Produce the full verification report as a JSON-serializable dict.
 
     scope: "all", "family" (with `family`), "identities", or "asymptotics".
+    n_max_override replaces the per-family depth; it must be >= 0, and scope
+    "asymptotics", which expands no series to a depth, refuses it.
     """
     if catalog is None:
         catalog = load_catalog()
@@ -475,6 +477,8 @@ def run_verification(
         raise ValueError("scope 'family' requires a family id")
     if n_max_override is not None and n_max_override < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max_override}")
+    if n_max_override is not None and scope == "asymptotics":
+        raise ValueError("scope 'asymptotics' has no depth: n_max does not apply")
 
     records = list(catalog.families)
     if family is not None:

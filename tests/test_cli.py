@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -121,10 +122,61 @@ def test_series_bivariate(capsys):
 
 
 @pytest.mark.parametrize("extra", [[], ["--bivariate"]])
-def test_series_negative_n_max_is_an_error(extra, capsys):
+def test_series_negative_n_max_is_an_error(extra, tmp_path, capsys):
     code, out, err = run_cli(["series", "--family", "triangular", "--n-max", "-1", *extra], capsys)
     assert (code, out) == (2, "")
     assert "n_max must be >= 0" in err
+    # the expansion fails before the output file is opened
+    target = tmp_path / "series.txt"
+    code, out, err = run_cli(
+        ["series", "--family", "triangular", "--n-max", "-1", *extra, "--output", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--family", "meta-hexagonal", "--bivariate", "--n-max", "40"],
+    ["series", "--family", "para-hexagonal", "--n-max", "300"],
+    ["estimate", "--family", "diamond", "--n", "60"],
+], ids=["bivariate", "totals", "estimate"])
+def test_stdout_and_output_file_are_byte_identical(argv, tmp_path, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    target = tmp_path / "out.txt"
+    code, file_out, err = run_cli([*argv, "--output", str(target)], capsys)
+    assert (code, file_out, err) == (0, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_closed_pipe_stops_quietly():
+    # 2.7 MB of rows cannot all fit in the pipe: the writes after the reader
+    # leaves fail, and the command stops with exit 1 and no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cactus_mis.cli", "series", "--family", "para-hexagonal", "--n-max", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(5) == b"0: 1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("argv, ratio", [
+    (["series", "--family", "meta-hexagonal", "--bivariate", "--n-max", "200"], 2.0),
+    (["series", "--family", "para-hexagonal", "--n-max", "3000"], 1.0),
+], ids=["bivariate", "totals"])
+def test_series_output_is_written_row_by_row(argv, ratio, tmp_path):
+    # the rows are written as they are formatted, never joined: the traced
+    # peak, catalog and expansion included, stays below `ratio` times the
+    # file (joining the text first peaked at 4.3x and 2.6x)
+    target = tmp_path / "series.txt"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--output", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < ratio * target.stat().st_size
 
 
 def test_series_prints_counts_beyond_the_int_str_digit_cap(capsys):
@@ -235,6 +287,14 @@ def test_negative_n_max_is_a_usage_error(capsys, scope):
     family = ["--family", "triangular"] if scope == "family" else []
     code, out, err = run_cli(["verify", "--scope", scope, *family, "--n-max", "-1"], capsys)
     assert (code, out, err) == (2, "", "error: n_max must be >= 0, got -1\n")
+
+
+def test_n_max_in_asymptotics_scope_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["verify", "--scope", "asymptotics", "--n-max", "3", "--output", str(target)], capsys)
+    assert (code, out, err) == (2, "", "error: scope 'asymptotics' has no depth: n_max does not apply\n")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

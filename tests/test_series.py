@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, parsing, series expansion, and recurrences."""
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,55 @@ def test_series_in_x_band_edges(num, den, n_max, head):
     _assert_solves(gf, cs, n_max)
 
 
+def _dense_series(gf, n_max):
+    """Coefficient tuples of c_0 .. c_{n_max}: c_n = N_n - sum_j D_j c_{n-j} on whole rows."""
+    rows = []
+    for n in range(n_max + 1):
+        c = {}
+        for (i, j), a in gf.num.terms.items():
+            if i == n:
+                c[j] = c.get(j, 0) + a
+        for (i, s), d in gf.den.terms.items():
+            if 1 <= i <= n:
+                for k, v in enumerate(rows[n - i]):
+                    c[k + s] = c.get(k + s, 0) - d * v
+        dense = [c.get(k, 0) for k in range(max(c, default=-1) + 1)]
+        while dense and not dense[-1]:
+            dense.pop()
+        rows.append(tuple(dense))
+    return rows
+
+
+def _random_gf(rng):
+    # den terms reach |d| = 3; num reaches past deg_x(den), or is den times a
+    # polynomial, so that every row past that polynomial cancels to zero
+    den = {(0, 0): 1}
+    for _ in range(rng.randint(1, 5)):
+        den[(rng.randint(1, 4), rng.randint(0, 5))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    den = BivarPoly(den)
+    if rng.random() < 0.3:
+        factor = BivarPoly({(rng.randint(0, 3), rng.randint(0, 4)): rng.randint(-4, 4) for _ in range(3)})
+        return RationalGF(den * factor, den)
+    num = {(rng.randint(0, 9), rng.randint(0, 6)): rng.randint(-5, 5) for _ in range(rng.randint(0, 6))}
+    return RationalGF(BivarPoly(num), den)
+
+
+def test_series_rows_are_canonical_and_match_dense_expansion(catalog):
+    rng = random.Random(1015)
+    gfs = [cand.gf for record in catalog.families for cand in record.gf_candidates]
+    gfs += [_random_gf(rng) for _ in range(300)]
+    zero_rows = 0
+    for gf in gfs:
+        rows = series_in_x(gf, 25)
+        assert [p.coeffs for p in rows] == _dense_series(gf, 25)
+        for p in rows:
+            assert UnivarPoly(p.coeffs) == p
+            assert all(type(c) is int for c in p.coeffs)
+            assert not p.coeffs or p.coeffs[-1] != 0
+        zero_rows += sum(p.is_zero() for p in rows)
+    assert zero_rows > 0
+
+
 def test_series_round_trip_identity(catalog):
     # den * series - num vanishes to the expansion order, for every stated gf
     for record in catalog.families:
@@ -228,6 +278,40 @@ def test_recurrence_sequence_examples():
     assert recurrence_sequence((3, 3), (1, 5, 19, 72), 4)[4] == 273
     assert recurrence_sequence((2,), (1, 2), 20) == [2 ** n for n in range(21)]
     assert recurrence_sequence((1, 1), (1, 3, 5), 1) == [1, 3]  # initial values past n_max are cut
+
+
+def _recurrence_by_definition(lags, initial, n_max):
+    vals = list(initial[: n_max + 1])
+    for m in range(len(vals), n_max + 1):
+        vals.append(sum(lags[i - 1] * vals[m - i] for i in range(1, len(lags) + 1) if m - i >= 0))
+    return vals
+
+
+@pytest.mark.parametrize("lags, initial, n_max, expected", [
+    ((), (4, 5), 4, [4, 5, 0, 0, 0]),  # no lags: zeros past the initial values
+    ((), (), 2, [0, 0, 0]),
+    ((2, 0, -1), (1,), 4, [1, 2, 4, 7, 12]),  # initial shorter than the order
+    ((2,), (1, 1, 1), 4, [1, 1, 1, 2, 4]),  # and longer
+    ((3,), (), 3, [0, 0, 0, 0]),
+    ((1, 1), (1, 3, 5, 7), 2, [1, 3, 5]),  # n_max below len(initial)
+    ((1, 1), (1, 3), 0, [1]),
+    ((1, 1), (), 0, [0]),
+])
+def test_recurrence_sequence_edge_cases(lags, initial, n_max, expected):
+    assert recurrence_sequence(lags, initial, n_max) == expected
+    assert _recurrence_by_definition(lags, initial, n_max) == expected
+
+
+def test_recurrence_sequence_matches_definition_on_random_inputs():
+    rng = random.Random(1015)
+    for _ in range(500):
+        order = rng.randint(0, 6)
+        lags = [rng.randint(-4, 4) for _ in range(order)]  # zero and negative lags too
+        initial = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, order + 3))]
+        n_max = rng.randint(0, 30)
+        got = recurrence_sequence(lags, initial, n_max)
+        assert got == _recurrence_by_definition(lags, initial, n_max), (lags, initial, n_max)
+        assert len(got) == n_max + 1 and all(type(v) is int for v in got)
 
 
 def test_recurrence_reproduces_series_to_50(catalog):

@@ -216,6 +216,16 @@ def test_scoped_runs(catalog):
         run_verification(catalog, scope="everything")
 
 
+@pytest.mark.parametrize("n_max", [0, 3])
+def test_asymptotics_scope_refuses_a_depth(catalog, n_max):
+    # the asymptotic claims expand no series to a depth, so n_max would be
+    # ignored; the negative-value check still comes first
+    with pytest.raises(ValueError, match="^scope 'asymptotics' has no depth: n_max does not apply$"):
+        run_verification(catalog, scope="asymptotics", n_max_override=n_max)
+    with pytest.raises(ValueError, match="^n_max must be >= 0, got -1$"):
+        run_verification(catalog, scope="asymptotics", n_max_override=-1)
+
+
 def test_report_serialization_deterministic(catalog):
     a = run_verification(catalog, scope="family", family="square")
     b = run_verification(catalog, scope="family", family="square")
