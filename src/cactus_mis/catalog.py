@@ -156,6 +156,28 @@ def _data_text(name: str) -> Optional[str]:
         return None
 
 
+# The keys `load_catalog` reads from each kind of catalog object. Any other key
+# is rejected, so a misspelt optional field (an `offset`, say) cannot become a
+# claim that is never checked. `_schema` is prose for readers.
+_TOP_KEYS = frozenset({"_schema", "families", "transfer_identities"})
+_FAMILY_KEYS = frozenset({"id", "symbol", "cycle_len", "attach_dist", "gf_anchor", "gf_candidates",
+                          "univariate_gf", "recurrence", "asymptotic", "boundary_checks"})
+_CANDIDATE_KEYS = frozenset({"id", "anchor", "num", "den", "offset"})
+_UNIVARIATE_KEYS = frozenset({"anchor", "num", "den"})
+_RECURRENCE_KEYS = frozenset({"anchor", "lags", "initial", "valid_from"})
+_ASYMPTOTIC_KEYS = frozenset({"anchor", "rho", "constant"})
+_CHECK_KEYS = frozenset({"id", "anchor", "kind", "n", "counts"})  # counts maps sizes, any key
+_IDENTITY_KEYS = frozenset({"id", "anchor", "family", "lhs", "rhs", "valid_from", "stated_from"})
+_TERM_KEYS = frozenset({"mult", "kind", "n_shift", "k_shift"})
+
+
+def _check_keys(obj: dict, known: frozenset, *path) -> None:
+    """Reject a key of `obj` that is not `known`; `path` leads from the top to `obj`."""
+    if not known.issuperset(obj):
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise ValueError(f"unknown catalog key ${where}.{min(obj.keys() - known)}")
+
+
 def _parse_univar_rational(raw: dict) -> UnivarRational:
     num = parse_univar(raw["num"])
     den = parse_univar(raw["den"])
@@ -168,9 +190,19 @@ def load_catalog() -> Catalog:
     if text is None:
         raise FileNotFoundError("catalog.json is missing from the package data")
     raw = json.loads(text)
+    _check_keys(raw, _TOP_KEYS)
 
     families = []
-    for fam_raw in raw["families"]:
+    for i, fam_raw in enumerate(raw["families"]):
+        _check_keys(fam_raw, _FAMILY_KEYS, "families", i)
+        for j, c in enumerate(fam_raw["gf_candidates"]):
+            _check_keys(c, _CANDIDATE_KEYS, "families", i, "gf_candidates", j)
+        _check_keys(fam_raw["univariate_gf"], _UNIVARIATE_KEYS, "families", i, "univariate_gf")
+        _check_keys(fam_raw["recurrence"], _RECURRENCE_KEYS, "families", i, "recurrence")
+        if fam_raw.get("asymptotic") is not None:
+            _check_keys(fam_raw["asymptotic"], _ASYMPTOTIC_KEYS, "families", i, "asymptotic")
+        for j, c in enumerate(fam_raw["boundary_checks"]):
+            _check_keys(c, _CHECK_KEYS, "families", i, "boundary_checks", j)
         spec = FAMILIES[fam_raw["id"]]
         if (spec.symbol, spec.cycle_len, spec.attach_dist) != (
             fam_raw["symbol"], fam_raw["cycle_len"], fam_raw["attach_dist"]
@@ -230,7 +262,10 @@ def load_catalog() -> Catalog:
         )
 
     identities = []
-    for ident_raw in raw["transfer_identities"]:
+    for i, ident_raw in enumerate(raw["transfer_identities"]):
+        _check_keys(ident_raw, _IDENTITY_KEYS, "transfer_identities", i)
+        for j, t in enumerate(ident_raw["rhs"]):
+            _check_keys(t, _TERM_KEYS, "transfer_identities", i, "rhs", j)
         terms = tuple(
             TransferTerm(t["mult"], t["kind"], t["n_shift"], t["k_shift"])
             for t in ident_raw["rhs"]

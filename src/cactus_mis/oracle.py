@@ -37,6 +37,19 @@ at 400-500 vertices; past that the packed form is slower, about three times
 slower at 1501 vertices. The default 64-vertex guard and the verifier's
 graphs (at most 45 vertices) sit far below that crossover.
 
+Work of one `verify --scope all` run: 243 sweeps, 5,592 layers (one per
+vertex) and 22,804 state visits in all, with at most 11 states in any one
+layer. At that size the fixed cost of each visit counts, so the loop keeps
+to plain integer tests: a state survives if `x & keep == x` for its open
+set x, and a merge is `+=` on a key already present, else a store.
+
+The survival tests only prune. Open bits are never masked off, so a state
+with an open vertex that can no longer be dominated keeps that bit to the
+end and never reaches the final (0, 0) key; dropping a test changes the work
+but not the counts. So a copy without the dominated branch's test still
+passes every tier-1 test: only work counts like those above show the
+pruning.
+
 SizeDistribution is a `__slots__` class, not a frozen dataclass, for the
 import cost (see `_frozen`).
 """
@@ -124,24 +137,35 @@ def enumerate_mis(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SizeDis
     layer: dict[tuple[int, int], int] = {(0, 0): 1}
     for v in range(n):
         bit, nbv, keep = 1 << v, nb[v], ahead[v + 1]
-        dead = ~keep
         nxt: dict[tuple[int, int], int] = {}
-        get = nxt.get
+        # a state survives only if each of its open vertices has a neighbor
+        # ahead: one with none can never be dominated (it could be added),
+        # so no extension is maximal
         for (chosen, open_excluded), poly in layer.items():
             if nbv & chosen:
                 # v is dominated: it stays out and is not open
-                out_open = open_excluded
-            else:
-                in_open = open_excluded & ~nbv
-                # an open vertex with no neighbor left ahead can never be
-                # dominated (it could be added), so no extension is maximal
-                if not in_open & dead:
-                    key = ((chosen | bit) & keep, in_open)
-                    nxt[key] = get(key, 0) + (poly << w)
-                out_open = open_excluded | bit
-            if not out_open & dead:
+                if open_excluded & keep == open_excluded:
+                    key = (chosen & keep, open_excluded)
+                    if key in nxt:
+                        nxt[key] += poly
+                    else:
+                        nxt[key] = poly
+                continue
+            # v is chosen: it dominates its open neighbors
+            in_open = open_excluded ^ (open_excluded & nbv)
+            if in_open & keep == in_open:
+                key = ((chosen | bit) & keep, in_open)
+                if key in nxt:
+                    nxt[key] += poly << w
+                else:
+                    nxt[key] = poly << w
+            out_open = open_excluded | bit
+            if out_open & keep == out_open:
                 key = (chosen & keep, out_open)
-                nxt[key] = get(key, 0) + poly
+                if key in nxt:
+                    nxt[key] += poly
+                else:
+                    nxt[key] = poly
         layer = nxt
     # nothing is ahead of the last vertex, so (0, 0) is the only state left
     # (every graph has a maximal independent set, so it is there)

@@ -34,6 +34,7 @@ import json
 from typing import Mapping, Optional
 
 from . import asymptotics as asym
+from ._json_text import json_text
 from .catalog import Catalog, FamilyRecord, TransferIdentity, load_catalog
 from .graphs import build_graph, graph_order, last_n_within
 from .oracle import DEFAULT_VERTEX_LIMIT, SizeDistribution, VertexLimitExceeded, enumerate_mis
@@ -116,14 +117,18 @@ def _pool_counts(tasks: dict[GraphKey, int], vertex_limit: int, workers: int) ->
 
 
 def _counts_json(counts: Mapping[int, int]) -> dict[str, int]:
-    return {str(k): c for k, c in counts.items() if c}
+    """A zero-free {k: count} with its keys as text."""
+    return {str(k): c for k, c in counts.items()}
 
 
 def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Optional[dict]:
     """Smallest k where the oracle disagrees with the claimed {k: count}, or None.
 
     Claimed counts may be arbitrary integers when a stated series is wrong.
+    A zero-free `claimed` that agrees costs one dict compare.
     """
+    if oracle.counts == claimed:
+        return None
     for k in sorted(set(oracle.counts) | set(claimed)):
         if oracle[k] != claimed.get(k, 0):
             return {"k": k, "oracle": oracle[k], "claimed": claimed.get(k, 0)}
@@ -145,8 +150,9 @@ def verify_family(record: FamilyRecord, n_max: int,
     fam = record.family_id
     # the guard skips every n past this one, so no series is expanded further
     expand_to = min(n_max, last_n_within(fam, "family", vertex_limit))
-    # each candidate's claimed {k: count} at every n up to there
-    claimed = {cand.candidate_id: [dict(enumerate(p.coeffs)) for p in series_in_x(cand.gf, expand_to)]
+    # each candidate's claimed {k: count}, zeros dropped, at every n up to there
+    claimed = {cand.candidate_id: [{k: c for k, c in enumerate(p.coeffs) if c}
+                                   for p in series_in_x(cand.gf, expand_to)]
                for cand in record.gf_candidates}
     candidates = {cand.candidate_id: {"anchor": cand.anchor, "first_mismatch": None}
                   for cand in record.gf_candidates}
@@ -568,7 +574,8 @@ def _check_completeness(catalog: Catalog, report: dict) -> None:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as `json.dumps(report, indent=2, sort_keys=True) + "\\n"` writes it."""
+    return json_text(report)
 
 
 def report_to_table(report: dict) -> str:

@@ -14,6 +14,20 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _child_bytecode_cache(tmp_path_factory):
+    """Child interpreters share compiled bytecode in a session temp dir.
+
+    Without it, under PYTHONDONTWRITEBYTECODE each child compiles the package
+    from source again. The prefix keeps the bytecode out of the source tree,
+    and a child that sets PYTHONDONTWRITEBYTECODE itself still writes none.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPYCACHEPREFIX", str(tmp_path_factory.mktemp("pycache")))
+        mp.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        yield
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return load_catalog()

@@ -165,6 +165,35 @@ def test_catalog_naming_a_missing_graph_is_rejected(monkeypatch, edit, message):
         _load_edited(monkeypatch, edit)
 
 
+# pentagonal (families[3]) states an asymptotic claim; para-hexagonal
+# (families[6]) states two GF candidates
+@pytest.mark.parametrize("where, key, path", [
+    (lambda raw: raw, "bogus", "$"),
+    (lambda raw: raw["families"][2], "bogus", "$.families[2]"),
+    (lambda raw: raw["families"][6]["gf_candidates"][1], "ofset", "$.families[6].gf_candidates[1]"),
+    (lambda raw: raw["families"][2]["univariate_gf"], "bogus", "$.families[2].univariate_gf"),
+    (lambda raw: raw["families"][2]["recurrence"], "typo_initial", "$.families[2].recurrence"),
+    (lambda raw: raw["families"][3]["asymptotic"], "bogus", "$.families[3].asymptotic"),
+    (lambda raw: raw["families"][2]["boundary_checks"][1], "bogus", "$.families[2].boundary_checks[1]"),
+    (lambda raw: raw["transfer_identities"][3], "n_shfit", "$.transfer_identities[3]"),
+    (lambda raw: raw["transfer_identities"][3]["rhs"][1], "bogus", "$.transfer_identities[3].rhs[1]"),
+], ids=["top", "family", "gf-candidate", "univariate-gf", "recurrence", "asymptotic",
+        "boundary-check", "identity", "rhs-term"])
+def test_unknown_catalog_key_is_rejected_with_its_path(monkeypatch, where, key, path):
+    # a misspelt optional field would otherwise be a claim nobody checks
+    with pytest.raises(ValueError, match="^" + re.escape(f"unknown catalog key {path}.{key}") + "$"):
+        _load_edited(monkeypatch, lambda raw: where(raw).update({key: 0}))
+
+
+def test_schema_and_count_sizes_are_free_form(monkeypatch, catalog):
+    # `_schema` is prose, and a boundary check's counts map any set size
+    def edit(raw):
+        raw["_schema"]["families[].note"] = "more prose"
+        raw["families"][2]["boundary_checks"][1]["counts"]["17"] = 0
+
+    assert _load_edited(monkeypatch, edit) == catalog
+
+
 def test_recurrence_lag_consistency_is_surfaced(catalog):
     """Wherever the stated gf and recurrence agree, the gf-derived lags
     reproduce the stated ones (possibly after cancelling a common factor)."""

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import last_n_within_walk
 from cactus_mis import verify
@@ -233,6 +235,36 @@ def test_report_serialization_deterministic(catalog):
     json.loads(report_to_json(a))  # valid JSON
     table = report_to_table(a)
     assert "thm:2.7" in table and "CONFIRMED" in table
+
+
+_json_scalars = (st.none() | st.booleans()
+                 | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+                 | st.integers(max_value=-2**64, min_value=-2**200)
+                 | st.floats() | st.sampled_from([-0.0, 1e-300, float("nan"), float("inf"), float("-inf")])
+                 | st.text())
+_json_keys = st.text() | st.sampled_from(["", "\x00\x1f\n\t\"\\", "é€", "😀\u2028"])
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_report_to_json_matches_json_dumps(value):
+    # str keys and strings with non-ASCII and control characters, empty
+    # containers, ints past 2**64, -0.0, NaN and the infinities included
+    assert report_to_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {1: "int key"}, {"a": {None: 0}}, {(1, 2): 0}, {"a": [1, {2.5: 0}]},
+    {"a": {1, 2}}, [b"bytes"], {"a": object()}, 1j,
+], ids=["int-key", "none-key", "tuple-key", "nested-float-key", "set", "bytes", "object", "complex"])
+def test_report_to_json_rejects_non_str_keys_and_non_json_values(value):
+    with pytest.raises(TypeError):
+        report_to_json(value)
 
 
 @pytest.fixture
