@@ -208,6 +208,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VertexLimitExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        # the command's objects are freed by the time this runs
+        sys.stderr.write(f"error: out of memory in {args.command}\n")
+        return 1
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -12,6 +12,12 @@ paths ("legs") hanging off the anchor.
 Vertex labels are the text the output formats print: `b<block>_p<pos>` on the
 cycles (1-based; a cut vertex keeps the earlier block's label), `root` for a
 gadget's anchor on the empty chain, and `g<leg>_<pos>` on the gadget legs.
+
+The builder writes each vertex's neighbor mask directly, with no edge list,
+and skips the edge checks of `Graph(vertex_count, edges, labels)` through
+`Graph._trusted`. So the builder keeps that contract itself: symmetric,
+loop-free masks and one label per vertex. Every other caller goes through
+`Graph(...)`.
 """
 
 from __future__ import annotations
@@ -81,8 +87,10 @@ class Graph(Frozen):
     """Simple undirected graph with dense 0-based vertex ids, a `Frozen` value.
 
     Adjacency is one neighbor bitmask per vertex: bit u of `masks[v]` is set
-    iff uv is an edge. Construction enforces simplicity (no loops, no
-    parallel edges). Each vertex has a text label, `v<i>` if none is given.
+    iff uv is an edge. Construction from an edge list enforces simplicity
+    (no loops, no parallel edges). Each vertex has a text label, `v<i>` if
+    none is given. `build_graph` writes the masks itself and constructs
+    through `_trusted`, unchecked.
     """
 
     __slots__ = ("vertex_count", "masks", "labels")
@@ -104,6 +112,20 @@ class Graph(Frozen):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "labels", tuple(labels or (f"v{v}" for v in range(vertex_count))))
+
+    @classmethod
+    def _trusted(cls, masks: tuple[int, ...], labels: tuple[str, ...]) -> "Graph":
+        """A graph from its neighbor masks and labels, taken unchecked.
+
+        The caller guarantees what `__init__` would check: the masks are
+        symmetric (bit u of masks[v] iff bit v of masks[u]) and loop-free,
+        and there is one label per vertex. Only `build_graph` calls it.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", len(masks))
+        object.__setattr__(g, "masks", masks)
+        object.__setattr__(g, "labels", labels)
+        return g
 
     def __reduce__(self):
         return Graph, (self.vertex_count, tuple(self.edges()), self.labels)
@@ -146,31 +168,43 @@ def build_graph(family_id: str, n: int, kind: str = "family") -> Graph:
     block i's own entry vertex, so the chain has |V| = (k-1)n + 1 and
     |E| = kn for n >= 1, and is the empty graph for n = 0. A gadget on the
     empty chain hangs on a lone root vertex.
+
+    Each block's neighbor masks are written directly, with no edge list: a
+    block adds k-1 vertices first..last after its entry vertex, in cycle
+    order, so an inner one u is adjacent to u-1 and u+1 (`5 << (u - 1)`),
+    and the two ends and the entry get their bits by hand.
     """
     spec = family_spec(family_id)
     if n < 0:
         raise ValueError("block count must be >= 0")
     legs = _gadget_legs(spec.family_id, kind)
+    k, d = spec.cycle_len, spec.attach_dist
+    suffixes = [f"_p{pos}" for pos in range(2, k + 1)]
+    masks: list[int] = []
     labels: list[str] = []
-    edges: list[tuple[int, int]] = []
-    anchor: Optional[int] = None  # where block n+1 would attach
+    if n or legs:  # block 1's entry, or the root a gadget hangs on
+        masks.append(0)
+        labels.append("b1_p1" if n else "root")
+    anchor = 0  # vertex 0, then after each block the vertex where the next attaches
     for block_no in range(1, n + 1):
-        cyc = [] if anchor is None else [anchor]  # the anchor is the next block's position 1
-        for pos in range(len(cyc) + 1, spec.cycle_len + 1):
-            cyc.append(len(labels))
-            labels.append(f"b{block_no}_p{pos}")
-        edges += zip(cyc, cyc[1:] + cyc[:1])
-        anchor = cyc[spec.attach_dist]
-    if legs and anchor is None:
-        anchor = len(labels)
-        labels.append("root")
+        first = len(masks)
+        last = first + k - 2
+        masks.append(1 << anchor | 2 << first)
+        masks += [5 << (u - 1) for u in range(first + 1, last)]
+        masks.append(1 << (last - 1) | 1 << anchor)
+        masks[anchor] |= 1 << first | 1 << last
+        prefix = f"b{block_no}"
+        labels += [prefix + suffix for suffix in suffixes]
+        anchor = first + d - 1  # cycle position d+1 of this block
     for leg_no, length in enumerate(legs, start=1):
         prev = anchor
         for pos in range(1, length + 1):
-            edges.append((prev, len(labels)))
-            prev = len(labels)
+            v = len(masks)
+            masks.append(1 << prev)
+            masks[prev] |= 1 << v
             labels.append(f"g{leg_no}_{pos}")
-    return Graph(len(labels), edges, labels)
+            prev = v
+    return Graph._trusted(tuple(masks), tuple(labels))
 
 
 def graph_order(family_id: str, n: int, kind: str = "family") -> int:

@@ -17,7 +17,10 @@ substitution), P = sum_k count_k * 2^(w*k), with digit width w = n + 1 for a
 graph on n vertices. Choosing a vertex multiplies by y, which is `P << w`;
 merging two equal states adds their polynomials, which is `P1 + P2`. Both
 are single big-integer operations, and P is unpacked into {k: count} once,
-at the end.
+at the end. The unpacking keeps only the nonzero digits, so the counts come
+back zero-free and go to `SizeDistribution._trusted` unchecked: every key is
+a digit index k >= 0 and every value a positive digit, which is all that
+`SizeDistribution(...)` would check or drop.
 
 Why the digits never carry. After the first j vertices are decided, count_k
 of a state is the number of partial choices with k chosen vertices that
@@ -86,6 +89,17 @@ class SizeDistribution(Frozen):
         if any(k < 0 or v < 0 for k, v in frozen.items()):
             raise ValueError("sizes and counts must be nonnegative")
         object.__setattr__(self, "counts", frozen)
+
+    @classmethod
+    def _trusted(cls, counts: dict[int, int]) -> "SizeDistribution":
+        """A distribution that owns `counts`, taken unchecked and not copied.
+
+        The caller guarantees what `__init__` would make so: int keys >= 0
+        and int values > 0, with no zero count. Only `enumerate_mis` calls it.
+        """
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "counts", counts)
+        return dist
 
     @property
     def total(self) -> int:
@@ -170,11 +184,13 @@ def enumerate_mis(g: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> SizeDis
     # nothing is ahead of the last vertex, so (0, 0) is the only state left
     # (every graph has a maximal independent set, so it is there)
     packed = layer[(0, 0)]
-    counts: dict[int, int] = {}  # zero digits are dropped by SizeDistribution
+    counts: dict[int, int] = {}
     mask = (1 << w) - 1
     k = 0
     while packed:
-        counts[k] = packed & mask
+        digit = packed & mask
+        if digit:
+            counts[k] = digit
         packed >>= w
         k += 1
-    return SizeDistribution(counts)
+    return SizeDistribution._trusted(counts)

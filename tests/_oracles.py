@@ -22,6 +22,10 @@ must match bit for bit.
 
 `is_maximal_independent` is the maximality predicate and `parse_dot` reads
 back the DOT text of `cactus_mis.emit.to_dot`; only the tests use them.
+
+`chain_graph_reference` builds a chain's edge list block by block and hands it
+to the validating `Graph(...)`; it is the reference for `build_graph`, which
+writes neighbor masks directly and skips those checks.
 """
 
 import itertools
@@ -29,7 +33,7 @@ import re
 from fractions import Fraction
 
 from cactus_mis.asymptotics import BISECT_TOL, SCAN_STEP, SIMPLE_ROOT_TOL
-from cactus_mis.graphs import graph_order
+from cactus_mis.graphs import BAR_GADGETS, TILDE_GADGETS, Graph, family_spec, graph_order
 from cactus_mis.series import UnivarPoly, UnivarRational
 
 
@@ -184,6 +188,37 @@ def reduce_fraction_over_q(r):
         return r
     return UnivarRational(UnivarPoly([int(c) for c in new_num]),
                           UnivarPoly([int(c) for c in new_den]))
+
+
+def chain_graph_reference(family_id, n, kind="family"):
+    """Reference for `cactus_mis.graphs.build_graph`, through an edge list.
+
+    Each block is a k-cycle whose position 1 is the previous block's anchor,
+    the vertex at cycle distance d from that block's entry; the kind's
+    gadget legs hang off the last anchor, or off a lone root for n = 0.
+    """
+    spec = family_spec(family_id)
+    legs = () if kind == "family" else (BAR_GADGETS if kind == "bar" else TILDE_GADGETS)[family_id]
+    labels = []
+    edges = []
+    anchor = None
+    for block_no in range(1, n + 1):
+        cyc = [] if anchor is None else [anchor]
+        for pos in range(len(cyc) + 1, spec.cycle_len + 1):
+            cyc.append(len(labels))
+            labels.append(f"b{block_no}_p{pos}")
+        edges += zip(cyc, cyc[1:] + cyc[:1])
+        anchor = cyc[spec.attach_dist]
+    if legs and anchor is None:
+        anchor = len(labels)
+        labels.append("root")
+    for leg_no, length in enumerate(legs, start=1):
+        prev = anchor
+        for pos in range(1, length + 1):
+            edges.append((prev, len(labels)))
+            prev = len(labels)
+            labels.append(f"g{leg_no}_{pos}")
+    return Graph(len(labels), edges, labels)
 
 
 def last_n_within_walk(family_id, kind, cap):

@@ -5,7 +5,10 @@ import re
 from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cactus_mis import catalog as catalog_mod
 from cactus_mis.catalog import claim_anchor_universe
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import enumerate_mis
@@ -183,6 +186,61 @@ def test_unknown_catalog_key_is_rejected_with_its_path(monkeypatch, where, key, 
     # a misspelt optional field would otherwise be a claim nobody checks
     with pytest.raises(ValueError, match="^" + re.escape(f"unknown catalog key {path}.{key}") + "$"):
         _load_edited(monkeypatch, lambda raw: where(raw).update({key: 0}))
+
+
+def _catalog_objects():
+    """{kind: (keys the loader reads, paths of that kind's objects)} over the
+    committed catalog; `_schema` and the `counts` maps are free-form, so not
+    among them."""
+    raw = json.loads(catalog_mod._data_text("catalog.json"))
+    fams = list(enumerate(raw["families"]))
+    idents = [("transfer_identities", i) for i in range(len(raw["transfer_identities"]))]
+    return {
+        "top": (catalog_mod._TOP_KEYS, [()]),
+        "family": (catalog_mod._FAMILY_KEYS, [("families", i) for i, _ in fams]),
+        "candidate": (catalog_mod._CANDIDATE_KEYS, [("families", i, "gf_candidates", j)
+                                                    for i, f in fams
+                                                    for j in range(len(f["gf_candidates"]))]),
+        "univariate": (catalog_mod._UNIVARIATE_KEYS, [("families", i, "univariate_gf") for i, _ in fams]),
+        "recurrence": (catalog_mod._RECURRENCE_KEYS, [("families", i, "recurrence") for i, _ in fams]),
+        "asymptotic": (catalog_mod._ASYMPTOTIC_KEYS, [("families", i, "asymptotic") for i, f in fams
+                                                      if f.get("asymptotic") is not None]),
+        "check": (catalog_mod._CHECK_KEYS, [("families", i, "boundary_checks", j) for i, f in fams
+                                            for j in range(len(f["boundary_checks"]))]),
+        "identity": (catalog_mod._IDENTITY_KEYS, idents),
+        "term": (catalog_mod._TERM_KEYS, [(*at, "rhs", j) for at in idents
+                                          for j in range(len(_walk(raw, at)["rhs"]))]),
+    }
+
+
+def _walk(raw, path):
+    for step in path:
+        raw = raw[step]
+    return raw
+
+
+_OBJECTS = _catalog_objects()
+
+
+@st.composite
+def _catalog_object(draw):
+    """An object of the catalog, its kind drawn first so every kind is as likely."""
+    known, paths = _OBJECTS[draw(st.sampled_from(sorted(_OBJECTS)))]
+    return known, draw(st.sampled_from(paths))
+
+
+@settings(max_examples=60, deadline=None)
+@given(where=_catalog_object(), key=st.text(max_size=12))
+def test_any_unread_key_is_rejected_with_its_path(where, key):
+    known, path = where
+    assume(key not in known)
+    raw = json.loads(catalog_mod._data_text("catalog.json"))
+    _walk(raw, path)[key] = 0
+    json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
+        with pytest.raises(ValueError, match="^" + re.escape(f"unknown catalog key {json_path}.{key}") + "$"):
+            catalog_mod.load_catalog()
 
 
 def test_schema_and_count_sizes_are_free_form(monkeypatch, catalog):

@@ -215,6 +215,17 @@ def test_deep_verify_finishes_under_a_memory_cap():
     assert max(int(e["n"]) for e in entries if e["status"] != "SKIPPED") == 12
 
 
+def test_out_of_memory_is_one_error_line():
+    # the masks of a 2,000,001-vertex chain need about 250 GB
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_CAP, "build", "--family", "triangular",
+         "--n", "2000000"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory in build\n"
+
+
 def test_estimate(capsys):
     code, out, _ = run_cli(["estimate", "--family", "meta-pentagonal", "--n", "2"], capsys)
     assert code == 0

@@ -4,13 +4,14 @@ networkx serves as the independent recomputation for articulation points,
 biconnected blocks, and the isomorphism spot checks.
 """
 
+import pickle
 import random
 import re
 
 import networkx as nx
 import pytest
 
-from _oracles import last_n_within_walk
+from _oracles import chain_graph_reference, last_n_within_walk
 from cactus_mis.graphs import (
     BAR_GADGETS,
     FAMILIES,
@@ -233,6 +234,19 @@ def test_last_block_deletion_yields_smaller_family(spec, n):
     assert entry not in block_n
     G.remove_nodes_from(block_n)
     assert nx.is_isomorphic(G, to_nx(build_graph(spec.family_id, n - 1)))
+
+
+@pytest.mark.parametrize("kind,family_id", KIND_PAIRS, ids=[f"{k}-{f}" for k, f in KIND_PAIRS])
+def test_builder_matches_edge_list_reference(kind, family_id):
+    # the builder writes masks unchecked; the reference goes through Graph(...)
+    for n in range(31):
+        g = build_graph(family_id, n, kind)
+        assert g == chain_graph_reference(family_id, n, kind), n
+        assert len(g.labels) == g.vertex_count == len(g.masks)
+        for v, m in enumerate(g.masks):
+            assert not m >> v & 1, (n, v)
+            assert all(g.masks[u] >> v & 1 for u in range(g.vertex_count) if m >> u & 1), (n, v)
+        assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_labels_are_reproducible():

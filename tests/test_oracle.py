@@ -125,13 +125,30 @@ def random_graph(rng):
     return Graph(n, edges)
 
 
+def assert_counts_zero_free(dist):
+    # the oracle's counts skip SizeDistribution's checks, so hold them to them
+    assert all(type(k) is int and k >= 0 and type(v) is int and v > 0
+               for k, v in dist.counts.items())
+    assert dist.counts == SizeDistribution(dist.counts).counts
+
+
 def test_matches_independent_oracles_on_random_graphs():
     rng = random.Random(20261018)
     for _ in range(30):
         g = random_graph(rng)
-        dist = enumerate_mis(g).counts
+        result = enumerate_mis(g)
+        assert_counts_zero_free(result)
+        dist = result.counts
         assert dist == subset_filter_masks(g)
         assert dist == complement_cliques(g)
+
+
+@pytest.mark.parametrize("fam", FAMILY_IDS)
+def test_counts_are_zero_free_on_chains(fam):
+    for kind, table in (("family", FAMILIES), ("bar", BAR_GADGETS), ("tilde", TILDE_GADGETS)):
+        if fam in table:
+            for n in range(31):
+                assert_counts_zero_free(enumerate_mis(build_graph(fam, n, kind), vertex_limit=10 ** 9))
 
 
 @pytest.mark.parametrize("fam", FAMILY_IDS)
