@@ -9,11 +9,16 @@ per row as the line is formatted, so its output is never joined into one
 string; the other commands hand it their whole text as a one-element list.
 Everything that can fail (catalog load, expansion, verification) runs before
 the output file is opened, so a usage error creates no file.
+
+The argparse parser is built once per process, on the first `main` call, and
+reused by later in-process calls; each call still parses into a fresh
+namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,6 +37,7 @@ from .verify import (has_refuted, oracle_distribution, report_to_json, report_to
 VERTEX_LIMIT_ENV = "CACTUS_MIS_VERTEX_LIMIT"
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cactus-mis",
@@ -152,15 +158,17 @@ def _cmd_estimate(args) -> int:
     record = catalog.family(args.family)
     est = asym.family_estimate(record)
     value = est.value(args.n)
+    # JSON has no Infinity: a value beyond float range prints as null, and so
+    # does its relative error
+    finite = math.isfinite(value)
     payload = {
         "family": args.family, "n": args.n, "rho": est.rho, "constant": est.constant,
-        # JSON has no Infinity: a value beyond float range prints as null
-        "estimate": value if math.isfinite(value) else None,
+        "estimate": value if finite else None,
     }
     if args.n <= 500:
         exact = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, args.n)[args.n]
         payload["exact"] = exact
-        payload["relative_error"] = abs(value / exact - 1.0) if exact else None
+        payload["relative_error"] = abs(value / exact - 1.0) if exact and finite else None
     _write([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.output)
     return 0
 

@@ -131,6 +131,22 @@ def _load_edited(monkeypatch, edit):
     return catalog_mod.load_catalog()
 
 
+def test_load_catalog_is_parsed_once_and_shared():
+    assert catalog_mod.load_catalog() is catalog_mod.load_catalog()
+
+
+def test_edited_text_is_parsed_afresh_and_not_kept(monkeypatch):
+    # the parse is cached by text: an edited catalog gets its own parse, and a
+    # later load of the shipped text does not see the edit
+    def edit(raw):
+        raw["families"][0]["recurrence"]["anchor"] = "edited"
+
+    assert _load_edited(monkeypatch, edit).families[0].recurrence.anchor == "edited"
+    monkeypatch.undo()
+    text = catalog_mod._data_text("catalog.json")
+    assert catalog_mod.load_catalog() == catalog_mod._parse_catalog.__wrapped__(text)
+
+
 def _raw_identity(raw, ident_id):
     [ident] = [i for i in raw["transfer_identities"] if i["id"] == ident_id]
     return ident

@@ -8,7 +8,11 @@ import tracemalloc
 import pytest
 
 from _oracles import parse_dot
+from cactus_mis import catalog as catalog_mod
+from cactus_mis import cli
 from cactus_mis.cli import main
+from cactus_mis.graphs import FAMILY_IDS
+from cactus_mis.verify import run_verification
 
 
 def run_cli(args, capsys):
@@ -246,6 +250,18 @@ def test_estimate_beyond_float_range_is_strict_json_null(capsys):
     assert payload["estimate"] is None
     assert payload["rho"] == pytest.approx(0.618034, abs=1e-6)
     assert "exact" not in payload
+    # para-hexagonal's estimate leaves float range from n = 498 while the
+    # exact count is still printed: its relative error is null as well
+    cases = [("para-hexagonal", n) for n in range(495, 501)]
+    cases += [(fam, 500) for fam in FAMILY_IDS if fam != "para-hexagonal"]
+    for fam, n in cases:
+        code, out, _ = run_cli(["estimate", "--family", fam, "--n", str(n)], capsys)
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["exact"] > 0
+        beyond = fam == "para-hexagonal" and n >= 498
+        assert (payload["estimate"] is None) is beyond, (fam, n)
+        assert (payload["relative_error"] is None) is beyond, (fam, n)
 
 
 def test_verify_family_exit_zero(capsys):
@@ -325,21 +341,55 @@ def test_default_verify_starts_no_pool():
 
 
 @pytest.mark.parametrize("command", ["build", "census", "series", "estimate", "verify"])
-def test_help_lists_flags(command):
-    proc = subprocess.run(
-        [sys.executable, "-m", "cactus_mis.cli", command, "--help"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "--family" in proc.stdout or command == "verify"
-    assert "usage:" in proc.stdout
+def test_help_lists_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "--family" in out or command == "verify"
+    assert "usage:" in out
 
 
-def test_unknown_flag_is_an_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cactus_mis.cli", "census", "--family", "square", "--n", "1",
-         "--frobnicate"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
+def test_unknown_flag_is_an_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--family", "square", "--n", "1", "--frobnicate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+
+
+def test_reused_parser_leaks_no_option_between_calls(capsys):
+    # the parser is built once per process: build it afresh here, then check
+    # that a later call parses into its own defaults, not the last call's values
+    cli._build_parser.cache_clear()
+    argv = ["census", "--family", "square", "--n", "2", "--format", "json"]
+    fresh = run_cli(argv, capsys)
+    assert json.loads(fresh[1])["aux"] is None
+    code, out, _ = run_cli([*argv, "--aux", "bar"], capsys)
+    assert code == 0 and json.loads(out)["aux"] == "bar"
+    assert run_cli(argv, capsys) == fresh
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--family", "heptagonal", "--n-max", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert run_cli(["series", "--family", "triangular", "--n-max", "3"], capsys) == (
+        0, "0: 1\n1: 3\n2: 5\n3: 8\n", "")
+
+
+def test_shared_catalog_survives_every_command(capsys):
+    # verify and the benchmark's 24 algebra commands all read the one cached
+    # catalog; none of them may change a dict inside it
+    run_verification()
+    for fam in FAMILY_IDS:
+        for argv in (["series", "--family", fam, "--bivariate", "--n-max", "200"],
+                     ["series", "--family", fam, "--n-max", "2000"],
+                     ["estimate", "--family", fam, "--n", "400"]):
+            assert main(argv) == 0
+            capsys.readouterr()
+    text = catalog_mod._data_text("catalog.json")
+    assert catalog_mod.load_catalog() == catalog_mod._parse_catalog.__wrapped__(text)
 
 
 def test_list_families(capsys):
