@@ -93,11 +93,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _vertex_limit(args) -> int:
-    """--vertex-limit, else the environment, else the default; negative is a usage error."""
+    """--vertex-limit, else the environment, else the default; a negative or,
+    from the environment, a non-integer value is a usage error."""
     source, limit = "--vertex-limit", args.vertex_limit
     if limit is None:
         source = VERTEX_LIMIT_ENV
-        limit = int(os.environ.get(VERTEX_LIMIT_ENV) or DEFAULT_VERTEX_LIMIT)
+        text = os.environ.get(VERTEX_LIMIT_ENV)
+        try:
+            limit = int(text) if text else DEFAULT_VERTEX_LIMIT
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {text!r}") from None
     if limit < 0:
         raise ValueError(f"{source} must be >= 0, got {limit}")
     return limit

@@ -14,7 +14,13 @@ claim to check). Reports are deterministic and JSON-serializable.
 Every catalog graph is counted by `oracle_distribution`: a memo hit, else the
 vertex guard, `build_graph` and `enumerate_mis`. Each `run_verification` call
 keeps its counts in one memo of its own and nothing at module level, so a memo
-serves one run and one vertex limit, and a hit needs no second guard.
+serves one run and one vertex limit, and a hit needs no second guard. Beside
+the memo the run owns one trail (see `enumerate_mis`): each count resumes the
+oracle's sweep where the graph's neighbor masks part from those of the
+previous graph counted in that run (a family's chain at n after n - 1, a
+gadget graph after its chain), and the trail goes when the run ends. Every
+lookup that misses the memo still builds its graph and calls `enumerate_mis`
+once.
 
 One lookup plan, shared by the checks and the pool, names the graphs each
 claim reads: a family's chain at every n to its depth, each boundary check's
@@ -74,8 +80,10 @@ Memo = dict[GraphKey, SizeDistribution]  # one run's counts
 
 def oracle_distribution(family_id: str, kind: str, n: int,
                         vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                        memo: Optional[Memo] = None) -> SizeDistribution:
-    """Exact size distribution of one catalog graph: a `memo` hit, else a guarded count.
+                        memo: Optional[Memo] = None,
+                        trail: Optional[list] = None) -> SizeDistribution:
+    """Exact size distribution of one catalog graph: a `memo` hit, else a guarded
+    count, resumed from `trail` if one is given.
 
     Raises VertexLimitExceeded, before building, above `vertex_limit` vertices.
     """
@@ -85,7 +93,7 @@ def oracle_distribution(family_id: str, kind: str, n: int,
     order = graph_order(family_id, n, kind)
     if order > vertex_limit:
         raise VertexLimitExceeded(order, vertex_limit)
-    dist = enumerate_mis(build_graph(family_id, n, kind), vertex_limit=vertex_limit)
+    dist = enumerate_mis(build_graph(family_id, n, kind), vertex_limit, trail)
     if memo is not None:
         memo[key] = dist
     return dist
@@ -141,7 +149,8 @@ def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Opt
 
 def verify_family(record: FamilyRecord, n_max: int,
                   vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                  memo: Optional[Memo] = None) -> dict:
+                  memo: Optional[Memo] = None,
+                  trail: Optional[list] = None) -> dict:
     """Compare oracle distributions with the stated series and recurrence.
 
     Returns a report fragment: per-n entries plus claim verdicts for the
@@ -163,7 +172,7 @@ def verify_family(record: FamilyRecord, n_max: int,
     checked_to = -1
     for n in range(n_max + 1):
         try:
-            oracle = oracle_distribution(fam, "family", n, vertex_limit, memo)
+            oracle = oracle_distribution(fam, "family", n, vertex_limit, memo, trail)
         except VertexLimitExceeded as exc:
             entries.append({
                 "n": n,
@@ -225,7 +234,7 @@ def verify_family(record: FamilyRecord, n_max: int,
     for check in record.boundary_checks:
         claim = {"kind": "boundary", "family": fam, "graph_kind": check.kind, "n": check.n}
         try:
-            oracle = oracle_distribution(fam, check.kind, check.n, vertex_limit, memo)
+            oracle = oracle_distribution(fam, check.kind, check.n, vertex_limit, memo, trail)
         except VertexLimitExceeded as exc:
             boundary_claims[check.anchor] = {**claim, "verdict": SKIPPED, "reason": str(exc)}
             continue
@@ -297,17 +306,17 @@ def _replay_ns(identity: TransferIdentity, n_max: int) -> range:
 
 
 def _replay(identity: TransferIdentity, n: int, vertex_limit: int,
-            memo: Optional[Memo]) -> Optional[dict]:
+            memo: Optional[Memo], trail: Optional[list]) -> Optional[dict]:
     """First k where the identity fails at n, as {n, k, lhs, rhs}, or None if it holds.
 
     The right-hand side is the sum of mult * term(n - n_shift, k - k_shift).
     Raises VertexLimitExceeded when a graph it needs is above `vertex_limit`.
     """
-    lhs_key, *term_keys = _replay_keys(identity, n)
-    lhs = oracle_distribution(*lhs_key, vertex_limit, memo)
+    lhs, *terms = [oracle_distribution(*key, vertex_limit, memo, trail)
+                   for key in _replay_keys(identity, n)]
     rhs: dict[int, int] = {}
-    for term, key in zip(identity.rhs, term_keys):
-        for k, count in oracle_distribution(*key, vertex_limit, memo).counts.items():
+    for term, dist in zip(identity.rhs, terms):
+        for k, count in dist.counts.items():
             k += term.k_shift
             rhs[k] = rhs.get(k, 0) + term.mult * count
     bad = _first_mismatch(lhs, rhs)
@@ -325,7 +334,8 @@ def identity_max_n(identity: TransferIdentity) -> int:
 
 def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
                     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                    memo: Optional[Memo] = None) -> dict:
+                    memo: Optional[Memo] = None,
+                    trail: Optional[list] = None) -> dict:
     """Replay one identity against oracle distributions over its valid range,
     and over any stated range before it (reported in `stated_range_note`)."""
     if n_max is None:
@@ -337,7 +347,7 @@ def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
     for n in _replay_ns(identity, n_max):
         valid = n >= identity.valid_from
         try:
-            bad = _replay(identity, n, vertex_limit, memo)
+            bad = _replay(identity, n, vertex_limit, memo, trail)
         except VertexLimitExceeded as exc:
             if valid:
                 skipped.append({"n": n, "reason": str(exc)})
@@ -496,6 +506,7 @@ def run_verification(
     idents = ([i for i in catalog.identities if family is None or i.family_id == family]
               if scope in ("all", "identities") else [])
     memo: Memo = {}
+    trail: list = []
     if workers > 1:
         memo = _pool_counts(_collect_tasks(family_records, idents, n_max, vertex_limit,
                                            n_max_override), vertex_limit, workers)
@@ -505,7 +516,7 @@ def run_verification(
     identity_range_notes: dict[str, dict] = {}
 
     for rec in family_records:
-        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit, memo)
+        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit, memo, trail)
         families_out[rec.family_id] = {"entries": fragment["entries"]}
         claims[rec.gf_anchor] = fragment["gf_claim"]
         claims[rec.recurrence.anchor] = fragment["recurrence_claim"]
@@ -519,7 +530,7 @@ def run_verification(
 
     for ident in idents:
         result = verify_transfer(ident, n_max=_identity_top(ident, n_max_override),
-                                 vertex_limit=vertex_limit, memo=memo)
+                                 vertex_limit=vertex_limit, memo=memo, trail=trail)
         note = result.pop("stated_range_note")
         claims[ident.anchor] = result
         if note is not None:
@@ -529,13 +540,13 @@ def run_verification(
         "config": {
             "scope": scope,
             "family": family,
-            "n_max": {k: v for k, v in sorted(n_max.items())} if scope in ("all", "family") else {},
+            "n_max": dict(sorted(n_max.items())) if scope in ("all", "family") else {},
             "vertex_limit": vertex_limit,
             "transfer_order_cap": TRANSFER_ORDER_CAP,
         },
-        "families": {k: v for k, v in sorted(families_out.items())},
-        "claims": {k: claims[k] for k in sorted(claims)},
-        "identity_range_notes": {k: v for k, v in sorted(identity_range_notes.items())},
+        "families": dict(sorted(families_out.items())),
+        "claims": dict(sorted(claims.items())),
+        "identity_range_notes": dict(sorted(identity_range_notes.items())),
         "summary": _summarize(claims),
     }
     if scope == "all" and family is None:

@@ -112,6 +112,18 @@ def test_negative_vertex_limit_is_a_usage_error(capsys, monkeypatch, argv, env, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["census", "--family", "triangular", "--n", "2"], "abc"),
+    (["verify", "--scope", "identities"], "6.5"),
+], ids=["word", "float"])
+def test_non_integer_vertex_limit_is_a_usage_error(capsys, monkeypatch, argv, env):
+    # the message names the variable, as the negative case does
+    monkeypatch.setenv("CACTUS_MIS_VERTEX_LIMIT", env)
+    code, out, err = run_cli(argv, capsys)
+    message = f"CACTUS_MIS_VERTEX_LIMIT must be an integer, got {env!r}"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_series_totals(capsys):
     code, out, _ = run_cli(["series", "--family", "diamond", "--n-max", "4"], capsys)
     assert code == 0
@@ -273,19 +285,17 @@ def test_verify_family_exit_zero(capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_all_scope_for_one_family(workers, catalog):
+def test_verify_all_scope_for_one_family(workers, catalog, capsys):
     # the whole-catalog completeness check must not run on a one-family report
-    proc = subprocess.run(
-        [sys.executable, "-m", "cactus_mis.cli", "verify", "--scope", "all",
-         "--family", "triangular", "--workers", workers],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    code, out, err = run_cli(["verify", "--scope", "all", "--family", "triangular",
+                              "--workers", workers], capsys)
+    assert code == 0, err
+    assert "Traceback" not in err
     rec = catalog.family("triangular")
     expected = {rec.gf_anchor, rec.recurrence.anchor, rec.asymptotic.anchor}
     expected.update(check.anchor for check in rec.boundary_checks)
     expected.update(i.anchor for i in catalog.identities if i.family_id == "triangular")
-    assert set(json.loads(proc.stdout)["claims"]) == expected
+    assert set(json.loads(out)["claims"]) == expected
 
 
 def test_verify_asymptotics_exit_one(capsys):

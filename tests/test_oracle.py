@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     complement_cliques,
@@ -22,6 +24,7 @@ from cactus_mis.graphs import (
     graph_order,
 )
 from cactus_mis.oracle import (
+    TRAIL_WIDTH,
     SizeDistribution,
     VertexLimitExceeded,
     enumerate_mis,
@@ -218,3 +221,123 @@ def test_packed_digits_hold_extremal_counts(seed):
     assert triangles.vertex_count == 63
     assert enumerate_mis(triangles) == {21: 3 ** 21}
     assert enumerate_mis(Graph(0, [])) == {0: 1}
+
+
+# ----------------------------------------------------------------------------
+# Resumed sweeps: a trail carries one graph's (mask, layer) pairs to the next call.
+# ----------------------------------------------------------------------------
+
+def graph_from_back_edges(back):
+    """The graph in which vertex u is joined to each vertex of back[u] (all below u)."""
+    return Graph(len(back), [(v, u) for u, below in enumerate(back) for v in below])
+
+
+def assert_resumes_exactly(graphs, reference=subset_filter_masks):
+    """Count `graphs` in order through one trail: every count must equal the
+    trail-less one and the reference's, and the trail must end up holding
+    exactly the pairs an empty trail gets from the same graph."""
+    trail = []
+    for g in graphs:
+        resumed = enumerate_mis(g, 10 ** 9, trail)
+        assert_counts_zero_free(resumed)
+        assert resumed.counts == enumerate_mis(g, 10 ** 9).counts == reference(g)
+        if g.vertex_count < TRAIL_WIDTH:
+            fresh = []
+            enumerate_mis(g, trail=fresh)
+            assert trail == fresh
+            assert [mask for mask, _ in trail] == list(g.masks)
+
+
+@st.composite
+def prefix_sharing_sequences(draw):
+    """Graphs on at most 11 vertices, each keeping a prefix of the one before
+    and adding vertices whose edges may reach back into that prefix."""
+    graphs = []
+    back: list[set] = []
+    for _ in range(draw(st.integers(1, 6))):
+        back = back[:draw(st.integers(0, len(back)))]
+        for u in range(len(back), draw(st.integers(len(back), 11))):
+            back.append(draw(st.sets(st.integers(0, u - 1))) if u else set())
+        graphs.append(graph_from_back_edges(back))
+    return graphs
+
+
+@settings(max_examples=80, deadline=None)
+@given(prefix_sharing_sequences())
+def test_resumed_counts_match_fresh_and_references(graphs):
+    assert_resumes_exactly(graphs)
+
+
+PATH4 = [set(), {0}, {1}, {2}]  # the path 0-1-2-3
+
+
+@pytest.mark.parametrize("backs, kept", [
+    # vertex 4 joins vertex 1, so vertex 1's mask changes: resume after vertex 0
+    ([PATH4, PATH4 + [{1}]], 1),
+    # the same graph twice: every pair is kept
+    ([PATH4, PATH4], 4),
+    # a graph that extends the previous one without touching it
+    ([PATH4, PATH4 + [set(), {4}]], 4),
+    # a prefix of the previous graph: kept up to the first vertex whose
+    # mask loses a neighbor (vertex 1 of the path), or whole if none does
+    ([PATH4, PATH4[:2]], 1),
+    ([[set(), {0}, set(), {2}], PATH4[:2]], 2),
+    # the empty graph shares nothing
+    ([PATH4, []], 0),
+    ([[], PATH4], 0),
+], ids=["back-edge", "identical", "disjoint-extension", "cut-prefix", "component-prefix",
+        "to-empty", "from-empty"])
+def test_trail_resumes_after_the_shared_prefix_only(backs, kept):
+    first, second = map(graph_from_back_edges, backs)
+    trail = []
+    enumerate_mis(first, trail=trail)
+    before = list(trail)
+    assert enumerate_mis(second, trail=trail).counts == complement_cliques(second)
+    # the pairs of the shared prefix are the same objects, the rest are new
+    assert [a is b for a, b in zip(before, trail)] == (
+        [True] * kept + [False] * (min(len(before), len(trail)) - kept))
+    assert_resumes_exactly([first, second], complement_cliques)
+
+
+def disjoint_cliques(sizes):
+    edges = []
+    start = 0
+    for size in sizes:
+        edges += [(start + i, start + j) for i in range(size) for j in range(i)]
+        start += size
+    return Graph(start, edges)
+
+
+def test_trail_across_the_width_step():
+    # 63 vertices share the trail's digit width; 64 and more are counted
+    # with their own width and leave the trail as it was
+    g63 = disjoint_cliques([21, 21, 21])
+    g64 = Graph(64, list(g63.edges()) + [(62, 63)])
+    g65 = Graph(65, list(g64.edges()) + [(0, 64), (63, 64)])
+    g62 = disjoint_cliques([21, 21, 20])
+    assert [g.vertex_count for g in (g62, g63, g64, g65)] == [TRAIL_WIDTH - 2, TRAIL_WIDTH - 1,
+                                                              TRAIL_WIDTH, TRAIL_WIDTH + 1]
+    trail = []
+    enumerate_mis(g63, trail=trail)
+    enumerate_mis(g64, 10 ** 9, trail)
+    assert [mask for mask, _ in trail] == list(g63.masks)
+    assert_resumes_exactly([g63, g64, g63, g65, g62, g64, g65], complement_cliques)
+
+
+# States in the layer after each vertex of a few chains. A sweep that keeps
+# a state the survival tests should drop ends with more than the one (0, 0)
+# state, or carries more states through the middle.
+LAYER_SIZES = {
+    ("diamond", "family", 2): [2, 3, 4, 3, 4, 5, 1],
+    ("square", "family", 2): [2, 3, 5, 3, 4, 5, 1],
+    ("pentagonal", "family", 2): [2, 3, 5, 6, 2, 3, 4, 5, 1],
+    ("ortho-hexagonal", "family", 2): [2, 3, 5, 6, 8, 3, 4, 5, 6, 8, 1],
+    ("meta-pentagonal", "bar", 1): [2, 3, 4, 6, 2, 1],
+}
+
+
+@pytest.mark.parametrize("fam, kind, n", sorted(LAYER_SIZES))
+def test_layer_sizes_show_the_pruning(fam, kind, n):
+    trail = []
+    enumerate_mis(build_graph(fam, n, kind), trail=trail)
+    assert [len(layer) for _, layer in trail] == LAYER_SIZES[fam, kind, n]

@@ -376,6 +376,69 @@ def test_each_run_counts_afresh(catalog, parent_counts, workers, parent_calls):
         assert len(parent_counts) == parent_calls
 
 
+class Sweep:
+    """One `verify.enumerate_mis` call: its trail, and the work the trail saved."""
+
+    def __init__(self, g, trail):
+        self.trail = trail
+        self.started_empty = trail == []
+        self.start = 0
+        stop = min(len(trail), g.vertex_count)
+        while self.start < stop and trail[self.start][0] == g.masks[self.start]:
+            self.start += 1
+        self.vertex_count = g.vertex_count
+
+    def finish(self):
+        # the states each swept vertex read: the layer before it, which is
+        # the start layer's one state before vertex 0
+        layers = [1] + [len(layer) for _, layer in self.trail]
+        self.layers = self.vertex_count - self.start
+        self.visits = sum(layers[self.start:self.vertex_count])
+        self.widest = max(layers)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """One `Sweep` per `verify.enumerate_mis` call made in this process."""
+    calls = []
+    real_enumerate = verify.enumerate_mis
+
+    def recording_enumerate(g, vertex_limit, trail):
+        calls.append(Sweep(g, trail))
+        dist = real_enumerate(g, vertex_limit, trail)
+        calls[-1].finish()
+        return dist
+
+    monkeypatch.setattr(verify, "enumerate_mis", recording_enumerate)
+    return calls
+
+
+def test_each_run_owns_one_trail(catalog, sweeps):
+    # every sweep of a run resumes from that run's own trail; a second run
+    # starts from an empty one, and the module keeps none
+    trails = []
+    for _ in range(2):
+        sweeps.clear()
+        run_verification(catalog, scope="family", family="diamond")
+        assert sweeps and sweeps[0].started_empty
+        assert all(call.trail is sweeps[0].trail for call in sweeps)
+        trails.append(sweeps[0].trail)
+    assert trails[0] is not trails[1]
+    assert not any(value is trail for trail in trails for value in vars(verify).values())
+
+
+def test_sweep_work_of_a_full_run(catalog, sweeps):
+    # the figures the oracle module docstring gives for `verify --scope all`:
+    # sweeps, layers swept (vertices past each shared prefix), state visits
+    # and the widest layer; 5,592 layers without the trail
+    run_verification(catalog, scope="all")
+    assert len(sweeps) == 243
+    assert sum(call.vertex_count for call in sweeps) == 5592
+    assert sum(call.layers for call in sweeps) == 1815
+    assert sum(call.visits for call in sweeps) == 7832
+    assert max(call.widest for call in sweeps) == 11
+
+
 def test_import_leaves_process_pool_unloaded():
     # only a pooled verify run needs the process-pool machinery, and no
     # start-up path needs dataclasses (with inspect) or fractions (with decimal)
