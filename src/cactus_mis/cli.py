@@ -159,6 +159,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     catalog = load_catalog()
     record = catalog.family(args.family)
     est = asym.family_estimate(record)

@@ -26,12 +26,11 @@ One lookup plan, shared by the checks and the pool, names the graphs each
 claim reads: a family's chain at every n to its depth, each boundary check's
 graph, and for an identity at each n of `_replay_ns` the graphs of
 `_replay_keys`, in order, up to the first one above the guard. With
-`workers > 1`, `run_verification` first has a process pool count that plan
-(`_collect_tasks`) into the memo, so the checks only hit it. The keys go out
-size-sorted, largest first, in about four chunks per worker; each child
-counts its chunk through `oracle_distribution` under the run's limit. The
-serial path (`workers == 1`) starts no pool and never imports
-`concurrent.futures.process`.
+`workers > 1`, `run_verification` first has forked children count that plan
+(`_collect_tasks`) into the memo, so the checks only hit it: `_pool` deals
+the keys out in plan order, every c-th to one child, and each child resumes
+its sweeps from a trail of its own. The serial path (`workers == 1`) forks
+nothing and never imports `_pool`.
 """
 
 from __future__ import annotations
@@ -97,31 +96,6 @@ def oracle_distribution(family_id: str, kind: str, n: int,
     if memo is not None:
         memo[key] = dist
     return dist
-
-
-def _oracle_task(keys: list[GraphKey], vertex_limit: int) -> Memo:
-    """Count one chunk of graphs in a pool child."""
-    return {key: oracle_distribution(*key, vertex_limit) for key in keys}
-
-
-def _pool_counts(tasks: dict[GraphKey, int], vertex_limit: int, workers: int) -> Memo:
-    """A memo of every one of `tasks` (key: vertex count), counted in a pool
-    of at most `workers` processes."""
-    if len(tasks) < 4:
-        return {}  # not worth a pool: the lookups count these in this process
-    # largest graphs first, ties by key, so the chunks and their order are
-    # the same on every run
-    todo = sorted(tasks, key=lambda t: (-tasks[t], t))
-    # about four chunks per worker: one round trip per chunk instead of one
-    # per graph, with enough chunks left over that a worker finishing early
-    # takes another rather than idling
-    size = -(-len(todo) // (4 * workers))
-    chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
-    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        done = pool.map(_oracle_task, chunks, [vertex_limit] * len(chunks))
-        return {key: dist for chunk in done for key, dist in chunk.items()}
 
 
 def _counts_json(counts: Mapping[int, int]) -> dict[str, int]:
@@ -451,8 +425,8 @@ def _identity_top(ident: TransferIdentity, n_max_override: Optional[int]) -> int
 
 def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
                    n_max: dict[str, int], vertex_limit: int,
-                   n_max_override: Optional[int]) -> dict[GraphKey, int]:
-    """Every graph the lookups for `records` and `idents` count, with its vertex count.
+                   n_max_override: Optional[int]) -> list[GraphKey]:
+    """Every graph the lookups for `records` and `idents` count, once, in plan order.
 
     Each lookup sequence of the plan stops at its first graph above
     `vertex_limit`, as the checks' own lookups do.
@@ -461,14 +435,13 @@ def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
     plan += [[(rec.family_id, check.kind, check.n)] for rec in records for check in rec.boundary_checks]
     for ident in idents:
         plan += [_replay_keys(ident, n) for n in _replay_ns(ident, _identity_top(ident, n_max_override))]
-    tasks: dict[GraphKey, int] = {}
+    tasks: dict[GraphKey, None] = {}
     for keys in plan:
         for key in keys:
-            order = graph_order(key[0], key[2], key[1])
-            if order > vertex_limit:
+            if graph_order(key[0], key[2], key[1]) > vertex_limit:
                 break
-            tasks[key] = order
-    return tasks
+            tasks[key] = None
+    return list(tasks)
 
 
 def run_verification(
@@ -508,8 +481,10 @@ def run_verification(
     memo: Memo = {}
     trail: list = []
     if workers > 1:
-        memo = _pool_counts(_collect_tasks(family_records, idents, n_max, vertex_limit,
-                                           n_max_override), vertex_limit, workers)
+        from . import _pool  # only pooled runs compile and load it
+
+        memo = _pool.pool_counts(_collect_tasks(family_records, idents, n_max, vertex_limit,
+                                                n_max_override), vertex_limit, workers)
 
     claims: dict[str, dict] = {}
     families_out: dict[str, dict] = {}

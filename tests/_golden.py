@@ -49,7 +49,8 @@ USAGE_ERRORS = (
 )
 
 # usage errors of the commands that do not build a graph: a negative depth, an
-# unknown family, a depth where the scope has none, and no worker at all
+# unknown family, a depth where the scope has none, no worker at all, and a
+# negative index
 OTHER_USAGE_ERRORS = (
     ["series", "--family", "triangular", "--n-max", "-1"],
     ["verify", "--scope", "family", "--family", "triangular", "--n-max", "-1"],
@@ -57,6 +58,7 @@ OTHER_USAGE_ERRORS = (
     ["estimate", "--family", "heptagonal", "--n", "1"],
     ["verify", "--scope", "asymptotics", "--n-max", "3"],
     ["verify", "--workers", "0"],
+    ["estimate", "--family", "triangular", "--n", "-5"],
 )
 
 

@@ -340,14 +340,32 @@ def test_workers_below_one_is_a_usage_error(capsys, workers):
     assert (code, out, err) == (2, "", f"error: --workers must be >= 1, got {workers}\n")
 
 
+def test_negative_estimate_index_names_the_flag(capsys):
+    code, out, err = run_cli(["estimate", "--family", "triangular", "--n", "-5"], capsys)
+    assert (code, out, err) == (2, "", "error: --n must be >= 0, got -5\n")
+
+
 def test_default_verify_starts_no_pool():
     # --workers defaults to 1: a whole verify run never loads the pool machinery
     code = ("import contextlib, io, sys; from cactus_mis import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = cli.main(['verify', '--scope', 'all'])\n"
-            "print(rc, 'concurrent.futures.process' in sys.modules)")
+            "print(rc, 'concurrent.futures.process' in sys.modules, 'cactus_mis._pool' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "False"]
+    assert out.stdout.split() == ["1", "False", "False"]
+
+
+def test_pooled_verify_whose_child_fails_prints_no_report():
+    # the child's MemoryError fails the parent's command; the child leaves
+    # through os._exit, so no process writes a report (one CPU: one child)
+    code = ("import os, sys; from cactus_mis import cli, _pool\n"
+            "def fail(*args):\n"
+            "    raise MemoryError\n"
+            "os.cpu_count = lambda: 1\n"
+            "_pool.oracle_distribution = fail\n"
+            "sys.exit(cli.main(['verify', '--scope', 'all', '--workers', '2']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", "error: out of memory in verify\n")
 
 
 @pytest.mark.parametrize("command", ["build", "census", "series", "estimate", "verify"])

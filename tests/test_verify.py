@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import last_n_within_walk
-from cactus_mis import verify
+from cactus_mis import _pool, verify
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
 from cactus_mis.series import series_in_x
@@ -284,9 +284,7 @@ def parent_counts(monkeypatch):
 
 
 def test_workers_match_serial(catalog, parent_counts):
-    # each run counts afresh, so the pooled one really counts in the pool;
-    # "all" and "identities" have more than 4 * workers tasks and so go out
-    # in several chunks
+    # each run counts afresh, so the pooled one really counts in the children
     for kwargs in ({"scope": "family", "family": "triangular", "n_max_override": 6},
                    {"scope": "all"}, {"scope": "identities"}):
         serial = report_to_json(run_verification(catalog, workers=1, **kwargs))
@@ -302,13 +300,13 @@ def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch,
     # at n_max 150 the ortho-hexagonal chains reach 751 vertices; the pool
     # must skip every graph the lookups refuse, as the serial run does
     memos = []
-    real_pool_counts = verify._pool_counts
+    real_pool_counts = _pool.pool_counts
 
     def spy(*args, **kwargs):
         memos.append(real_pool_counts(*args, **kwargs))
         return memos[-1]
 
-    monkeypatch.setattr(verify, "_pool_counts", spy)
+    monkeypatch.setattr(_pool, "pool_counts", spy)
     pooled = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=2)
     [memo] = memos
@@ -346,11 +344,102 @@ def test_pool_plan_matches_serial_lookups(catalog, monkeypatch, kwargs):
         return dist
 
     monkeypatch.setattr(verify, "_collect_tasks", collect)
-    monkeypatch.setattr(verify, "_pool_counts", lambda tasks, limit, workers: {})  # count serially
+    monkeypatch.setattr(_pool, "pool_counts", lambda tasks, limit, workers: {})  # count serially
     monkeypatch.setattr(verify, "oracle_distribution", lookup)
     run_verification(catalog, workers=2, **kwargs)
     [plan] = plans
     assert counted and set(plan) == counted
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this error")
+
+
+def _raise_memory_error(*args):
+    raise MemoryError
+
+
+def _raise_unpicklable(*args):
+    raise _Unpicklable
+
+
+def _exit_silently(*args):
+    os._exit(0)
+
+
+@pytest.mark.parametrize("fail, error", [
+    (_raise_memory_error, MemoryError),
+    (_raise_unpicklable, ChildProcessError),
+    (_exit_silently, ChildProcessError),
+], ids=["memory-error", "unpicklable", "silent-exit"])
+def test_failed_child_fails_the_pooled_run(catalog, monkeypatch, fail, error):
+    # a child's error is raised in the parent once every child is reaped; an
+    # error the child cannot send, or no reply at all, is an error too and
+    # never an empty memo
+    monkeypatch.setattr(_pool, "oracle_distribution", fail)
+    with pytest.raises(error):
+        run_verification(catalog, scope="identities", workers=2)
+    _assert_no_child_left()
+
+
+def test_pooled_run_leaves_no_child(catalog):
+    run_verification(catalog, scope="identities", workers=2)
+    _assert_no_child_left()
+
+
+def test_failed_fork_reaps_the_children_started(catalog, monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def second_fork_fails():
+        if forks:
+            raise OSError("fork refused")
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(OSError, match="fork refused"):
+        run_verification(catalog, scope="identities", workers=2)
+    _assert_no_child_left()
+
+
+def test_children_capped_at_cpu_count(catalog, monkeypatch):
+    # --workers bounds the children by the CPUs there are, not only by the
+    # keys: with one CPU, 8 workers fork one child
+    real_fork, children = os.fork, []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    pooled = report_to_json(run_verification(catalog, scope="identities", workers=8))
+    assert len(children) == 1
+    assert pooled == report_to_json(run_verification(catalog, scope="identities"))
+
+
+def test_pool_without_fork_counts_in_process(catalog, monkeypatch, parent_counts):
+    monkeypatch.delattr(os, "fork")
+    pooled = report_to_json(run_verification(catalog, scope="identities", workers=2))
+    assert parent_counts
+    assert pooled == report_to_json(run_verification(catalog, scope="identities"))
+
+
+def test_pooled_run_loads_no_process_pool_machinery():
+    code = ("import sys; from cactus_mis import verify\n"
+            "verify.run_verification(scope='identities', workers=2)\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -439,10 +528,29 @@ def test_sweep_work_of_a_full_run(catalog, sweeps):
     assert max(call.widest for call in sweeps) == 11
 
 
+def test_sweep_work_of_each_pool_share(catalog, monkeypatch, sweeps):
+    # with 2 children, each counts every other key of the `--scope all` plan
+    # from a trail of its own and still resumes most sweeps: 1,038 and 1,090
+    # layers, where counting the keys with no trail sweeps 5,592
+    plans = []
+    monkeypatch.setattr(_pool, "pool_counts", lambda tasks, limit, workers: plans.append(tasks) or {})
+    run_verification(catalog, scope="all", workers=2)
+    [plan] = plans
+    work = []
+    for share in (plan[0::2], plan[1::2]):
+        sweeps.clear()
+        _pool.count_share(share, DEFAULT_VERTEX_LIMIT)
+        assert len(sweeps) == len(share) and sweeps[0].started_empty
+        work.append((sum(call.layers for call in sweeps), sum(call.visits for call in sweeps)))
+    assert len(plan) == 243
+    assert work == [(1038, 4541), (1090, 4696)]
+
+
 def test_import_leaves_process_pool_unloaded():
-    # only a pooled verify run needs the process-pool machinery, and no
-    # start-up path needs dataclasses (with inspect) or fractions (with decimal)
-    unloaded = ("concurrent.futures.process", "multiprocessing",
+    # only a pooled verify run needs the pool module, no run needs the
+    # standard process-pool machinery, and no start-up path needs dataclasses
+    # (with inspect) or fractions (with decimal)
+    unloaded = ("cactus_mis._pool", "concurrent.futures.process", "multiprocessing",
                 "dataclasses", "inspect", "fractions", "decimal")
     code = ("import sys, cactus_mis, cactus_mis.cli; cactus_mis.load_catalog(); "
             f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
