@@ -164,7 +164,8 @@ def _data_text(name: str) -> Optional[str]:
 
 # The keys `load_catalog` reads from each kind of catalog object. Any other key
 # is rejected, so a misspelt optional field (an `offset`, say) cannot become a
-# claim that is never checked. `_schema` is prose for readers.
+# claim that is never checked. `_schema` is prose for readers. Every number the
+# loader reads must be a JSON integer (`_int`).
 _TOP_KEYS = frozenset({"_schema", "families", "transfer_identities"})
 _FAMILY_KEYS = frozenset({"id", "symbol", "cycle_len", "attach_dist", "gf_anchor", "gf_candidates",
                           "univariate_gf", "recurrence", "asymptotic", "boundary_checks"})
@@ -177,11 +178,30 @@ _IDENTITY_KEYS = frozenset({"id", "anchor", "family", "lhs", "rhs", "valid_from"
 _TERM_KEYS = frozenset({"mult", "kind", "n_shift", "k_shift"})
 
 
+def _json_path(path) -> str:
+    """`path`, the keys and indices that lead from the top, as `$.a[0].b`."""
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
 def _check_keys(obj: dict, known: frozenset, *path) -> None:
     """Reject a key of `obj` that is not `known`; `path` leads from the top to `obj`."""
     if not known.issuperset(obj):
-        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-        raise ValueError(f"unknown catalog key ${where}.{min(obj.keys() - known)}")
+        raise ValueError(f"unknown catalog key {_json_path(path)}.{min(obj.keys() - known)}")
+
+
+def _int(value, *path) -> int:
+    """`value` if it is a JSON integer. A float (even 1.0), string, boolean or
+    null is rejected with its path, never truncated or coerced."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"catalog value {_json_path(path)} is not an integer: {json.dumps(value)}")
+    return value
+
+
+def _ints(values, *path) -> tuple[int, ...]:
+    """`values` as a tuple, if it is a JSON list of integers."""
+    if not isinstance(values, list):
+        raise ValueError(f"catalog value {_json_path(path)} is not a list: {json.dumps(values)}")
+    return tuple(_int(v, *path, i) for i, v in enumerate(values))
 
 
 def _parse_univar_rational(raw: dict) -> UnivarRational:
@@ -230,16 +250,19 @@ def _parse_catalog(text: str) -> Catalog:
             GFCandidate(
                 candidate_id=c["id"],
                 anchor=c["anchor"],
-                gf=RationalGF.from_literals(c["num"], c["den"], offset=c.get("offset", 0)),
+                gf=RationalGF.from_literals(
+                    c["num"], c["den"],
+                    offset=_int(c.get("offset", 0), "families", i, "gf_candidates", j, "offset")),
             )
-            for c in fam_raw["gf_candidates"]
+            for j, c in enumerate(fam_raw["gf_candidates"])
         )
         rec_raw = fam_raw["recurrence"]
+        rec_path = ("families", i, "recurrence")
         recurrence = RecurrenceClaim(
             anchor=rec_raw["anchor"],
-            lags=tuple(rec_raw["lags"]),
-            initial=tuple(rec_raw["initial"]),
-            valid_from=rec_raw["valid_from"],
+            lags=_ints(rec_raw["lags"], *rec_path, "lags"),
+            initial=_ints(rec_raw["initial"], *rec_path, "initial"),
+            valid_from=_int(rec_raw["valid_from"], *rec_path, "valid_from"),
         )
         if len(recurrence.initial) < len(recurrence.lags):
             raise ValueError(f"{spec.family_id}: fewer initial values than recurrence order")
@@ -256,10 +279,12 @@ def _parse_catalog(text: str) -> Catalog:
                 check_id=c["id"],
                 anchor=c["anchor"],
                 kind=c["kind"],
-                n=c["n"],
-                claimed=SizeDistribution({int(k): v for k, v in c["counts"].items()}),
+                n=_int(c["n"], "families", i, "boundary_checks", j, "n"),
+                claimed=SizeDistribution({
+                    int(k): _int(v, "families", i, "boundary_checks", j, "counts", k)
+                    for k, v in c["counts"].items()}),
             )
-            for c in fam_raw["boundary_checks"]
+            for j, c in enumerate(fam_raw["boundary_checks"])
         )
         for c in checks:
             try:
@@ -284,11 +309,16 @@ def _parse_catalog(text: str) -> Catalog:
         _check_keys(ident_raw, _IDENTITY_KEYS, "transfer_identities", i)
         for j, t in enumerate(ident_raw["rhs"]):
             _check_keys(t, _TERM_KEYS, "transfer_identities", i, "rhs", j)
+        at = ("transfer_identities", i)
         terms = tuple(
-            TransferTerm(t["mult"], t["kind"], t["n_shift"], t["k_shift"])
-            for t in ident_raw["rhs"]
+            TransferTerm(_int(t["mult"], *at, "rhs", j, "mult"), t["kind"],
+                         _int(t["n_shift"], *at, "rhs", j, "n_shift"),
+                         _int(t["k_shift"], *at, "rhs", j, "k_shift"))
+            for j, t in enumerate(ident_raw["rhs"])
         )
-        first_n = min(ident_raw["valid_from"], ident_raw["stated_from"])  # first n replayed
+        valid_from = _int(ident_raw["valid_from"], *at, "valid_from")
+        stated_from = _int(ident_raw["stated_from"], *at, "stated_from")
+        first_n = min(valid_from, stated_from)  # first n replayed
         for t in terms:
             if not (1 <= t.mult <= 4):
                 raise ValueError(f"unexpected multiplier {t.mult} in identity {ident_raw['id']}")
@@ -308,8 +338,8 @@ def _parse_catalog(text: str) -> Catalog:
                 family_id=ident_raw["family"],
                 lhs_kind=ident_raw["lhs"],
                 rhs=terms,
-                valid_from=ident_raw["valid_from"],
-                stated_from=ident_raw["stated_from"],
+                valid_from=valid_from,
+                stated_from=stated_from,
             )
         )
 

@@ -14,11 +14,16 @@ of ints from there to the highest such degree. Each denominator term subtracts
 one shifted multiple of an earlier band, so the zeros below the lowest
 y-degree (over half of a deep expansion) cost nothing. Each row's tuple is
 built once, as lo zeros and the trimmed band, without UnivarPoly's checks.
-recurrence_sequence keeps only the last len(lags) terms in a window.
 UnivarPoly has no arithmetic operators of its own.
 
-Everything here is exact; floats never appear. The value classes are
-`__slots__` classes, not frozen dataclasses, for the import cost (see `_frozen`).
+recurrence_sequence keeps only the last len(lags) terms in a window, and its
+terms keep the type of the values it is given. recurrence_text runs the same
+iteration on `decimal.Decimal` values, because a Decimal's decimal text costs
+time linear in its digits where an int's costs time quadratic in them.
+
+Everything here is exact. Floats never appear, and the Decimal arithmetic runs
+in a context that raises on any rounding. The value classes are `__slots__`
+classes, not frozen dataclasses, for the import cost (see `_frozen`).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections import deque
 from itertools import compress, count
 from math import gcd
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._frozen import Frozen
 
@@ -394,14 +399,21 @@ def recurrence_from_gf(r: UnivarRational) -> tuple[tuple[int, ...], int]:
     return lags, max(valid_from, 1)
 
 
-def recurrence_sequence(lags: Sequence[int], initial: Sequence[int], n_max: int) -> list[int]:
-    """a_0 .. a_{n_max} by exact iteration, taking a_m = 0 for m < 0.
+# The body of recurrence_sequence, also called by recurrence_text. It is kept
+# apart because the benchmark's tracer (perfbench/tracer.py) wraps each public
+# function here and reads the int bit length of every term recurrence_sequence
+# returns, which a Decimal does not have.
+def _iterate(lags: Sequence, initial: Sequence, n_max: int) -> list:
+    """a_0 .. a_{n_max} of a_n = sum_i lags[i-1] * a_{n-i}, taking a_m = 0 for m < 0.
 
-    With no lags, every term past `initial` is 0.
+    The terms are `initial`'s own values, then sums of lag * term products, so
+    they keep the type they are given: ints give ints, and `decimal.Decimal`
+    values in an exact context give Decimals. With no lags, every term past
+    `initial` is the int 0.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    vals = [int(a) for a in initial[: n_max + 1]]
+    vals = list(initial[: n_max + 1])
     reversed_lags = tuple(reversed(lags))
     # the last len(lags) terms, oldest first; zeros stand for those before a_0
     window = deque([0] * len(lags), maxlen=len(lags))
@@ -411,6 +423,40 @@ def recurrence_sequence(lags: Sequence[int], initial: Sequence[int], n_max: int)
         vals.append(v)
         window.append(v)
     return vals
+
+
+def recurrence_sequence(lags: Sequence[int], initial: Sequence[int], n_max: int) -> list[int]:
+    """a_0 .. a_{n_max} by exact iteration, taking a_m = 0 for m < 0.
+
+    With no lags, every term past `initial` is 0. The terms have the type of
+    `lags` and `initial`, and nothing is coerced: ints in give ints out. (The
+    catalog holds ints only; `load_catalog` rejects any other value.)
+    """
+    return _iterate(lags, initial, n_max)
+
+
+def recurrence_text(lags: Sequence[int], initial: Sequence[int], n_max: int) -> Iterator[str]:
+    """`str` of each term `recurrence_sequence` gives, in time linear in the
+    length of the text.
+
+    CPython turns an int into decimal text in time quadratic in its digits
+    (hence its 4300-digit cap); a `decimal.Decimal` is stored in base-10
+    limbs, so its text costs one pass. So the recurrence runs on Decimals, in
+    a context whose precision and exponent range no integer here can reach
+    and that traps every rounding: a term that could not be held exactly
+    would raise, never print a wrong digit. The context is local to the run,
+    and the text is made after it, as the caller reads it. `decimal` is
+    imported here, not at the top, so that importing the package does not
+    load it.
+    """
+    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                         InvalidOperation, Overflow, Rounded, localcontext)
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                    traps=[Inexact, Rounded, InvalidOperation, Overflow])
+    with localcontext(exact):
+        terms = _iterate(tuple(map(Decimal, lags)), tuple(map(Decimal, initial)), n_max)
+    return map(str, terms)
 
 
 def rational_from_recurrence(lags: Sequence[int], initial: Sequence[int]) -> UnivarRational:

@@ -204,6 +204,50 @@ def test_unknown_catalog_key_is_rejected_with_its_path(monkeypatch, where, key, 
         _load_edited(monkeypatch, lambda raw: where(raw).update({key: 0}))
 
 
+# every number the loader reads: a recurrence's lags, initial values and
+# valid_from, a candidate's offset, a check's n and counts, and an identity's
+# range and term fields
+@pytest.mark.parametrize("path, value", [
+    (("families", 0, "recurrence", "lags", 0), 1.0),
+    (("families", 0, "recurrence", "lags", 1), True),
+    (("families", 0, "recurrence", "initial", 1), 3.5),
+    (("families", 0, "recurrence", "initial", 1), "3"),
+    (("families", 0, "recurrence", "initial", 1), True),
+    (("families", 0, "recurrence", "valid_from"), 2.5),
+    (("families", 0, "recurrence", "valid_from"), None),
+    (("families", 4, "gf_candidates", 0, "offset"), 0.5),
+    (("families", 4, "gf_candidates", 0, "offset"), "1"),
+    (("families", 2, "boundary_checks", 1, "n"), True),
+    (("families", 2, "boundary_checks", 1, "counts", "2"), 2.5),
+    (("transfer_identities", 3, "valid_from"), True),
+    (("transfer_identities", 3, "stated_from"), "1"),
+    (("transfer_identities", 3, "rhs", 0, "mult"), 1.0),
+    (("transfer_identities", 3, "rhs", 1, "n_shift"), 1.0),
+    (("transfer_identities", 3, "rhs", 1, "k_shift"), 0.5),
+], ids=["lags-float", "lags-bool", "initial-float", "initial-string", "initial-bool",
+        "valid_from-float", "valid_from-null", "offset-float", "offset-string", "check-n-bool",
+        "check-count-float", "identity-valid_from-bool", "identity-stated_from-string",
+        "term-mult-float", "term-n_shift-float", "term-k_shift-float"])
+def test_non_integer_catalog_value_is_rejected_with_its_path(monkeypatch, path, value):
+    # a float would be truncated or printed as one (`8.0`), a string or a
+    # boolean coerced: each is refused at load time instead
+    def edit(raw):
+        _walk(raw, path[:-1])[path[-1]] = value
+
+    json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    message = f"catalog value {json_path} is not an integer: {json.dumps(value)}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _load_edited(monkeypatch, edit)
+
+
+def test_recurrence_list_that_is_not_a_list_is_rejected(monkeypatch):
+    def edit(raw):
+        raw["families"][0]["recurrence"]["lags"] = "11"
+
+    with pytest.raises(ValueError, match=re.escape('catalog value $.families[0].recurrence.lags is not a list: "11"')):
+        _load_edited(monkeypatch, edit)
+
+
 def _catalog_objects():
     """{kind: (keys the loader reads, paths of that kind's objects)} over the
     committed catalog; `_schema` and the `counts` maps are free-form, so not

@@ -1,17 +1,25 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import contextlib
+import decimal
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import parse_dot
 from cactus_mis import catalog as catalog_mod
 from cactus_mis import cli
 from cactus_mis.cli import main
+from cactus_mis.catalog import load_catalog
 from cactus_mis.graphs import FAMILY_IDS
+from cactus_mis.series import recurrence_sequence
 from cactus_mis.verify import run_verification
 
 
@@ -204,6 +212,73 @@ def test_series_prints_counts_beyond_the_int_str_digit_cap(capsys):
     last = out.splitlines()[-1]
     assert last.startswith("7042: ") and len(last) == len("7042: ") + 4301
     assert sys.get_int_max_str_digits() == digits
+
+
+def _series_text(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+def _assert_int_rows(out, lags, initial, n_max):
+    """`out` is the rows `series` prints from the int recurrence and int -> str;
+    a mismatch names its first row (a diff of megabytes of text would not)."""
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = [f"{n}: {v}\n" for n, v in enumerate(recurrence_sequence(lags, initial, n_max))]
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
+    got = out.splitlines(keepends=True)
+    bad = next((n for n, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"row {bad}: {got[bad][:200]!r} != {want[bad][:200]!r}"
+    assert len(got) == len(want)
+
+
+_VALUES = st.one_of(st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lags=st.lists(_VALUES, max_size=5), initial=st.lists(_VALUES, max_size=7),
+       n_max=st.integers(0, 40))
+@example(lags=[0], initial=[-5], n_max=3)  # 0 * -5 is a negative Decimal zero
+@example(lags=[1, 1], initial=[1, -1], n_max=3)  # a sum of nonzero terms that is 0
+@example(lags=[], initial=[7, -8], n_max=4)
+@example(lags=[2, 3], initial=[1, 2, 3, 4, 5], n_max=2)  # n_max below len(initial)
+def test_series_rows_equal_the_int_rows(lags, initial, n_max):
+    # the printed rows of a drawn recurrence, whatever its signs, zeros and
+    # digit counts, are byte for byte the int path's
+    record = load_catalog().family("triangular")
+    rec = record.recurrence._replace(lags=tuple(lags), initial=tuple(initial))
+    fake = types.SimpleNamespace(family=lambda family_id: record._replace(recurrence=rec))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "load_catalog", lambda: fake)
+        out = _series_text(["series", "--family", "triangular", "--n-max", str(n_max)])
+    _assert_int_rows(out, lags, initial, n_max)
+
+
+@pytest.mark.parametrize("family, n_max", [*((f, 3000) for f in FAMILY_IDS), ("para-hexagonal", 7100)])
+def test_series_rows_of_the_catalog_equal_the_int_rows(family, n_max):
+    # para-hexagonal at 7100 runs past CPython's 4300-digit int -> str cap
+    rec = load_catalog().family(family).recurrence
+    out = _series_text(["series", "--family", family, "--n-max", str(n_max)])
+    _assert_int_rows(out, rec.lags, rec.initial, n_max)
+
+
+def test_series_ignores_and_keeps_the_callers_decimal_context():
+    # the command's exact arithmetic runs in a context of its own: a caller's
+    # low precision changes no digit, and the caller's context (precision,
+    # flags, traps) is as it was when the command returns
+    argv = ["series", "--family", "ortho-hexagonal", "--n-max", "300"]
+    plain = _series_text(argv)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        before = repr(ctx)
+        assert _series_text(argv) == plain
+        assert decimal.getcontext() is ctx and repr(ctx) == before
 
 
 _UNDER_MEMORY_CAP = """

@@ -21,6 +21,7 @@ from cactus_mis.series import (
     rational_from_recurrence,
     recurrence_from_gf,
     recurrence_sequence,
+    recurrence_text,
     reduce_fraction,
     series_in_x,
     specialize_y1,
@@ -296,10 +297,16 @@ def _recurrence_by_definition(lags, initial, n_max):
     ((1, 1), (1, 3, 5, 7), 2, [1, 3, 5]),  # n_max below len(initial)
     ((1, 1), (1, 3), 0, [1]),
     ((1, 1), (), 0, [0]),
+    # a zero lag or term makes a Decimal -0 (0 * -5); each term is a sum that
+    # starts from the int 0, and 0 + -0 is 0, so recurrence_text prints "0"
+    ((0,), (-5,), 2, [-5, 0, 0]),
+    ((-3, 0), (0, -1), 3, [0, -1, 3, -9]),
+    ((1, 1), (1, -1), 3, [1, -1, 0, -1]),  # nonzero terms that sum to 0
 ])
 def test_recurrence_sequence_edge_cases(lags, initial, n_max, expected):
     assert recurrence_sequence(lags, initial, n_max) == expected
     assert _recurrence_by_definition(lags, initial, n_max) == expected
+    assert list(recurrence_text(lags, initial, n_max)) == [str(v) for v in expected]
 
 
 def test_recurrence_sequence_matches_definition_on_random_inputs():
@@ -312,6 +319,21 @@ def test_recurrence_sequence_matches_definition_on_random_inputs():
         got = recurrence_sequence(lags, initial, n_max)
         assert got == _recurrence_by_definition(lags, initial, n_max), (lags, initial, n_max)
         assert len(got) == n_max + 1 and all(type(v) is int for v in got)
+        assert list(recurrence_text(lags, initial, n_max)) == [str(v) for v in got]
+
+
+def test_recurrence_sequence_keeps_the_type_of_its_values():
+    from fractions import Fraction
+
+    half = Fraction(1, 2)
+    assert recurrence_sequence((half,), (Fraction(3),), 2) == [3, Fraction(3, 2), Fraction(3, 4)]
+    assert all(type(v) is Fraction for v in recurrence_sequence((half,), (Fraction(3),), 2))
+
+
+@pytest.mark.parametrize("fn", [recurrence_sequence, recurrence_text])
+def test_recurrence_rejects_a_negative_depth(fn):
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        fn((1, 1), (1, 3), -1)
 
 
 def test_recurrence_reproduces_series_to_50(catalog):

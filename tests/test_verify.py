@@ -388,6 +388,20 @@ def test_failed_child_fails_the_pooled_run(catalog, monkeypatch, fail, error):
     _assert_no_child_left()
 
 
+def test_failed_child_ends_the_command_in_one_error_line(monkeypatch, capsys):
+    # a child that sends nothing back fails the command with one error line
+    # and exit 1, not a traceback, and no report is written
+    from cactus_mis import cli
+
+    monkeypatch.setattr(_pool, "oracle_distribution", _exit_silently)
+    assert cli.main(["verify", "--scope", "all", "--workers", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: pool child ") and err.endswith(" after sending 0 bytes\n")
+    assert err.count("\n") == 1
+    _assert_no_child_left()
+
+
 def test_pooled_run_leaves_no_child(catalog):
     run_verification(catalog, scope="identities", workers=2)
     _assert_no_child_left()
