@@ -13,6 +13,7 @@ from .graphs import (
     Graph,
     build_graph,
     family_spec,
+    graph_labels,
     graph_order,
 )
 from .oracle import (
@@ -49,7 +50,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "FAMILIES", "FAMILY_IDS", "FamilySpec", "Graph",
-    "build_graph", "family_spec", "graph_order",
+    "build_graph", "family_spec", "graph_labels", "graph_order",
     "DEFAULT_VERTEX_LIMIT", "SizeDistribution", "VertexLimitExceeded",
     "enumerate_mis",
     "BivarPoly", "RationalGF", "UnivarPoly", "UnivarRational",

@@ -146,12 +146,6 @@ class Catalog(NamedTuple):
                 return rec
         raise KeyError(f"unknown family {family_id!r}")
 
-    def identity(self, identity_id: str) -> TransferIdentity:
-        for ident in self.identities:
-            if ident.identity_id == identity_id:
-                return ident
-        raise KeyError(f"unknown identity {identity_id!r}")
-
 
 def _data_text(name: str) -> Optional[str]:
     """Text of `data/<name>` beside this module (package-data ships it there), or None."""
@@ -195,6 +189,15 @@ def _int(value, *path) -> int:
     if type(value) is not int:  # bool is a subclass of int
         raise ValueError(f"catalog value {_json_path(path)} is not an integer: {json.dumps(value)}")
     return value
+
+
+def _size(key: str, *path) -> int:
+    """A boundary check's `counts` key as a set size: canonical non-negative
+    decimal text only, so `" 2"`, `"02"`, `"+2"` or a non-ASCII digit cannot
+    name size 2 beside `"2"`."""
+    if not (key.isascii() and key.isdigit() and key == str(int(key))):
+        raise ValueError(f"catalog key {_json_path(path)} is not a set size: {json.dumps(key)}")
+    return int(key)
 
 
 def _ints(values, *path) -> tuple[int, ...]:
@@ -281,7 +284,8 @@ def _parse_catalog(text: str) -> Catalog:
                 kind=c["kind"],
                 n=_int(c["n"], "families", i, "boundary_checks", j, "n"),
                 claimed=SizeDistribution({
-                    int(k): _int(v, "families", i, "boundary_checks", j, "counts", k)
+                    _size(k, "families", i, "boundary_checks", j, "counts", k):
+                        _int(v, "families", i, "boundary_checks", j, "counts", k)
                     for k, v in c["counts"].items()}),
             )
             for j, c in enumerate(fam_raw["boundary_checks"])

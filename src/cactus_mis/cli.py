@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (and, for verify, no refuted claims), 1 refuted claims,
-resource limit, a failed worker process or a reader that closed stdout early,
-2 usage errors.
+resource limit, a failed worker process, a reader that closed stdout early or
+an `--output` file that cannot be opened or written (one `error: cannot
+write <path>: <reason>` line), 2 usage errors.
 
 Every command writes through `_write`, which passes an iterable of strings to
 `writelines` on stdout or on the `--output` file. `series` hands it one line
@@ -29,7 +30,7 @@ from typing import Iterable, Optional
 from . import asymptotics as asym
 from .catalog import load_catalog
 from .emit import emit
-from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, build_graph
+from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, build_graph, graph_labels
 from .oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded
 from .series import recurrence_sequence, recurrence_text, series_in_x
 from .verify import (has_refuted, oracle_distribution, report_to_json, report_to_table,
@@ -109,18 +110,31 @@ def _vertex_limit(args) -> int:
     return limit
 
 
+class _Unwritable(Exception):
+    """The `--output` file could not be opened or written.
+
+    Not caught as a plain OSError in `main`: a failed `os.fork` in a pooled
+    verify is one too, and names no file.
+    """
+
+
 def _write(parts: Iterable[str], path: Optional[str]) -> None:
     """Write the strings of `parts` in turn to stdout, or to the file at `path`."""
     if path is None:
         sys.stdout.writelines(parts)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_build(args) -> int:
-    g = build_graph(args.family, args.n, args.aux or "family")
-    _write([emit(g, args.format, family=args.family, n=args.n, aux=args.aux)], args.output)
+    kind = args.aux or "family"
+    g = build_graph(args.family, args.n, kind)
+    labels = graph_labels(args.family, args.n, kind)
+    _write([emit(g, labels, args.format, family=args.family, n=args.n, aux=args.aux)], args.output)
     return 0
 
 
@@ -246,6 +260,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except _Unwritable as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 1
     finally:
         if digits:

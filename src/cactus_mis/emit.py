@@ -1,34 +1,36 @@
 """Graph output formats: DOT, JSON, and flat edge lists.
 
-All emitters are deterministic. The DOT form carries one node per vertex with
-its structural label, then one line per edge.
+All emitters are deterministic. A `Graph` carries no text, so the DOT and
+JSON forms take the vertex labels beside it, one per vertex in vertex order
+(`build` passes `graphs.graph_labels` of the same family, n and kind). The
+DOT form carries one node per vertex with its label, then one line per edge.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import Graph
 
 
-def to_dot(g: Graph) -> str:
+def to_dot(g: Graph, labels: Sequence[str]) -> str:
     lines = ["graph cactus {"]
-    lines += [f'  v{v} [label="{label}"];' for v, label in enumerate(g.labels)]
+    lines += [f'  v{v} [label="{label}"];' for v, label in enumerate(labels)]
     lines += [f"  v{u} -- v{v};" for u, v in g.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def to_json(g: Graph, family: Optional[str] = None, n: Optional[int] = None,
-            aux: Optional[str] = None) -> str:
+def to_json(g: Graph, labels: Sequence[str], family: Optional[str] = None,
+            n: Optional[int] = None, aux: Optional[str] = None) -> str:
     payload = {
         "family": family,
         "aux": aux,
         "n": n,
         "vertex_count": g.vertex_count,
         "edges": [[u, v] for u, v in g.edges()],
-        "labels": {str(v): label for v, label in enumerate(g.labels)},
+        "labels": {str(v): label for v, label in enumerate(labels)},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -38,12 +40,15 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def emit(g: Graph, fmt: str, family: Optional[str] = None, n: Optional[int] = None,
-         aux: Optional[str] = None) -> str:
+def emit(g: Graph, labels: Sequence[str], fmt: str, family: Optional[str] = None,
+         n: Optional[int] = None, aux: Optional[str] = None) -> str:
+    """`g` in format `fmt` ("dot", "json" or "edges"); `labels` names its vertices."""
+    if len(labels) != g.vertex_count:
+        raise ValueError(f"{len(labels)} labels for {g.vertex_count} vertices")
     if fmt == "dot":
-        return to_dot(g)
+        return to_dot(g, labels)
     if fmt == "json":
-        return to_json(g, family=family, n=n, aux=aux)
+        return to_json(g, labels, family=family, n=n, aux=aux)
     if fmt == "edges":
         return to_edge_list(g)
     raise ValueError(f"unknown graph format {fmt!r}")

@@ -9,20 +9,22 @@ Auxiliary graphs attach a small pendant tree ("gadget") at the anchor vertex,
 i.e. the vertex where block n+1 would attach. Each gadget is a set of pendant
 paths ("legs") hanging off the anchor.
 
-Vertex labels are the text the output formats print: `b<block>_p<pos>` on the
-cycles (1-based; a cut vertex keeps the earlier block's label), `root` for a
-gadget's anchor on the empty chain, and `g<leg>_<pos>` on the gadget legs.
+A `Graph` is the adjacency alone. The text labels that `build`'s output
+formats print come from `graph_labels(family_id, n, kind)`, in the builder's
+vertex order: `b<block>_p<pos>` on the cycles (1-based; a cut vertex keeps
+the earlier block's label), `root` for a gadget's anchor on the empty chain,
+and `g<leg>_<pos>` on the gadget legs. Only `build` formats them; `verify`
+and `census` never do.
 
 The builder writes each vertex's neighbor mask directly, with no edge list,
-and skips the edge checks of `Graph(vertex_count, edges, labels)` through
+and skips the edge checks of `Graph(vertex_count, edges)` through
 `Graph._trusted`. So the builder keeps that contract itself: symmetric,
-loop-free masks and one label per vertex. Every other caller goes through
-`Graph(...)`.
+loop-free masks. Every other caller goes through `Graph(...)`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._frozen import Frozen
 
@@ -88,15 +90,14 @@ class Graph(Frozen):
 
     Adjacency is one neighbor bitmask per vertex: bit u of `masks[v]` is set
     iff uv is an edge. Construction from an edge list enforces simplicity
-    (no loops, no parallel edges). Each vertex has a text label, `v<i>` if
-    none is given. `build_graph` writes the masks itself and constructs
-    through `_trusted`, unchecked.
+    (no loops, no parallel edges). Two graphs are equal when they have the
+    same vertex count and the same edges. `build_graph` writes the masks
+    itself and constructs through `_trusted`, unchecked.
     """
 
-    __slots__ = ("vertex_count", "masks", "labels")
+    __slots__ = ("vertex_count", "masks")
 
-    def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int]],
-                 labels: Optional[Sequence[str]] = None):
+    def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int]]):
         masks = [0] * vertex_count
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -107,28 +108,24 @@ class Graph(Frozen):
                 raise ValueError(f"parallel edge ({u}, {v})")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        if labels is not None and len(labels) != vertex_count:
-            raise ValueError("label count does not match vertex count")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "labels", tuple(labels or (f"v{v}" for v in range(vertex_count))))
 
     @classmethod
-    def _trusted(cls, masks: tuple[int, ...], labels: tuple[str, ...]) -> "Graph":
-        """A graph from its neighbor masks and labels, taken unchecked.
+    def _trusted(cls, masks: tuple[int, ...]) -> "Graph":
+        """A graph from its neighbor masks, taken unchecked.
 
         The caller guarantees what `__init__` would check: the masks are
-        symmetric (bit u of masks[v] iff bit v of masks[u]) and loop-free,
-        and there is one label per vertex. Only `build_graph` calls it.
+        symmetric (bit u of masks[v] iff bit v of masks[u]) and loop-free.
+        Only `build_graph` calls it.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "vertex_count", len(masks))
         object.__setattr__(g, "masks", masks)
-        object.__setattr__(g, "labels", labels)
         return g
 
     def __reduce__(self):
-        return Graph, (self.vertex_count, tuple(self.edges()), self.labels)
+        return Graph, (self.vertex_count, tuple(self.edges()))
 
     @property
     def edge_count(self) -> int:
@@ -149,16 +146,23 @@ class Graph(Frozen):
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
-def _gadget_legs(family_id: str, kind: str) -> tuple[int, ...]:
-    """Leg lengths of the kind's gadget, () for "family"; ValueError if the family has none."""
+def _shape(family_id: str, n: int, kind: str) -> tuple[FamilySpec, tuple[int, ...]]:
+    """The family's spec and the leg lengths of the kind's gadget, () for "family".
+
+    ValueError for an unknown family or kind, a negative n, or a family
+    that has no gadget of the kind.
+    """
+    spec = family_spec(family_id)
+    if n < 0:
+        raise ValueError("block count must be >= 0")
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
     if kind == "family":
-        return ()
+        return spec, ()
     table = BAR_GADGETS if kind == "bar" else TILDE_GADGETS
-    if family_id not in table:
-        raise ValueError(f"no {kind} auxiliary graph for family {family_id!r}")
-    return table[family_id]
+    if spec.family_id not in table:
+        raise ValueError(f"no {kind} auxiliary graph for family {spec.family_id!r}")
+    return spec, table[spec.family_id]
 
 
 def build_graph(family_id: str, n: int, kind: str = "family") -> Graph:
@@ -172,47 +176,45 @@ def build_graph(family_id: str, n: int, kind: str = "family") -> Graph:
     Each block's neighbor masks are written directly, with no edge list: a
     block adds k-1 vertices first..last after its entry vertex, in cycle
     order, so an inner one u is adjacent to u-1 and u+1 (`5 << (u - 1)`),
-    and the two ends and the entry get their bits by hand.
+    and the two ends and the entry get their bits by hand. The vertex
+    order is the one `graph_labels` names.
     """
-    spec = family_spec(family_id)
-    if n < 0:
-        raise ValueError("block count must be >= 0")
-    legs = _gadget_legs(spec.family_id, kind)
+    spec, legs = _shape(family_id, n, kind)
     k, d = spec.cycle_len, spec.attach_dist
-    suffixes = [f"_p{pos}" for pos in range(2, k + 1)]
     masks: list[int] = []
-    labels: list[str] = []
     if n or legs:  # block 1's entry, or the root a gadget hangs on
         masks.append(0)
-        labels.append("b1_p1" if n else "root")
     anchor = 0  # vertex 0, then after each block the vertex where the next attaches
-    for block_no in range(1, n + 1):
+    for _ in range(n):
         first = len(masks)
         last = first + k - 2
         masks.append(1 << anchor | 2 << first)
         masks += [5 << (u - 1) for u in range(first + 1, last)]
         masks.append(1 << (last - 1) | 1 << anchor)
         masks[anchor] |= 1 << first | 1 << last
-        prefix = f"b{block_no}"
-        labels += [prefix + suffix for suffix in suffixes]
         anchor = first + d - 1  # cycle position d+1 of this block
-    for leg_no, length in enumerate(legs, start=1):
+    for length in legs:
         prev = anchor
-        for pos in range(1, length + 1):
+        for _ in range(length):
             v = len(masks)
             masks.append(1 << prev)
             masks[prev] |= 1 << v
-            labels.append(f"g{leg_no}_{pos}")
             prev = v
-    return Graph._trusted(tuple(masks), tuple(labels))
+    return Graph._trusted(tuple(masks))
+
+
+def graph_labels(family_id: str, n: int, kind: str = "family") -> list[str]:
+    """The text label of each vertex of build_graph(family_id, n, kind), in vertex order."""
+    spec, legs = _shape(family_id, n, kind)
+    labels = ["b1_p1" if n else "root"] if n or legs else []
+    labels += [f"b{b}_p{pos}" for b in range(1, n + 1) for pos in range(2, spec.cycle_len + 1)]
+    labels += [f"g{leg}_{pos}" for leg, length in enumerate(legs, 1) for pos in range(1, length + 1)]
+    return labels
 
 
 def graph_order(family_id: str, n: int, kind: str = "family") -> int:
     """Vertex count of build_graph(family_id, n, kind) without building it."""
-    spec = family_spec(family_id)
-    if n < 0:
-        raise ValueError("block count must be >= 0")
-    legs = _gadget_legs(spec.family_id, kind)
+    spec, legs = _shape(family_id, n, kind)
     chain = (spec.cycle_len - 1) * n + 1 if n else 0
     if not legs:
         return chain

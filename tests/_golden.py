@@ -13,7 +13,9 @@ arguments. The grid is, in file order:
 - `census --format csv` and `table` for every family x kind at n = 3;
 - `verify` in scopes `all`, `identities` and `asymptotics` x `--format json`
   and `table`, and in scope `family` for every family;
-- the usage errors of `series`, `estimate` and `verify`.
+- the usage errors of `series`, `estimate` and `verify`;
+- an `--output` that cannot be opened: a path under a missing directory, and
+  a directory.
 
 Stderr is hashed with each run of whitespace made one space: argparse wraps
 its usage lines by the terminal width, and CPython 3.13 breaks them at other
@@ -61,6 +63,13 @@ OTHER_USAGE_ERRORS = (
     ["estimate", "--family", "triangular", "--n", "-5"],
 )
 
+# an --output file that cannot be opened: its directory is missing, or it is
+# one (the working directory)
+UNWRITABLE_OUTPUTS = (
+    ["build", "--family", "triangular", "--n", "2", "--output", "/nonexistent/dir/g.dot"],
+    ["series", "--family", "triangular", "--n-max", "3", "--output", "."],
+)
+
 
 def grid() -> list[list[str]]:
     """Every command line of the golden grid, in file order."""
@@ -82,6 +91,7 @@ def grid() -> list[list[str]]:
               for scope in ("all", "identities", "asymptotics") for fmt in ("json", "table")]
     lines += [["verify", "--scope", "family", "--family", fam] for fam in FAMILY_IDS]
     lines += [list(args) for args in OTHER_USAGE_ERRORS]
+    lines += [list(args) for args in UNWRITABLE_OUTPUTS]
     return lines
 
 

@@ -24,8 +24,10 @@ must match bit for bit.
 back the DOT text of `cactus_mis.emit.to_dot`; only the tests use them.
 
 `chain_graph_reference` builds a chain's edge list block by block and hands it
-to the validating `Graph(...)`; it is the reference for `build_graph`, which
-writes neighbor masks directly and skips those checks.
+to the validating `Graph(...)`, naming each vertex as it adds it; it is the
+reference for `build_graph`, which writes neighbor masks directly and skips
+those checks, and for `graph_labels`, which names the vertices apart from
+any graph.
 """
 
 import itertools
@@ -191,7 +193,8 @@ def reduce_fraction_over_q(r):
 
 
 def chain_graph_reference(family_id, n, kind="family"):
-    """Reference for `cactus_mis.graphs.build_graph`, through an edge list.
+    """Reference for `cactus_mis.graphs.build_graph` and `graph_labels`,
+    through an edge list: the graph and its vertex labels.
 
     Each block is a k-cycle whose position 1 is the previous block's anchor,
     the vertex at cycle distance d from that block's entry; the kind's
@@ -218,7 +221,7 @@ def chain_graph_reference(family_id, n, kind="family"):
             edges.append((prev, len(labels)))
             prev = len(labels)
             labels.append(f"g{leg_no}_{pos}")
-    return Graph(len(labels), edges, labels)
+    return Graph(len(labels), edges), labels
 
 
 def last_n_within_walk(family_id, kind, cap):

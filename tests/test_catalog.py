@@ -240,6 +240,20 @@ def test_non_integer_catalog_value_is_rejected_with_its_path(monkeypatch, path, 
         _load_edited(monkeypatch, edit)
 
 
+# a size key is canonical decimal text, so no second spelling of size 2 can
+# sit beside "2" and overwrite its count
+@pytest.mark.parametrize("key", [" 2", "2 ", "\u0662", "02", "+2", "-1", "x", ""],
+                         ids=["leading-space", "trailing-space", "arabic-indic-digit",
+                              "leading-zero", "plus-sign", "negative", "letter", "empty"])
+def test_boundary_check_size_key_that_is_not_canonical_is_rejected(monkeypatch, key):
+    def edit(raw):
+        raw["families"][2]["boundary_checks"][1]["counts"][key] = 1
+
+    message = f"catalog key $.families[2].boundary_checks[1].counts.{key} is not a set size: {json.dumps(key)}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _load_edited(monkeypatch, edit)
+
+
 def test_recurrence_list_that_is_not_a_list_is_rejected(monkeypatch):
     def edit(raw):
         raw["families"][0]["recurrence"]["lags"] = "11"

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -170,6 +171,26 @@ def test_stdout_and_output_file_are_byte_identical(argv, tmp_path, capsys):
     code, file_out, err = run_cli([*argv, "--output", str(target)], capsys)
     assert (code, file_out, err) == (0, "", "")
     assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "triangular", "--n", "2"],
+    ["series", "--family", "triangular", "--n-max", "3"],
+    ["verify", "--scope", "family", "--family", "square", "--n-max", "2"],
+], ids=["build", "series", "verify"])
+@pytest.mark.parametrize("where, reason", [
+    (lambda tmp: tmp / "missing" / "out.txt", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+    (lambda tmp: Path("/dev/full"), "No space left on device"),
+], ids=["missing-directory", "a-directory", "full-device"])
+def test_unwritable_output_is_one_error_line(argv, where, reason, tmp_path, capsys):
+    # an --output that cannot be opened, or whose write fails, ends the
+    # command with one line and exit 1, not a traceback
+    target = where(tmp_path)
+    if reason == "No space left on device" and not target.exists():
+        pytest.skip("no /dev/full on this platform")
+    code, out, err = run_cli([*argv, "--output", str(target)], capsys)
+    assert (code, out, err) == (1, "", f"error: cannot write {target}: {reason}\n")
 
 
 def test_closed_pipe_stops_quietly():

@@ -1,4 +1,8 @@
-"""Emitters: DOT label round-trip, JSON and edge-list shapes."""
+"""Emitters: DOT label round-trip, JSON and edge-list shapes.
+
+A `Graph` carries no labels: each emitter that prints them takes
+`graph_labels` of the same family, n and kind beside the graph.
+"""
 
 import json
 
@@ -6,7 +10,7 @@ import pytest
 
 from _oracles import parse_dot
 from cactus_mis.emit import emit, to_dot, to_edge_list, to_json
-from cactus_mis.graphs import build_graph
+from cactus_mis.graphs import build_graph, graph_labels
 
 
 # the chain itself keeps its earlier id "None", so test ids stay stable
@@ -17,16 +21,16 @@ from cactus_mis.graphs import build_graph
     ("square", "family", 0),
 ], ids=lambda value: "None" if value == "family" else None)
 def test_dot_round_trip(fam, kind, n):
-    g = build_graph(fam, n, kind)
-    vertex_count, edges, labels = parse_dot(to_dot(g))
+    g, names = build_graph(fam, n, kind), graph_labels(fam, n, kind)
+    vertex_count, edges, labels = parse_dot(to_dot(g, names))
     assert vertex_count == g.vertex_count
     assert sorted(edges) == sorted(g.edges())
-    assert labels == dict(enumerate(g.labels))
+    assert labels == dict(enumerate(names))
 
 
 def test_json_payload():
     g = build_graph("pentagonal", 1)
-    payload = json.loads(to_json(g, family="pentagonal", n=1))
+    payload = json.loads(to_json(g, graph_labels("pentagonal", 1), family="pentagonal", n=1))
     assert payload["family"] == "pentagonal"
     assert payload["n"] == 1
     assert payload["labels"]["0"] == "b1_p1"
@@ -41,7 +45,14 @@ def test_edge_list():
 
 def test_unknown_format():
     with pytest.raises(ValueError):
-        emit(build_graph("square", 1), "svg")
+        emit(build_graph("square", 1), graph_labels("square", 1), "svg")
+
+
+def test_emit_rejects_label_count_mismatch():
+    # the label count is checked where labels meet a graph, in every format
+    for fmt in ("dot", "json", "edges"):
+        with pytest.raises(ValueError, match="^1 labels for 2 vertices$"):
+            emit(build_graph("triangular", 0, "bar"), ["root"], fmt)
 
 
 def test_parse_dot_rejects_noise():

@@ -21,6 +21,7 @@ from cactus_mis.graphs import (
     Graph,
     build_graph,
     family_spec,
+    graph_labels,
     graph_order,
     last_n_within,
 )
@@ -39,13 +40,13 @@ def cuts(g):
     return set(nx.articulation_points(to_nx(g)))
 
 
-def anchor_of(g, spec, n):
-    """Vertex where block n+1 or a gadget attaches, read off the labels.
+def anchor_of(labels, spec, n):
+    """Vertex where block n+1 or a gadget attaches, read off a graph's labels.
 
     Block n's cycle position d+1 is the next block's entry (a shared vertex
     keeps the earlier block's label); with no blocks the gadget hangs on the root.
     """
-    return g.labels.index(f"b{n}_p{spec.attach_dist + 1}" if n else "root")
+    return labels.index(f"b{n}_p{spec.attach_dist + 1}" if n else "root")
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
@@ -69,8 +70,9 @@ def test_aux_gadget_deltas(spec, kind, n):
     if spec.family_id not in table:
         with pytest.raises(ValueError):
             build_graph(spec.family_id, n, kind)
-        with pytest.raises(ValueError, match=f"no {kind} auxiliary graph"):
-            graph_order(spec.family_id, n, kind)
+        for func in (graph_order, graph_labels):
+            with pytest.raises(ValueError, match=f"no {kind} auxiliary graph"):
+                func(spec.family_id, n, kind)
         return
     g = build_graph(spec.family_id, n, kind)
     base_v = (spec.cycle_len - 1) * n + 1 if n >= 1 else 1
@@ -101,12 +103,12 @@ def test_expected_gadget_sizes():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
 @pytest.mark.parametrize("n", range(1, 9))
 def test_block_decomposition(spec, n):
-    g = build_graph(spec.family_id, n)
-    G = to_nx(g)
+    G = to_nx(build_graph(spec.family_id, n))
+    labels = graph_labels(spec.family_id, n)
     blocks = [frozenset(b) for b in nx.biconnected_components(G)]
     assert len(blocks) == n
     cut_set = set(nx.articulation_points(G))
-    assert cut_set == {anchor_of(g, spec, i) for i in range(1, n)}
+    assert cut_set == {anchor_of(labels, spec, i) for i in range(1, n)}
     if n >= 2:
         end_blocks = [b for b in blocks if len(b & cut_set) == 1]
         assert len(end_blocks) == 2
@@ -149,10 +151,11 @@ def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
     spec = family_spec(family_id)
     legs = (BAR_GADGETS if kind == "bar" else TILDE_GADGETS)[family_id]
     g = build_graph(family_id, n, kind)
-    expected = {anchor_of(g, spec, i) for i in range(1, n)}
+    labels = graph_labels(family_id, n, kind)
+    expected = {anchor_of(labels, spec, i) for i in range(1, n)}
     if n >= 1 or len(legs) >= 2:
-        expected.add(anchor_of(g, spec, n))
-    for v, label in enumerate(g.labels):
+        expected.add(anchor_of(labels, spec, n))
+    for v, label in enumerate(labels):
         if label.startswith("g"):  # g<leg>_<pos>
             leg, pos = map(int, label[1:].split("_"))
             if pos < legs[leg - 1]:
@@ -164,7 +167,7 @@ def test_cut_vertices_match_networkx_on_aux(kind, family_id, n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_anchor_is_a_degree_two_cycle_vertex(spec, n):
     g = build_graph(spec.family_id, n)
-    a = anchor_of(g, spec, n)
+    a = anchor_of(graph_labels(spec.family_id, n), spec, n)
     assert g.masks[a].bit_count() == 2
     assert a not in cuts(g)
 
@@ -173,7 +176,7 @@ def test_cut_vertices_examples():
     c5 = build_graph("pentagonal", 1)
     assert cuts(c5) == set()
     bowtie = build_graph("triangular", 2)
-    assert cuts(bowtie) == {anchor_of(bowtie, family_spec("triangular"), 1)}
+    assert cuts(bowtie) == {anchor_of(graph_labels("triangular", 2), family_spec("triangular"), 1)}
     sq3 = build_graph("square", 3)
     assert len(cuts(sq3)) == 2
 
@@ -216,9 +219,8 @@ ANCHOR_DELETION_KIND = {
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family_id)
 @pytest.mark.parametrize("n", range(1, 5))
 def test_anchor_deletion_yields_smaller_aux_graph(spec, n):
-    g = build_graph(spec.family_id, n)
-    G = to_nx(g)
-    G.remove_node(anchor_of(g, spec, n))
+    G = to_nx(build_graph(spec.family_id, n))
+    G.remove_node(anchor_of(graph_labels(spec.family_id, n), spec, n))
     expected = build_graph(spec.family_id, n - 1, ANCHOR_DELETION_KIND[spec.family_id])
     assert nx.is_isomorphic(G, to_nx(expected))
 
@@ -229,7 +231,7 @@ def test_last_block_deletion_yields_smaller_family(spec, n):
     # dropping every vertex of block n except its entry leaves the (n-1)-chain
     g = build_graph(spec.family_id, n)
     G = to_nx(g)
-    entry = anchor_of(g, spec, n - 1)
+    entry = anchor_of(graph_labels(spec.family_id, n), spec, n - 1)
     block_n = set(range(g.vertex_count - (spec.cycle_len - 1), g.vertex_count))
     assert entry not in block_n
     G.remove_nodes_from(block_n)
@@ -241,22 +243,40 @@ def test_builder_matches_edge_list_reference(kind, family_id):
     # the builder writes masks unchecked; the reference goes through Graph(...)
     for n in range(31):
         g = build_graph(family_id, n, kind)
-        assert g == chain_graph_reference(family_id, n, kind), n
-        assert len(g.labels) == g.vertex_count == len(g.masks)
+        assert g == chain_graph_reference(family_id, n, kind)[0], n
+        assert g.vertex_count == len(g.masks)
         for v, m in enumerate(g.masks):
             assert not m >> v & 1, (n, v)
             assert all(g.masks[u] >> v & 1 for u in range(g.vertex_count) if m >> u & 1), (n, v)
         assert pickle.loads(pickle.dumps(g)) == g
 
 
+@pytest.mark.parametrize("kind,family_id", KIND_PAIRS, ids=[f"{k}-{f}" for k, f in KIND_PAIRS])
+@pytest.mark.parametrize("n", range(0, 13))
+def test_labels_match_reference(kind, family_id, n):
+    # one label per vertex, naming the builder's vertices in the order the
+    # reference adds them
+    labels = graph_labels(family_id, n, kind)
+    assert len(labels) == graph_order(family_id, n, kind)
+    assert labels == chain_graph_reference(family_id, n, kind)[1]
+
+
 def test_labels_are_reproducible():
-    g = build_graph("triangular", 2)
-    assert g.labels == ("b1_p1", "b1_p2", "b1_p3", "b2_p2", "b2_p3")
-    aux = build_graph("triangular", 1, "bar")
-    assert aux.labels[aux.vertex_count - 1] == "g1_1"
-    root = build_graph("diamond", 0, "bar")
-    assert root.labels[0] == "root"
-    assert Graph(2, [(0, 1)]).labels == ("v0", "v1")
+    assert graph_labels("triangular", 2) == ["b1_p1", "b1_p2", "b1_p3", "b2_p2", "b2_p3"]
+    assert graph_labels("triangular", 1, "bar")[-1] == "g1_1"
+    assert graph_labels("diamond", 0, "bar") == ["root", "g1_1", "g2_1"]
+    assert graph_labels("square", 0) == []
+
+
+def test_graph_is_its_adjacency_alone():
+    # equal edges make equal graphs, however listed; a pickle carries
+    # (vertex_count, edges) and nothing else
+    g = build_graph("triangular", 1)
+    same = Graph(3, [(1, 2), (2, 0), (0, 1)])
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph(4, [(0, 1), (0, 2), (1, 2)])
+    assert g.__reduce__() == (Graph, (3, ((0, 1), (0, 2), (1, 2))))
+    assert Graph.__slots__ == ("vertex_count", "masks")
 
 
 @pytest.mark.parametrize("kind,family_id", KIND_PAIRS, ids=[f"{k}-{f}" for k, f in KIND_PAIRS])
@@ -272,13 +292,14 @@ def test_last_n_within_matches_walk(kind, family_id):
 @pytest.mark.parametrize("kind,family_id", KIND_PAIRS, ids=[f"{k}-{f}" for k, f in KIND_PAIRS])
 @pytest.mark.parametrize("n", [-1, -3])
 def test_negative_block_count_rejected_by_builder_and_sizer(kind, family_id, n):
-    for func in (build_graph, graph_order):
+    for func in (build_graph, graph_order, graph_labels):
         with pytest.raises(ValueError, match="^block count must be >= 0$"):
             func(family_id, n, kind)
 
 
 @pytest.mark.parametrize("kind", [None, "foo"])
-@pytest.mark.parametrize("func", [build_graph, graph_order], ids=["build_graph", "graph_order"])
+@pytest.mark.parametrize("func", [build_graph, graph_order, graph_labels],
+                         ids=["build_graph", "graph_order", "graph_labels"])
 def test_unknown_kind_rejected(func, kind):
     with pytest.raises(ValueError, match=re.escape(str(GRAPH_KINDS))):
         func("triangular", 1, kind)
@@ -291,6 +312,8 @@ def test_unknown_family_rejected():
         build_graph("triangular", 1, "ring")
     with pytest.raises(ValueError):
         graph_order("triangular", 1, "ring")
+    with pytest.raises(ValueError):
+        graph_labels("heptagonal", 1)
     with pytest.raises(ValueError):
         build_graph("triangular", -1)
 
@@ -305,11 +328,6 @@ def test_unknown_family_rejected():
 def test_graph_rejects_non_simple_edges(edges, message):
     with pytest.raises(ValueError, match=message):
         Graph(3, edges)
-
-
-def test_graph_rejects_label_count_mismatch():
-    with pytest.raises(ValueError, match="label count"):
-        Graph(2, [(0, 1)], ["b1_p1"])
 
 
 def test_graph_from_random_simple_edge_sets():

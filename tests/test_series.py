@@ -402,8 +402,8 @@ VALUE_CASES = {
                    "num", ["RationalGF(num=BivarPoly(terms={(1, 1): 1}), den=BivarPoly(terms=",
                            "(1, 0): -1"]),
     "Graph": (lambda: build_graph("triangular", 1),
-              lambda: Graph(3, [(2, 0), (1, 2), (0, 1)], ["b1_p1", "b1_p2", "b1_p3"]),
-              lambda: Graph(3, [(0, 1), (1, 2)], ["b1_p1", "b1_p2", "b1_p3"]),
+              lambda: Graph(3, [(2, 0), (1, 2), (0, 1)]),
+              lambda: Graph(3, [(0, 1), (1, 2)]),
               "masks", ["Graph(|V|=3, |E|=3)"]),
     "TransferTerm": (lambda: TransferTerm(2, "bar", 1, 0),
                      lambda: TransferTerm(mult=2, kind="bar", n_shift=1, k_shift=0),

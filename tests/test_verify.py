@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import last_n_within_walk
-from cactus_mis import _pool, verify
+from cactus_mis import _pool, graphs, verify
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
 from cactus_mis.series import series_in_x
@@ -25,6 +25,11 @@ from cactus_mis.verify import (
     verify_family,
     verify_transfer,
 )
+
+
+def _identity(catalog, identity_id):
+    """The catalog's transfer identity named `identity_id`."""
+    return next(ident for ident in catalog.identities if ident.identity_id == identity_id)
 
 
 @pytest.fixture(scope="module")
@@ -64,25 +69,44 @@ def test_family_resource_skip(catalog):
     assert all("reason" in e for e in result["entries"] if e["status"] == "SKIPPED")
 
 
+def test_full_run_formats_no_label(catalog, monkeypatch, full_report):
+    # vertex labels are text for `build`'s output only: a full run never asks
+    # for them, and the graphs it counts carry none
+    def no_labels(*args):
+        raise AssertionError(f"labels formatted for {args}")
+
+    built = []
+
+    def build(*args):
+        built.append(build_graph(*args))
+        return built[-1]
+
+    monkeypatch.setattr(graphs, "graph_labels", no_labels)
+    monkeypatch.setattr(verify, "build_graph", build)
+    assert run_verification(catalog, scope="all") == full_report
+    assert len(built) == 243 and sum(g.vertex_count for g in built) == 5592
+    assert not any(hasattr(g, "labels") for g in built)
+
+
 def test_transfer_t1(catalog):
-    result = verify_transfer(catalog.identity("t1"), n_max=6)
+    result = verify_transfer(_identity(catalog, "t1"), n_max=6)
     assert result["verdict"] == "CONFIRMED"
     assert result["checked_n"] == [3, 4, 5, 6]
 
 
 def test_transfer_sbar4_small(catalog):
-    result = verify_transfer(catalog.identity("sbar4"), n_max=4)
+    result = verify_transfer(_identity(catalog, "sbar4"), n_max=4)
     assert result["verdict"] == "CONFIRMED"
 
 
 def test_transfer_phtil4_base_case(catalog):
-    result = verify_transfer(catalog.identity("phtil4"), n_max=2)
+    result = verify_transfer(_identity(catalog, "phtil4"), n_max=2)
     assert result["verdict"] == "CONFIRMED"
     assert result["checked_n"][0] == 1
 
 
 def test_transfer_dbar4_stated_range_refuted(catalog):
-    result = verify_transfer(catalog.identity("dbar4"), n_max=4)
+    result = verify_transfer(_identity(catalog, "dbar4"), n_max=4)
     assert result["verdict"] == "CONFIRMED"  # on the structurally valid range
     note = result["stated_range_note"]
     assert note["stated_range_refuted"]
@@ -92,14 +116,14 @@ def test_transfer_dbar4_stated_range_refuted(catalog):
 def test_stated_range_replayed_beyond_n_max(catalog):
     # the stated range (n = 1) lies before valid_from (2) and is replayed
     # whatever n_max is; the valid range is empty at n_max = 0
-    result = verify_transfer(catalog.identity("dbar4"), n_max=0)
+    result = verify_transfer(_identity(catalog, "dbar4"), n_max=0)
     assert result["checked_n"] == [] and result["verdict"] == "SKIPPED"
     assert result["stated_range_note"]["witnesses"] == [{"n": 1, "k": 1, "lhs": 0, "rhs": 1}]
 
 
 def test_transfer_identity_caps(catalog):
-    assert identity_max_n(catalog.identity("t1")) == 22
-    assert identity_max_n(catalog.identity("qhtil44")) == 8
+    assert identity_max_n(_identity(catalog, "t1")) == 22
+    assert identity_max_n(_identity(catalog, "qhtil44")) == 8
 
 
 @pytest.mark.parametrize("cap", [0, 1, 4, 5, 12, 44, 45, 46, 100])
