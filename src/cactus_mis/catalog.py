@@ -6,6 +6,10 @@ entries the verification pipeline refutes. Verdicts live in the verification
 report, never in the catalog: loading it reads no report, and the claims
 themselves are never edited.
 
+The catalog is the only list of claims: `verify` keys each verdict by the
+anchor written once here. Loading rejects a repeated anchor or id, and a
+missing or unknown key, naming the JSON paths involved.
+
 The text is parsed once per process and the parsed `Catalog` is shared by
 every later `load_catalog()` call that reads the same text, so callers must
 not mutate it, the dicts inside its `BivarPoly` and `SizeDistribution` values
@@ -17,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 from typing import NamedTuple, Optional
 
 from .graphs import FAMILIES, FamilySpec, graph_order
@@ -57,8 +62,7 @@ class AsymptoticClaim(NamedTuple):
 
     @staticmethod
     def _half_ulp(printed: str) -> float:
-        decimals = len(printed.split(".")[1]) if "." in printed else 0
-        return 0.5 * 10.0 ** (-decimals)
+        return 0.5 * 10.0 ** -len(printed.partition(".")[2])
 
     @property
     def rho(self) -> float:
@@ -113,20 +117,26 @@ class TransferIdentity(NamedTuple):
 
 
 class FamilyRecord(NamedTuple):
-    """Everything the catalog asserts about one polygonal family."""
+    """Everything the catalog asserts about one polygonal family. The first GF
+    candidate is the statement (`gf_anchor`); `asymptotic` is None where only
+    `asymptotic_anchor` is declared (square: s(n) = 2^n exactly)."""
 
     spec: FamilySpec
-    gf_anchor: str
     gf_candidates: tuple[GFCandidate, ...]
     univariate_anchor: str
     univariate_gf: UnivarRational
     recurrence: RecurrenceClaim
+    asymptotic_anchor: str
     asymptotic: Optional[AsymptoticClaim]
     boundary_checks: tuple[BoundaryCheck, ...]
 
     @property
     def family_id(self) -> str:
         return self.spec.family_id
+
+    @property
+    def gf_anchor(self) -> str:
+        return self.gf_candidates[0].anchor
 
     def gf(self, candidate_id: str = "statement") -> RationalGF:
         for cand in self.gf_candidates:
@@ -158,10 +168,13 @@ def _data_text(name: str) -> Optional[str]:
 
 # The keys `load_catalog` reads from each kind of catalog object. Any other key
 # is rejected, so a misspelt optional field (an `offset`, say) cannot become a
-# claim that is never checked. `_schema` is prose for readers. Every number the
-# loader reads must be a JSON integer (`_int`).
-_TOP_KEYS = frozenset({"_schema", "families", "transfer_identities"})
-_FAMILY_KEYS = frozenset({"id", "symbol", "cycle_len", "attach_dist", "gf_anchor", "gf_candidates",
+# claim that is never checked, and so is an object that lacks one of them, but
+# for a candidate's `offset` and an asymptotic claim's `rho` and `constant`
+# (both or neither). Every number the loader reads must be a JSON integer
+# (`_int`), and every printed constant a decimal string (`_decimal`).
+_OPTIONAL_KEYS = frozenset({"offset", "rho", "constant"})
+_TOP_KEYS = frozenset({"families", "transfer_identities"})
+_FAMILY_KEYS = frozenset({"id", "symbol", "cycle_len", "attach_dist", "gf_candidates",
                           "univariate_gf", "recurrence", "asymptotic", "boundary_checks"})
 _CANDIDATE_KEYS = frozenset({"id", "anchor", "num", "den", "offset"})
 _UNIVARIATE_KEYS = frozenset({"anchor", "num", "den"})
@@ -178,9 +191,15 @@ def _json_path(path) -> str:
 
 
 def _check_keys(obj: dict, known: frozenset, *path) -> None:
-    """Reject a key of `obj` that is not `known`; `path` leads from the top to `obj`."""
+    """Reject `obj` unless it is a JSON object whose keys are `known`, the
+    `_OPTIONAL_KEYS` among them optional; `path` leads from the top to `obj`."""
+    if type(obj) is not dict:
+        raise ValueError(f"catalog value {_json_path(path)} is not an object: {json.dumps(obj)}")
     if not known.issuperset(obj):
         raise ValueError(f"unknown catalog key {_json_path(path)}.{min(obj.keys() - known)}")
+    missing = known - _OPTIONAL_KEYS - obj.keys()
+    if missing:
+        raise ValueError(f"catalog key {_json_path(path)}.{min(missing)} is missing")
 
 
 def _int(value, *path) -> int:
@@ -188,6 +207,15 @@ def _int(value, *path) -> int:
     null is rejected with its path, never truncated or coerced."""
     if type(value) is not int:  # bool is a subclass of int
         raise ValueError(f"catalog value {_json_path(path)} is not an integer: {json.dumps(value)}")
+    return value
+
+
+def _decimal(value, *path) -> str:
+    """`value` if it is a JSON string of ASCII digits around one point, as
+    `"0.618"`: the digits after the point set the claim's tolerance, so a JSON
+    number, an exponent, a space or a non-ASCII digit is rejected with its path."""
+    if not (type(value) is str and re.fullmatch(r"[0-9]+\.[0-9]+", value)):
+        raise ValueError(f"catalog value {_json_path(path)} is not a printed decimal: {json.dumps(value)}")
     return value
 
 
@@ -207,10 +235,21 @@ def _ints(values, *path) -> tuple[int, ...]:
     return tuple(_int(v, *path, i) for i, v in enumerate(values))
 
 
-def _parse_univar_rational(raw: dict) -> UnivarRational:
-    num = parse_univar(raw["num"])
-    den = parse_univar(raw["den"])
-    return UnivarRational(num, den)
+def _check_unique(obj, first: dict, *path) -> None:
+    """Reject an anchor under `obj` that two claims give, or an id that two
+    objects of one list give, naming both paths: the repeat would overwrite a
+    verdict. `first` maps each (space, value) met so far to its path."""
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    for key, value in items:
+        if key not in ("anchor", "id"):
+            _check_unique(value, first, *path, key)
+            continue
+        here = (*path, key)
+        if type(value) is not str:
+            raise ValueError(f"catalog value {_json_path(here)} is not a string: {json.dumps(value)}")
+        earlier = first.setdefault((path[:-1] if key == "id" else key, value), here)
+        if earlier != here:
+            raise ValueError(f"catalog value {_json_path(here)} repeats {_json_path(earlier)}: {json.dumps(value)}")
 
 
 def load_catalog() -> Catalog:
@@ -240,10 +279,15 @@ def _parse_catalog(text: str) -> Catalog:
             _check_keys(c, _CANDIDATE_KEYS, "families", i, "gf_candidates", j)
         _check_keys(fam_raw["univariate_gf"], _UNIVARIATE_KEYS, "families", i, "univariate_gf")
         _check_keys(fam_raw["recurrence"], _RECURRENCE_KEYS, "families", i, "recurrence")
-        if fam_raw.get("asymptotic") is not None:
-            _check_keys(fam_raw["asymptotic"], _ASYMPTOTIC_KEYS, "families", i, "asymptotic")
+        asym_raw = fam_raw["asymptotic"]
+        asym_path = ("families", i, "asymptotic")
+        _check_keys(asym_raw, _ASYMPTOTIC_KEYS, *asym_path)
         for j, c in enumerate(fam_raw["boundary_checks"]):
             _check_keys(c, _CHECK_KEYS, "families", i, "boundary_checks", j)
+        first_id = next((c["id"] for c in fam_raw["gf_candidates"]), None)
+        if first_id != "statement":
+            raise ValueError(f'catalog value $.families[{i}].gf_candidates[0].id is not "statement": '
+                             f"{json.dumps(first_id)}")
         spec = FAMILIES[fam_raw["id"]]
         if (spec.symbol, spec.cycle_len, spec.attach_dist) != (
             fam_raw["symbol"], fam_raw["cycle_len"], fam_raw["attach_dist"]
@@ -271,10 +315,13 @@ def _parse_catalog(text: str) -> Catalog:
             raise ValueError(f"{spec.family_id}: fewer initial values than recurrence order")
         if len(recurrence.initial) < recurrence.valid_from:
             raise ValueError(f"{spec.family_id}: initial values do not cover valid_from")
-        asym_raw = fam_raw.get("asymptotic")
+        stated = asym_raw.keys() & {"rho", "constant"}
+        if len(stated) == 1:  # printed constants come in a pair
+            raise ValueError(f"catalog key {_json_path(asym_path)}.{min({'rho', 'constant'} - stated)} is missing")
         asymptotic = None
-        if asym_raw is not None:
-            asymptotic = AsymptoticClaim(asym_raw["anchor"], asym_raw["rho"], asym_raw["constant"])
+        if stated:
+            asymptotic = AsymptoticClaim(asym_raw["anchor"], _decimal(asym_raw["rho"], *asym_path, "rho"),
+                                         _decimal(asym_raw["constant"], *asym_path, "constant"))
             if not (0.0 < asymptotic.rho < 1.0):
                 raise ValueError(f"{spec.family_id}: rho must be in (0, 1)")
         checks = tuple(
@@ -298,11 +345,12 @@ def _parse_catalog(text: str) -> Catalog:
         families.append(
             FamilyRecord(
                 spec=spec,
-                gf_anchor=fam_raw["gf_anchor"],
                 gf_candidates=candidates,
                 univariate_anchor=fam_raw["univariate_gf"]["anchor"],
-                univariate_gf=_parse_univar_rational(fam_raw["univariate_gf"]),
+                univariate_gf=UnivarRational(parse_univar(fam_raw["univariate_gf"]["num"]),
+                                             parse_univar(fam_raw["univariate_gf"]["den"])),
                 recurrence=recurrence,
+                asymptotic_anchor=asym_raw["anchor"],
                 asymptotic=asymptotic,
                 boundary_checks=checks,
             )
@@ -347,19 +395,9 @@ def _parse_catalog(text: str) -> Catalog:
             )
         )
 
+    _check_unique(raw, {})
     if len(families) != 8:
         raise ValueError(f"expected 8 family records, found {len(families)}")
     if len(identities) != 20:
         raise ValueError(f"expected 20 transfer identities, found {len(identities)}")
     return Catalog(tuple(families), tuple(identities))
-
-
-# Theorem-style anchors follow a regular per-family grid of three slots
-# (generating function, recurrence, asymptotics). The square family has no
-# asymptotic claim; its slot is reported as skipped rather than dropped.
-def claim_anchor_universe(catalog: Catalog) -> list[str]:
-    anchors = []
-    for i in range(1, 25):
-        anchors.append(f"thm:2.{i}")
-    anchors.extend(ident.anchor for ident in catalog.identities)
-    return anchors

@@ -1,5 +1,6 @@
 """Catalog integrity: parseability, invariants, and agreement with the oracle."""
 
+import copy
 import json
 import re
 from importlib import resources
@@ -9,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cactus_mis import catalog as catalog_mod
-from cactus_mis.catalog import claim_anchor_universe
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import enumerate_mis
 from cactus_mis.series import recurrence_from_gf, reduce_fraction, specialize_y1
@@ -30,10 +30,15 @@ def test_catalog_shape(catalog):
     ]
 
 
-def test_claim_anchor_universe(catalog):
-    anchors = claim_anchor_universe(catalog)
-    assert len(anchors) == 44
-    assert "thm:2.9" in anchors  # square's asymptotics slot, reported as skipped
+def test_theorem_anchors_are_the_papers_24(catalog):
+    # each family declares three theorem claims (its GF, its recurrence, its
+    # asymptotics); the catalog gives no other claim a theorem anchor
+    anchors = [a for rec in catalog.families
+               for a in (rec.gf_anchor, rec.recurrence.anchor, rec.asymptotic_anchor)]
+    assert anchors == [f"thm:2.{i}" for i in range(1, 25)]
+    others = [c.anchor for rec in catalog.families for c in rec.boundary_checks]
+    others += [i.anchor for i in catalog.identities]
+    assert not [a for a in others if a.startswith("thm:")]
 
 
 def test_initial_values(catalog):
@@ -49,6 +54,7 @@ def test_initial_values(catalog):
 
 def test_asymptotic_claims(catalog):
     assert catalog.family("square").asymptotic is None
+    assert catalog.family("square").asymptotic_anchor == "thm:2.9"
     claim = catalog.family("triangular").asymptotic
     assert (claim.rho_printed, claim.constant_printed) == ("0.618", "1.1708")
     assert claim.rho_tolerance == pytest.approx(0.0005)
@@ -56,12 +62,14 @@ def test_asymptotic_claims(catalog):
     for rec in catalog.families:
         if rec.asymptotic is not None:
             assert 0.0 < rec.asymptotic.rho < 1.0
+            assert rec.asymptotic.anchor == rec.asymptotic_anchor
 
 
 def test_gf_candidates(catalog):
     for rec in catalog.families:
         ids = [c.candidate_id for c in rec.gf_candidates]
         assert ids[0] == "statement"
+        assert rec.gf_anchor == rec.gf_candidates[0].anchor
         # para-hexagonal carries the conflicting restated version as well
         assert len(ids) == (2 if rec.family_id == "para-hexagonal" else 1)
         with pytest.raises(KeyError):
@@ -262,10 +270,110 @@ def test_recurrence_list_that_is_not_a_list_is_rejected(monkeypatch):
         _load_edited(monkeypatch, edit)
 
 
+# each edit below loaded at the parent of the change that made it an error:
+# two claims on one anchor, or an identity on another's id, dropped a verdict;
+# a deleted asymptotic object reported square's note under its anchor; a
+# `gf_anchor` beside the candidates could name the claim apart from them; and
+# a first candidate other than the statement ended verify in a KeyError
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["families"][0]["asymptotic"].update(anchor="thm:2.2"),
+     'catalog value $.families[0].asymptotic.anchor repeats $.families[0].recurrence.anchor: "thm:2.2"'),
+    (lambda raw: raw["transfer_identities"][4].update(anchor="check:t:0"),
+     'catalog value $.transfer_identities[4].anchor repeats $.families[0].boundary_checks[0].anchor: '
+     '"check:t:0"'),
+    (lambda raw: raw["families"][3]["univariate_gf"].update(anchor="thm:2.8:proof"),
+     'catalog value $.families[3].univariate_gf.anchor repeats $.families[2].univariate_gf.anchor: '
+     '"thm:2.8:proof"'),
+    (lambda raw: raw["transfer_identities"][1].update(id="t1"),
+     'catalog value $.transfer_identities[1].id repeats $.transfer_identities[0].id: "t1"'),
+    (lambda raw: raw["families"].__setitem__(1, copy.deepcopy(raw["families"][0])),
+     'catalog value $.families[1].id repeats $.families[0].id: "triangular"'),
+    (lambda raw: raw["families"][6]["gf_candidates"][1].update(id="statement"),
+     'catalog value $.families[6].gf_candidates[1].id repeats $.families[6].gf_candidates[0].id: "statement"'),
+    (lambda raw: raw["families"][0]["recurrence"].update(anchor=2),
+     "catalog value $.families[0].recurrence.anchor is not a string: 2"),
+    (lambda raw: raw["families"][0].pop("asymptotic"),
+     "catalog key $.families[0].asymptotic is missing"),
+    (lambda raw: raw["families"][2].update(asymptotic=None),
+     "catalog value $.families[2].asymptotic is not an object: null"),
+    (lambda raw: raw["families"][0].update(gf_anchor="thm:2.99"),
+     "unknown catalog key $.families[0].gf_anchor"),
+    (lambda raw: raw["families"][6]["gf_candidates"].reverse(),
+     'catalog value $.families[6].gf_candidates[0].id is not "statement": "proof"'),
+    (lambda raw: raw["families"][0]["gf_candidates"].clear(),
+     'catalog value $.families[0].gf_candidates[0].id is not "statement": null'),
+], ids=["shared-anchor", "identity-on-check-anchor", "univariate-anchor", "identity-id", "family-id",
+        "candidate-id", "anchor-not-text", "asymptotic-missing", "asymptotic-null", "gf-anchor",
+        "statement-not-first", "no-candidate"])
+def test_catalog_that_misnames_a_claim_is_rejected_with_its_path(monkeypatch, edit, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _load_edited(monkeypatch, edit)
+
+
+# one removal per kind of object; a candidate's `offset` is optional, and an
+# asymptotic claim's printed constants come both or neither
+@pytest.mark.parametrize("path, key", [
+    ((), "families"),
+    (("families", 1), "recurrence"),
+    (("families", 6, "gf_candidates", 1), "num"),
+    (("families", 1, "univariate_gf"), "den"),
+    (("families", 1, "recurrence"), "lags"),
+    (("families", 2, "asymptotic"), "anchor"),
+    (("families", 3, "asymptotic"), "rho"),
+    (("families", 3, "asymptotic"), "constant"),
+    (("families", 2, "boundary_checks", 1), "counts"),
+    (("transfer_identities", 3), "lhs"),
+    (("transfer_identities", 3, "rhs", 1), "k_shift"),
+], ids=["top", "family", "gf-candidate", "univariate-gf", "recurrence", "asymptotic-anchor",
+        "asymptotic-rho", "asymptotic-constant", "boundary-check", "identity", "rhs-term"])
+def test_missing_catalog_key_is_rejected_with_its_path(monkeypatch, path, key):
+    json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    with pytest.raises(ValueError, match="^" + re.escape(f"catalog key {json_path}.{key} is missing") + "$"):
+        _load_edited(monkeypatch, lambda raw: _walk(raw, path).pop(key))
+
+
+def test_zero_offset_may_be_left_out(monkeypatch, catalog):
+    def edit(raw):
+        for fam in raw["families"]:
+            for cand in fam["gf_candidates"]:
+                if cand["offset"] == 0:
+                    del cand["offset"]
+
+    assert _load_edited(monkeypatch, edit) == catalog
+
+
+# a printed constant's digits after the point set its tolerance, so only the
+# plain ASCII spelling is read
+@pytest.mark.parametrize("key, value", [
+    ("rho", 0.618),
+    ("rho", "6.18e-1"),
+    ("rho", "0.618 "),
+    ("rho", " 0.618"),
+    ("rho", "\u0660.\u0666\u0661\u0668"),
+    ("rho", ".618"),
+    ("rho", "0."),
+    ("rho", "1"),
+    ("rho", "+0.618"),
+    ("rho", "0,618"),
+    ("rho", None),
+    ("constant", 1.1708),
+    ("constant", "1.1708\n"),
+    ("constant", True),
+], ids=["rho-number", "rho-exponent", "rho-trailing-space", "rho-leading-space", "rho-arabic-indic-digits",
+        "rho-no-integer-part", "rho-no-fraction", "rho-integer", "rho-plus-sign", "rho-comma", "rho-null",
+        "constant-number", "constant-newline", "constant-bool"])
+def test_printed_constant_that_is_not_a_decimal_is_rejected(monkeypatch, key, value):
+    def edit(raw):
+        raw["families"][0]["asymptotic"][key] = value
+
+    message = f"catalog value $.families[0].asymptotic.{key} is not a printed decimal: {json.dumps(value)}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _load_edited(monkeypatch, edit)
+
+
 def _catalog_objects():
     """{kind: (keys the loader reads, paths of that kind's objects)} over the
-    committed catalog; `_schema` and the `counts` maps are free-form, so not
-    among them."""
+    committed catalog; the `counts` maps are free-form, so not among them."""
     raw = json.loads(catalog_mod._data_text("catalog.json"))
     fams = list(enumerate(raw["families"]))
     idents = [("transfer_identities", i) for i in range(len(raw["transfer_identities"]))]
@@ -277,8 +385,7 @@ def _catalog_objects():
                                                     for j in range(len(f["gf_candidates"]))]),
         "univariate": (catalog_mod._UNIVARIATE_KEYS, [("families", i, "univariate_gf") for i, _ in fams]),
         "recurrence": (catalog_mod._RECURRENCE_KEYS, [("families", i, "recurrence") for i, _ in fams]),
-        "asymptotic": (catalog_mod._ASYMPTOTIC_KEYS, [("families", i, "asymptotic") for i, f in fams
-                                                      if f.get("asymptotic") is not None]),
+        "asymptotic": (catalog_mod._ASYMPTOTIC_KEYS, [("families", i, "asymptotic") for i, _ in fams]),
         "check": (catalog_mod._CHECK_KEYS, [("families", i, "boundary_checks", j) for i, f in fams
                                             for j in range(len(f["boundary_checks"]))]),
         "identity": (catalog_mod._IDENTITY_KEYS, idents),
@@ -317,10 +424,26 @@ def test_any_unread_key_is_rejected_with_its_path(where, key):
             catalog_mod.load_catalog()
 
 
-def test_schema_and_count_sizes_are_free_form(monkeypatch, catalog):
-    # `_schema` is prose, and a boundary check's counts map any set size
+@settings(max_examples=60, deadline=None)
+@given(where=_catalog_object(), data=st.data())
+def test_any_removed_key_is_reported_missing_with_its_path(where, data):
+    # every key but an optional `offset` is required; removing one of the two
+    # printed constants leaves the other without its pair
+    _, path = where
+    raw = json.loads(catalog_mod._data_text("catalog.json"))
+    obj = _walk(raw, path)
+    key = data.draw(st.sampled_from(sorted(obj.keys() - {"offset"})))
+    del obj[key]
+    json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
+        with pytest.raises(ValueError, match="^" + re.escape(f"catalog key {json_path}.{key} is missing") + "$"):
+            catalog_mod.load_catalog()
+
+
+def test_count_sizes_are_free_form(monkeypatch, catalog):
+    # a boundary check's counts map any set size
     def edit(raw):
-        raw["_schema"]["families[].note"] = "more prose"
         raw["families"][2]["boundary_checks"][1]["counts"]["17"] = 0
 
     assert _load_edited(monkeypatch, edit) == catalog

@@ -242,6 +242,43 @@ def test_scoped_runs(catalog):
         run_verification(catalog, scope="everything")
 
 
+def _declared_anchors(catalog, scope, family=None):
+    """The anchors the catalog gives the claims a run of `scope` adjudicates."""
+    records = [catalog.family(family)] if family else catalog.families
+    anchors = set()
+    for rec in records:
+        if scope in ("all", "family"):
+            anchors |= {rec.gf_candidates[0].anchor, rec.recurrence.anchor}
+            anchors |= {check.anchor for check in rec.boundary_checks}
+        if scope in ("all", "asymptotics"):
+            anchors.add(rec.asymptotic_anchor)
+    if scope in ("all", "identities"):
+        anchors |= {i.anchor for i in catalog.identities if family in (None, i.family_id)}
+    return anchors
+
+
+def test_full_run_holds_every_declared_anchor(catalog, full_report):
+    assert set(full_report["claims"]) == _declared_anchors(catalog, "all")
+    assert set(full_report["families"]) == set(graphs.FAMILY_IDS)
+
+
+# a scoped run checks its claims as the full run does, keyed by the same
+# anchors: nothing checks it against a whole-catalog list at run time
+@pytest.mark.parametrize("scope, family",
+                         [(scope, fam) for fam in graphs.FAMILY_IDS for scope in ("all", "family")]
+                         + [("identities", None), ("asymptotics", None)])
+def test_scoped_run_agrees_with_the_full_run(catalog, full_report, scope, family):
+    report = run_verification(catalog, scope=scope, family=family)
+    assert set(report["claims"]) == _declared_anchors(catalog, scope, family)
+    assert report["claims"] == {a: full_report["claims"][a] for a in report["claims"]}
+    families = [family] if scope in ("all", "family") else []
+    assert report["families"] == {f: full_report["families"][f] for f in families}
+    idents = {i.identity_id for i in catalog.identities
+              if scope in ("all", "identities") and family in (None, i.family_id)}
+    assert report["identity_range_notes"] == {i: note for i, note in full_report["identity_range_notes"].items()
+                                              if i in idents}
+
+
 @pytest.mark.parametrize("n_max", [0, 3])
 def test_asymptotics_scope_refuses_a_depth(catalog, n_max):
     # the asymptotic claims expand no series to a depth, so n_max would be
