@@ -7,8 +7,10 @@ report, never in the catalog: loading it reads no report, and the claims
 themselves are never edited.
 
 The catalog is the only list of claims: `verify` keys each verdict by the
-anchor written once here. Loading rejects a repeated anchor or id, and a
-missing or unknown key, naming the JSON paths involved.
+anchor written once here. Each key is named once, where it is read, and each
+value is read by its JSON type. Loading rejects a value of another type, a
+repeated anchor or id, and a missing or unknown key with one ValueError naming
+the JSON paths involved.
 
 The text is parsed once per process and the parsed `Catalog` is shared by
 every later `load_catalog()` call that reads the same text, so callers must
@@ -22,7 +24,7 @@ import functools
 import json
 import os
 import re
-from typing import NamedTuple, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from .graphs import FAMILIES, FamilySpec, graph_order
 from .oracle import SizeDistribution
@@ -118,8 +120,9 @@ class TransferIdentity(NamedTuple):
 
 class FamilyRecord(NamedTuple):
     """Everything the catalog asserts about one polygonal family. The first GF
-    candidate is the statement (`gf_anchor`); `asymptotic` is None where only
-    `asymptotic_anchor` is declared (square: s(n) = 2^n exactly)."""
+    candidate is the statement (`gf_anchor`); `asymptotic` is None where the
+    catalog gives `asymptotic_note` in place of constants (square: s(n) = 2^n
+    exactly)."""
 
     spec: FamilySpec
     gf_candidates: tuple[GFCandidate, ...]
@@ -128,6 +131,7 @@ class FamilyRecord(NamedTuple):
     recurrence: RecurrenceClaim
     asymptotic_anchor: str
     asymptotic: Optional[AsymptoticClaim]
+    asymptotic_note: Optional[str]
     boundary_checks: tuple[BoundaryCheck, ...]
 
     @property
@@ -166,23 +170,10 @@ def _data_text(name: str) -> Optional[str]:
         return None
 
 
-# The keys `load_catalog` reads from each kind of catalog object. Any other key
-# is rejected, so a misspelt optional field (an `offset`, say) cannot become a
-# claim that is never checked, and so is an object that lacks one of them, but
-# for a candidate's `offset` and an asymptotic claim's `rho` and `constant`
-# (both or neither). Every number the loader reads must be a JSON integer
-# (`_int`), and every printed constant a decimal string (`_decimal`).
-_OPTIONAL_KEYS = frozenset({"offset", "rho", "constant"})
-_TOP_KEYS = frozenset({"families", "transfer_identities"})
-_FAMILY_KEYS = frozenset({"id", "symbol", "cycle_len", "attach_dist", "gf_candidates",
-                          "univariate_gf", "recurrence", "asymptotic", "boundary_checks"})
-_CANDIDATE_KEYS = frozenset({"id", "anchor", "num", "den", "offset"})
-_UNIVARIATE_KEYS = frozenset({"anchor", "num", "den"})
-_RECURRENCE_KEYS = frozenset({"anchor", "lags", "initial", "valid_from"})
-_ASYMPTOTIC_KEYS = frozenset({"anchor", "rho", "constant"})
-_CHECK_KEYS = frozenset({"id", "anchor", "kind", "n", "counts"})  # counts maps sizes, any key
-_IDENTITY_KEYS = frozenset({"id", "anchor", "family", "lhs", "rhs", "valid_from", "stated_from"})
-_TERM_KEYS = frozenset({"mult", "kind", "n_shift", "k_shift"})
+# Each reader below checks one JSON value by its type and returns what it
+# means, or raises one ValueError naming the value's JSON path. A reader takes
+# (value, path, seen): the value, the keys and indices that lead to it from
+# the top, and the path of each anchor and id read so far.
 
 
 def _json_path(path) -> str:
@@ -190,66 +181,191 @@ def _json_path(path) -> str:
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
-def _check_keys(obj: dict, known: frozenset, *path) -> None:
-    """Reject `obj` unless it is a JSON object whose keys are `known`, the
-    `_OPTIONAL_KEYS` among them optional; `path` leads from the top to `obj`."""
-    if type(obj) is not dict:
-        raise ValueError(f"catalog value {_json_path(path)} is not an object: {json.dumps(obj)}")
-    if not known.issuperset(obj):
-        raise ValueError(f"unknown catalog key {_json_path(path)}.{min(obj.keys() - known)}")
-    missing = known - _OPTIONAL_KEYS - obj.keys()
-    if missing:
-        raise ValueError(f"catalog key {_json_path(path)}.{min(missing)} is missing")
+def _reject(path, what: str, value) -> NoReturn:
+    raise ValueError(f"catalog value {_json_path(path)} is not {what}: {json.dumps(value)}")
 
 
-def _int(value, *path) -> int:
-    """`value` if it is a JSON integer. A float (even 1.0), string, boolean or
-    null is rejected with its path, never truncated or coerced."""
+_REQUIRED = object()
+
+
+class _Object:
+    """A JSON object of the catalog, read one key at a time. Each `get` names
+    a key, the reader of its value and, if the key may be left out, its
+    default; `done` then rejects any key no `get` read, so a misspelt field
+    cannot become a claim that is never checked."""
+
+    def __init__(self, value, path, seen):
+        if type(value) is not dict:
+            _reject(path, "an object", value)
+        self.value, self.path, self.seen, self.unread = value, path, seen, set(value)
+
+    def get(self, key: str, read, default=_REQUIRED):
+        if key not in self.value:
+            if default is _REQUIRED:
+                raise ValueError(f"catalog key {_json_path(self.path)}.{key} is missing")
+            return default
+        self.unread.discard(key)
+        return read(self.value[key], (*self.path, key), self.seen)
+
+    def done(self, result):
+        """`result`, built from this object's reads, if they read every key."""
+        if self.unread:
+            raise ValueError(f"unknown catalog key {_json_path(self.path)}.{min(self.unread)}")
+        return result
+
+
+def _int(value, path, seen) -> int:
+    """A JSON integer: a float (even 1.0), string, boolean or null is never truncated or coerced."""
     if type(value) is not int:  # bool is a subclass of int
-        raise ValueError(f"catalog value {_json_path(path)} is not an integer: {json.dumps(value)}")
+        _reject(path, "an integer", value)
     return value
 
 
-def _decimal(value, *path) -> str:
-    """`value` if it is a JSON string of ASCII digits around one point, as
-    `"0.618"`: the digits after the point set the claim's tolerance, so a JSON
-    number, an exponent, a space or a non-ASCII digit is rejected with its path."""
+def _str(value, path, seen) -> str:
+    if type(value) is not str:
+        _reject(path, "a string", value)
+    return value
+
+
+def _decimal(value, path, seen) -> str:
+    """A JSON string of ASCII digits around one point, as `"0.618"`: its digits after the point
+    set the claim's tolerance, so a JSON number, an exponent, a space or a non-ASCII digit is rejected."""
     if not (type(value) is str and re.fullmatch(r"[0-9]+\.[0-9]+", value)):
-        raise ValueError(f"catalog value {_json_path(path)} is not a printed decimal: {json.dumps(value)}")
+        _reject(path, "a printed decimal", value)
     return value
 
 
-def _size(key: str, *path) -> int:
-    """A boundary check's `counts` key as a set size: canonical non-negative
-    decimal text only, so `" 2"`, `"02"`, `"+2"` or a non-ASCII digit cannot
-    name size 2 beside `"2"`."""
-    if not (key.isascii() and key.isdigit() and key == str(int(key))):
-        raise ValueError(f"catalog key {_json_path(path)} is not a set size: {json.dumps(key)}")
-    return int(key)
+def _list(read):
+    """The reader of a JSON list whose items `read` reads, as a tuple."""
+    def read_list(value, path, seen) -> tuple:
+        if type(value) is not list:
+            _reject(path, "a list", value)
+        return tuple([read(item, (*path, i), seen) for i, item in enumerate(value)])
+    return read_list
 
 
-def _ints(values, *path) -> tuple[int, ...]:
-    """`values` as a tuple, if it is a JSON list of integers."""
-    if not isinstance(values, list):
-        raise ValueError(f"catalog value {_json_path(path)} is not a list: {json.dumps(values)}")
-    return tuple(_int(v, *path, i) for i, v in enumerate(values))
+def _counts(value, path, seen) -> SizeDistribution:
+    """A JSON object from set sizes to integer counts. A size is canonical
+    non-negative decimal text, so `" 2"`, `"02"`, `"+2"` or a non-ASCII digit
+    cannot name size 2 beside `"2"`."""
+    if type(value) is not dict:
+        _reject(path, "an object", value)
+    sizes = {}
+    for key, count in value.items():
+        at = (*path, key)
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):
+            raise ValueError(f"catalog key {_json_path(at)} is not a set size: {json.dumps(key)}")
+        sizes[int(key)] = _int(count, at, seen)
+    return SizeDistribution(sizes)
 
 
-def _check_unique(obj, first: dict, *path) -> None:
-    """Reject an anchor under `obj` that two claims give, or an id that two
-    objects of one list give, naming both paths: the repeat would overwrite a
-    verdict. `first` maps each (space, value) met so far to its path."""
-    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
-    for key, value in items:
-        if key not in ("anchor", "id"):
-            _check_unique(value, first, *path, key)
-            continue
-        here = (*path, key)
-        if type(value) is not str:
-            raise ValueError(f"catalog value {_json_path(here)} is not a string: {json.dumps(value)}")
-        earlier = first.setdefault((path[:-1] if key == "id" else key, value), here)
-        if earlier != here:
-            raise ValueError(f"catalog value {_json_path(here)} repeats {_json_path(earlier)}: {json.dumps(value)}")
+def _name(value, path, seen) -> str:
+    """An `anchor`, which no other claim of the catalog gives, or an `id`,
+    which no other object of its list gives: a repeat would overwrite a verdict."""
+    space = path[:-2] if path[-1] == "id" else "anchor"
+    earlier = seen.setdefault((space, _str(value, path, seen)), path)
+    if earlier is not path:
+        raise ValueError(f"catalog value {_json_path(path)} repeats {_json_path(earlier)}: {json.dumps(value)}")
+    return value
+
+
+def _generating_function(make, path, *literals):
+    """`make(*literals)`; a literal it cannot read is rejected with `path`."""
+    try:
+        return make(*literals)
+    except ValueError as exc:
+        raise ValueError(f"catalog value {_json_path(path)} is not a generating function ({exc})") from None
+
+
+def _candidate(value, path, seen) -> GFCandidate:
+    c = _Object(value, path, seen)
+    return c.done(GFCandidate(c.get("id", _name), c.get("anchor", _name), _generating_function(
+        RationalGF.from_literals, path, c.get("num", _str), c.get("den", _str), c.get("offset", _int, 0))))
+
+
+def _univariate(value, path, seen) -> tuple[str, UnivarRational]:
+    u = _Object(value, path, seen)
+    return u.done((u.get("anchor", _name), _generating_function(
+        lambda num, den: UnivarRational(parse_univar(num), parse_univar(den)), path, u.get("num", _str),
+        u.get("den", _str))))
+
+
+def _recurrence(value, path, seen) -> RecurrenceClaim:
+    r = _Object(value, path, seen)
+    return r.done(RecurrenceClaim(r.get("anchor", _name), r.get("lags", _list(_int)), r.get("initial", _list(_int)),
+                                  r.get("valid_from", _int)))
+
+
+def _asymptotic(value, path, seen) -> tuple[str, Optional[AsymptoticClaim], Optional[str]]:
+    """(anchor, claim, note): the claim's printed `rho` and `constant`, which
+    come as a pair, or else a `note` on why the family states neither."""
+    a = _Object(value, path, seen)
+    anchor = a.get("anchor", _name)
+    if "rho" in a.value or "constant" in a.value:
+        return a.done((anchor, AsymptoticClaim(anchor, a.get("rho", _decimal), a.get("constant", _decimal)), None))
+    return a.done((anchor, None, a.get("note", _str)))
+
+
+def _check(value, path, seen) -> BoundaryCheck:
+    c = _Object(value, path, seen)
+    return c.done(BoundaryCheck(c.get("id", _name), c.get("anchor", _name), c.get("kind", _str),
+                                c.get("n", _int), c.get("counts", _counts)))
+
+
+def _family(value, path, seen) -> FamilyRecord:
+    f = _Object(value, path, seen)
+    spec = FAMILIES.get(f.get("id", _name))
+    if spec is None:
+        _reject((*path, "id"), "a family the builders know", f.value["id"])
+    for key, read in (("symbol", _str), ("cycle_len", _int), ("attach_dist", _int)):
+        stated = f.get(key, read)
+        if stated != getattr(spec, key):
+            _reject((*path, key), f"the builders' {json.dumps(getattr(spec, key))}", stated)
+    rec = f.done(FamilyRecord(spec, f.get("gf_candidates", _list(_candidate)), *f.get("univariate_gf", _univariate),
+                              f.get("recurrence", _recurrence), *f.get("asymptotic", _asymptotic),
+                              f.get("boundary_checks", _list(_check))))
+    first_id = rec.gf_candidates[0].candidate_id if rec.gf_candidates else None
+    if first_id != "statement":
+        _reject((*path, "gf_candidates", 0, "id"), '"statement"', first_id)
+    if len(rec.recurrence.initial) < len(rec.recurrence.lags):
+        raise ValueError(f"{spec.family_id}: fewer initial values than recurrence order")
+    if len(rec.recurrence.initial) < rec.recurrence.valid_from:
+        raise ValueError(f"{spec.family_id}: initial values do not cover valid_from")
+    if rec.asymptotic is not None and not (0.0 < rec.asymptotic.rho < 1.0):
+        raise ValueError(f"{spec.family_id}: rho must be in (0, 1)")
+    for c in rec.boundary_checks:
+        try:
+            graph_order(spec.family_id, c.n, c.kind)
+        except ValueError as exc:
+            raise ValueError(f"boundary check {c.check_id}: {exc}") from None
+    return rec
+
+
+def _term(value, path, seen) -> TransferTerm:
+    t = _Object(value, path, seen)
+    return t.done(TransferTerm(t.get("mult", _int), t.get("kind", _str), t.get("n_shift", _int),
+                               t.get("k_shift", _int)))
+
+
+def _identity(value, path, seen) -> TransferIdentity:
+    i = _Object(value, path, seen)
+    ident = i.done(TransferIdentity(i.get("id", _name), i.get("anchor", _name), i.get("family", _str),
+                                    i.get("lhs", _str), i.get("rhs", _list(_term)), i.get("valid_from", _int),
+                                    i.get("stated_from", _int)))
+    first_n = min(ident.valid_from, ident.stated_from)  # first n replayed
+    for t in ident.rhs:
+        if not (1 <= t.mult <= 4):
+            raise ValueError(f"unexpected multiplier {t.mult} in identity {ident.identity_id}")
+        if t.n_shift > first_n:
+            raise ValueError(f"identity {ident.identity_id} reaches block count "
+                             f"{first_n - t.n_shift} at n = {first_n}")
+    try:  # the first replay's graphs must exist; later replays only add blocks
+        graph_order(ident.family_id, first_n, ident.lhs_kind)
+        for t in ident.rhs:
+            graph_order(ident.family_id, first_n - t.n_shift, t.kind)
+    except ValueError as exc:
+        raise ValueError(f"identity {ident.identity_id}: {exc}") from None
+    return ident
 
 
 def load_catalog() -> Catalog:
@@ -269,135 +385,11 @@ def load_catalog() -> Catalog:
 # benchmark's tracer wraps plain functions only, and counts its calls.
 @functools.lru_cache(maxsize=1)
 def _parse_catalog(text: str) -> Catalog:
-    raw = json.loads(text)
-    _check_keys(raw, _TOP_KEYS)
-
-    families = []
-    for i, fam_raw in enumerate(raw["families"]):
-        _check_keys(fam_raw, _FAMILY_KEYS, "families", i)
-        for j, c in enumerate(fam_raw["gf_candidates"]):
-            _check_keys(c, _CANDIDATE_KEYS, "families", i, "gf_candidates", j)
-        _check_keys(fam_raw["univariate_gf"], _UNIVARIATE_KEYS, "families", i, "univariate_gf")
-        _check_keys(fam_raw["recurrence"], _RECURRENCE_KEYS, "families", i, "recurrence")
-        asym_raw = fam_raw["asymptotic"]
-        asym_path = ("families", i, "asymptotic")
-        _check_keys(asym_raw, _ASYMPTOTIC_KEYS, *asym_path)
-        for j, c in enumerate(fam_raw["boundary_checks"]):
-            _check_keys(c, _CHECK_KEYS, "families", i, "boundary_checks", j)
-        first_id = next((c["id"] for c in fam_raw["gf_candidates"]), None)
-        if first_id != "statement":
-            raise ValueError(f'catalog value $.families[{i}].gf_candidates[0].id is not "statement": '
-                             f"{json.dumps(first_id)}")
-        spec = FAMILIES[fam_raw["id"]]
-        if (spec.symbol, spec.cycle_len, spec.attach_dist) != (
-            fam_raw["symbol"], fam_raw["cycle_len"], fam_raw["attach_dist"]
-        ):
-            raise ValueError(f"catalog family parameters disagree with builders for {spec.family_id}")
-        candidates = tuple(
-            GFCandidate(
-                candidate_id=c["id"],
-                anchor=c["anchor"],
-                gf=RationalGF.from_literals(
-                    c["num"], c["den"],
-                    offset=_int(c.get("offset", 0), "families", i, "gf_candidates", j, "offset")),
-            )
-            for j, c in enumerate(fam_raw["gf_candidates"])
-        )
-        rec_raw = fam_raw["recurrence"]
-        rec_path = ("families", i, "recurrence")
-        recurrence = RecurrenceClaim(
-            anchor=rec_raw["anchor"],
-            lags=_ints(rec_raw["lags"], *rec_path, "lags"),
-            initial=_ints(rec_raw["initial"], *rec_path, "initial"),
-            valid_from=_int(rec_raw["valid_from"], *rec_path, "valid_from"),
-        )
-        if len(recurrence.initial) < len(recurrence.lags):
-            raise ValueError(f"{spec.family_id}: fewer initial values than recurrence order")
-        if len(recurrence.initial) < recurrence.valid_from:
-            raise ValueError(f"{spec.family_id}: initial values do not cover valid_from")
-        stated = asym_raw.keys() & {"rho", "constant"}
-        if len(stated) == 1:  # printed constants come in a pair
-            raise ValueError(f"catalog key {_json_path(asym_path)}.{min({'rho', 'constant'} - stated)} is missing")
-        asymptotic = None
-        if stated:
-            asymptotic = AsymptoticClaim(asym_raw["anchor"], _decimal(asym_raw["rho"], *asym_path, "rho"),
-                                         _decimal(asym_raw["constant"], *asym_path, "constant"))
-            if not (0.0 < asymptotic.rho < 1.0):
-                raise ValueError(f"{spec.family_id}: rho must be in (0, 1)")
-        checks = tuple(
-            BoundaryCheck(
-                check_id=c["id"],
-                anchor=c["anchor"],
-                kind=c["kind"],
-                n=_int(c["n"], "families", i, "boundary_checks", j, "n"),
-                claimed=SizeDistribution({
-                    _size(k, "families", i, "boundary_checks", j, "counts", k):
-                        _int(v, "families", i, "boundary_checks", j, "counts", k)
-                    for k, v in c["counts"].items()}),
-            )
-            for j, c in enumerate(fam_raw["boundary_checks"])
-        )
-        for c in checks:
-            try:
-                graph_order(spec.family_id, c.n, c.kind)
-            except ValueError as exc:
-                raise ValueError(f"boundary check {c.check_id}: {exc}") from None
-        families.append(
-            FamilyRecord(
-                spec=spec,
-                gf_candidates=candidates,
-                univariate_anchor=fam_raw["univariate_gf"]["anchor"],
-                univariate_gf=UnivarRational(parse_univar(fam_raw["univariate_gf"]["num"]),
-                                             parse_univar(fam_raw["univariate_gf"]["den"])),
-                recurrence=recurrence,
-                asymptotic_anchor=asym_raw["anchor"],
-                asymptotic=asymptotic,
-                boundary_checks=checks,
-            )
-        )
-
-    identities = []
-    for i, ident_raw in enumerate(raw["transfer_identities"]):
-        _check_keys(ident_raw, _IDENTITY_KEYS, "transfer_identities", i)
-        for j, t in enumerate(ident_raw["rhs"]):
-            _check_keys(t, _TERM_KEYS, "transfer_identities", i, "rhs", j)
-        at = ("transfer_identities", i)
-        terms = tuple(
-            TransferTerm(_int(t["mult"], *at, "rhs", j, "mult"), t["kind"],
-                         _int(t["n_shift"], *at, "rhs", j, "n_shift"),
-                         _int(t["k_shift"], *at, "rhs", j, "k_shift"))
-            for j, t in enumerate(ident_raw["rhs"])
-        )
-        valid_from = _int(ident_raw["valid_from"], *at, "valid_from")
-        stated_from = _int(ident_raw["stated_from"], *at, "stated_from")
-        first_n = min(valid_from, stated_from)  # first n replayed
-        for t in terms:
-            if not (1 <= t.mult <= 4):
-                raise ValueError(f"unexpected multiplier {t.mult} in identity {ident_raw['id']}")
-            if t.n_shift > first_n:
-                raise ValueError(f"identity {ident_raw['id']} reaches block count "
-                                 f"{first_n - t.n_shift} at n = {first_n}")
-        try:  # the first replay's graphs must exist; later replays only add blocks
-            graph_order(ident_raw["family"], first_n, ident_raw["lhs"])
-            for t in terms:
-                graph_order(ident_raw["family"], first_n - t.n_shift, t.kind)
-        except ValueError as exc:
-            raise ValueError(f"identity {ident_raw['id']}: {exc}") from None
-        identities.append(
-            TransferIdentity(
-                identity_id=ident_raw["id"],
-                anchor=ident_raw["anchor"],
-                family_id=ident_raw["family"],
-                lhs_kind=ident_raw["lhs"],
-                rhs=terms,
-                valid_from=valid_from,
-                stated_from=stated_from,
-            )
-        )
-
-    _check_unique(raw, {})
-    if len(families) != 8:
-        raise ValueError(f"expected 8 family records, found {len(families)}")
-    if len(identities) != 20:
-        raise ValueError(f"expected 20 transfer identities, found {len(identities)}")
-    return Catalog(tuple(families), tuple(identities))
+    top = _Object(json.loads(text), (), {})
+    catalog = top.done(Catalog(top.get("families", _list(_family)),
+                               top.get("transfer_identities", _list(_identity))))
+    if len(catalog.families) != 8:
+        raise ValueError(f"expected 8 family records, found {len(catalog.families)}")
+    if len(catalog.identities) != 20:
+        raise ValueError(f"expected 20 transfer identities, found {len(catalog.identities)}")
+    return catalog

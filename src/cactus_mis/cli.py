@@ -3,7 +3,8 @@
 Exit codes: 0 success (and, for verify, no refuted claims), 1 refuted claims,
 resource limit, a failed worker process, a reader that closed stdout early or
 an `--output` file that cannot be opened or written (one `error: cannot
-write <path>: <reason>` line), 2 usage errors.
+write <path>: <reason>` line), 2 usage errors and a catalog that does not
+load (one `error:` line; a malformed value or key is named by its JSON path).
 
 Every command writes through `_write`, which passes an iterable of strings to
 `writelines` on stdout or on the `--output` file. `series` hands it one line

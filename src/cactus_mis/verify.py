@@ -378,7 +378,7 @@ def verify_asymptotics(record: FamilyRecord) -> dict:
             "kind": "asymptotics",
             "family": fam,
             "verdict": SKIPPED,
-            "note": "exact closed form 2^n; no asymptotic constants are stated for this family",
+            "note": record.asymptotic_note,
         }
     claim = record.asymptotic
     truth = asym.family_estimate(record)

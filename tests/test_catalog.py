@@ -55,11 +55,14 @@ def test_initial_values(catalog):
 def test_asymptotic_claims(catalog):
     assert catalog.family("square").asymptotic is None
     assert catalog.family("square").asymptotic_anchor == "thm:2.9"
+    assert catalog.family("square").asymptotic_note == (
+        "exact closed form 2^n; no asymptotic constants are stated for this family")
     claim = catalog.family("triangular").asymptotic
     assert (claim.rho_printed, claim.constant_printed) == ("0.618", "1.1708")
     assert claim.rho_tolerance == pytest.approx(0.0005)
     assert claim.constant_tolerance == pytest.approx(0.00005)
     for rec in catalog.families:
+        assert (rec.asymptotic is None) != (rec.asymptotic_note is None)
         if rec.asymptotic is not None:
             assert 0.0 < rec.asymptotic.rho < 1.0
             assert rec.asymptotic.anchor == rec.asymptotic_anchor
@@ -239,13 +242,10 @@ def test_unknown_catalog_key_is_rejected_with_its_path(monkeypatch, where, key, 
 def test_non_integer_catalog_value_is_rejected_with_its_path(monkeypatch, path, value):
     # a float would be truncated or printed as one (`8.0`), a string or a
     # boolean coerced: each is refused at load time instead
-    def edit(raw):
-        _walk(raw, path[:-1])[path[-1]] = value
-
     json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
     message = f"catalog value {json_path} is not an integer: {json.dumps(value)}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        _load_edited(monkeypatch, edit)
+        _load_edited(monkeypatch, lambda raw: _set_path(raw, path, value))
 
 
 # a size key is canonical decimal text, so no second spelling of size 2 can
@@ -311,7 +311,7 @@ def test_catalog_that_misnames_a_claim_is_rejected_with_its_path(monkeypatch, ed
 
 
 # one removal per kind of object; a candidate's `offset` is optional, and an
-# asymptotic claim's printed constants come both or neither
+# asymptotic object gives its printed constants (both) or a note
 @pytest.mark.parametrize("path, key", [
     ((), "families"),
     (("families", 1), "recurrence"),
@@ -319,17 +319,84 @@ def test_catalog_that_misnames_a_claim_is_rejected_with_its_path(monkeypatch, ed
     (("families", 1, "univariate_gf"), "den"),
     (("families", 1, "recurrence"), "lags"),
     (("families", 2, "asymptotic"), "anchor"),
+    (("families", 2, "asymptotic"), "note"),
     (("families", 3, "asymptotic"), "rho"),
     (("families", 3, "asymptotic"), "constant"),
     (("families", 2, "boundary_checks", 1), "counts"),
     (("transfer_identities", 3), "lhs"),
     (("transfer_identities", 3, "rhs", 1), "k_shift"),
-], ids=["top", "family", "gf-candidate", "univariate-gf", "recurrence", "asymptotic-anchor",
+], ids=["top", "family", "gf-candidate", "univariate-gf", "recurrence", "asymptotic-anchor", "asymptotic-note",
         "asymptotic-rho", "asymptotic-constant", "boundary-check", "identity", "rhs-term"])
 def test_missing_catalog_key_is_rejected_with_its_path(monkeypatch, path, key):
     json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
     with pytest.raises(ValueError, match="^" + re.escape(f"catalog key {json_path}.{key} is missing") + "$"):
         _load_edited(monkeypatch, lambda raw: _walk(raw, path).pop(key))
+
+
+def _pop_constants(asymptotic):
+    del asymptotic["rho"], asymptotic["constant"]
+
+
+# an asymptotic object gives either both printed constants or a note; before
+# the note was catalog data, triangular without its constants was reported
+# SKIPPED with square's note
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: _pop_constants(raw["families"][0]["asymptotic"]),
+     "catalog key $.families[0].asymptotic.note is missing"),
+    (lambda raw: raw["families"][0]["asymptotic"].update(note="no constants"),
+     "unknown catalog key $.families[0].asymptotic.note"),
+    (lambda raw: raw["families"][2]["asymptotic"].update(rho="0.5"),
+     "catalog key $.families[2].asymptotic.constant is missing"),
+    (lambda raw: raw["families"][2]["asymptotic"].update(note=None),
+     "catalog value $.families[2].asymptotic.note is not a string: null"),
+], ids=["constants-removed", "note-beside-constants", "note-beside-rho", "note-null"])
+def test_asymptotic_object_gives_constants_or_a_note(monkeypatch, edit, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _load_edited(monkeypatch, edit)
+
+
+# each of these loaded into a traceback (an AttributeError, TypeError or bare
+# KeyError) or a message naming no path before every value was read by its type
+@pytest.mark.parametrize("path, value, message", [
+    (("families", 2, "boundary_checks", 1, "counts"), [1, 4],
+     "catalog value $.families[2].boundary_checks[1].counts is not an object: [1, 4]"),
+    (("transfer_identities", 3, "rhs"), 3, "catalog value $.transfer_identities[3].rhs is not a list: 3"),
+    (("families", 0, "gf_candidates", 0, "num"), 1,
+     "catalog value $.families[0].gf_candidates[0].num is not a string: 1"),
+    (("families", 0, "univariate_gf", "den"), None,
+     "catalog value $.families[0].univariate_gf.den is not a string: null"),
+    (("families", 0, "gf_candidates", 0, "num"), "1 + x^",
+     "catalog value $.families[0].gf_candidates[0] is not a generating function "
+     "(cannot parse polynomial near '^')"),
+    (("families", 0, "univariate_gf", "den"), "2 - x",
+     "catalog value $.families[0].univariate_gf is not a generating function "
+     "(denominator must have constant term 1)"),
+    (("families",), {}, "catalog value $.families is not a list: {}"),
+    (("transfer_identities", 3, "lhs"), 1, "catalog value $.transfer_identities[3].lhs is not a string: 1"),
+    (("families", 0, "id"), "heptagonal",
+     'catalog value $.families[0].id is not a family the builders know: "heptagonal"'),
+    (("families", 0, "symbol"), "x", "catalog value $.families[0].symbol is not the builders' \"t\": \"x\""),
+    (("families", 0, "cycle_len"), 4, "catalog value $.families[0].cycle_len is not the builders' 3: 4"),
+    (("families", 0, "attach_dist"), 2, "catalog value $.families[0].attach_dist is not the builders' 1: 2"),
+    (("families", 0, "symbol"), 1, "catalog value $.families[0].symbol is not a string: 1"),
+], ids=["counts-list", "rhs-number", "gf-num-number", "univariate-den-null", "gf-num-unparsable",
+        "univariate-den-constant", "families-object", "identity-lhs-number", "unknown-family-id", "symbol-mismatch",
+        "cycle_len-mismatch", "attach_dist-mismatch", "symbol-number"])
+def test_malformed_catalog_value_is_rejected_with_its_path(monkeypatch, path, value, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _load_edited(monkeypatch, lambda raw: _set_path(raw, path, value))
+
+
+def test_malformed_catalog_ends_verify_in_one_error_line(monkeypatch, capsys):
+    from cactus_mis import cli
+
+    raw = json.loads(catalog_mod._data_text("catalog.json"))
+    raw["families"][2]["boundary_checks"][1]["counts"] = [1, 4]
+    monkeypatch.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
+    assert cli.main(["verify", "--scope", "all"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: catalog value $.families[2].boundary_checks[1].counts is not an object: [1, 4]\n"
 
 
 def test_zero_offset_may_be_left_out(monkeypatch, catalog):
@@ -373,31 +440,36 @@ def test_printed_constant_that_is_not_a_decimal_is_rejected(monkeypatch, key, va
 
 def _catalog_objects():
     """{kind: (keys the loader reads, paths of that kind's objects)} over the
-    committed catalog; the `counts` maps are free-form, so not among them."""
+    committed catalog. A kind's keys are those its objects give, with a
+    candidate's optional `offset`; the `counts` maps are free-form, so not
+    among them."""
     raw = json.loads(catalog_mod._data_text("catalog.json"))
     fams = list(enumerate(raw["families"]))
     idents = [("transfer_identities", i) for i in range(len(raw["transfer_identities"]))]
-    return {
-        "top": (catalog_mod._TOP_KEYS, [()]),
-        "family": (catalog_mod._FAMILY_KEYS, [("families", i) for i, _ in fams]),
-        "candidate": (catalog_mod._CANDIDATE_KEYS, [("families", i, "gf_candidates", j)
-                                                    for i, f in fams
-                                                    for j in range(len(f["gf_candidates"]))]),
-        "univariate": (catalog_mod._UNIVARIATE_KEYS, [("families", i, "univariate_gf") for i, _ in fams]),
-        "recurrence": (catalog_mod._RECURRENCE_KEYS, [("families", i, "recurrence") for i, _ in fams]),
-        "asymptotic": (catalog_mod._ASYMPTOTIC_KEYS, [("families", i, "asymptotic") for i, _ in fams]),
-        "check": (catalog_mod._CHECK_KEYS, [("families", i, "boundary_checks", j) for i, f in fams
-                                            for j in range(len(f["boundary_checks"]))]),
-        "identity": (catalog_mod._IDENTITY_KEYS, idents),
-        "term": (catalog_mod._TERM_KEYS, [(*at, "rhs", j) for at in idents
-                                          for j in range(len(_walk(raw, at)["rhs"]))]),
+    paths = {
+        "top": [()],
+        "family": [("families", i) for i, _ in fams],
+        "candidate": [("families", i, "gf_candidates", j) for i, f in fams for j in range(len(f["gf_candidates"]))],
+        "univariate": [("families", i, "univariate_gf") for i, _ in fams],
+        "recurrence": [("families", i, "recurrence") for i, _ in fams],
+        "asymptotic": [("families", i, "asymptotic") for i, _ in fams],
+        "check": [("families", i, "boundary_checks", j) for i, f in fams for j in range(len(f["boundary_checks"]))],
+        "identity": idents,
+        "term": [(*at, "rhs", j) for at in idents for j in range(len(_walk(raw, at)["rhs"]))],
     }
+    optional = {"candidate": {"offset"}}
+    return {kind: (frozenset().union(optional.get(kind, ()), *(_walk(raw, at) for at in at_list)), at_list)
+            for kind, at_list in paths.items()}
 
 
 def _walk(raw, path):
     for step in path:
         raw = raw[step]
     return raw
+
+
+def _set_path(raw, path, value):
+    _walk(raw, path[:-1])[path[-1]] = value
 
 
 _OBJECTS = _catalog_objects()

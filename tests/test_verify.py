@@ -143,6 +143,9 @@ def test_asymptotics_confirmed_and_refuted(catalog):
     sq = verify_asymptotics(catalog.family("square"))
     assert sq["verdict"] == "SKIPPED"
     assert "2^n" in sq["note"]
+    # the note is the catalog's, not the verifier's
+    edited = catalog.family("square")._replace(asymptotic_note="edited")
+    assert verify_asymptotics(edited)["note"] == "edited"
 
     dia = verify_asymptotics(catalog.family("diamond"))
     assert dia["verdict"] == "REFUTED"
