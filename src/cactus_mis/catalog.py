@@ -8,9 +8,9 @@ themselves are never edited.
 
 The catalog is the only list of claims: `verify` keys each verdict by the
 anchor written once here. Each key is named once, where it is read, and each
-value is read by its JSON type. Loading rejects a value of another type, a
-repeated anchor or id, and a missing or unknown key with one ValueError naming
-the JSON paths involved.
+value is read by its JSON type and range. Loading rejects a value of another
+type or out of range, a repeated anchor or id, and a missing or unknown key
+with one ValueError naming the JSON paths involved.
 
 The text is parsed once per process and the parsed `Catalog` is shared by
 every later `load_catalog()` call that reads the same text, so callers must
@@ -87,7 +87,6 @@ class BoundaryCheck(NamedTuple):
     """Stated size distribution of one small graph; sizes not listed are
     claimed to have count zero."""
 
-    check_id: str
     anchor: str
     kind: str
     n: int
@@ -170,10 +169,10 @@ def _data_text(name: str) -> Optional[str]:
         return None
 
 
-# Each reader below checks one JSON value by its type and returns what it
-# means, or raises one ValueError naming the value's JSON path. A reader takes
-# (value, path, seen): the value, the keys and indices that lead to it from
-# the top, and the path of each anchor and id read so far.
+# Each reader below checks one JSON value by its type and range and returns
+# what it means, or raises one ValueError naming the value's JSON path. A
+# reader takes (value, path, seen): the value, the keys and indices that lead
+# to it from the top, and the path of each anchor and id read so far.
 
 
 def _json_path(path) -> str:
@@ -181,8 +180,22 @@ def _json_path(path) -> str:
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
+def _show(value) -> str:
+    """`value` as JSON, cut after 60 characters so that a message stays one short line."""
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
 def _reject(path, what: str, value) -> NoReturn:
-    raise ValueError(f"catalog value {_json_path(path)} is not {what}: {json.dumps(value)}")
+    raise ValueError(f"catalog value {_json_path(path)} is not {what}: {_show(value)}")
+
+
+def _made(path, what: str, make, *args):
+    """`make(*args)`; a ValueError it raises rejects the value at `path` as not `what`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"catalog value {_json_path(path)} is not {what} ({exc})") from None
 
 
 _REQUIRED = object()
@@ -235,11 +248,13 @@ def _decimal(value, path, seen) -> str:
     return value
 
 
-def _list(read):
-    """The reader of a JSON list whose items `read` reads, as a tuple."""
+def _list(read, length: Optional[int] = None):
+    """The reader of a JSON list whose items `read` reads, as a tuple, of `length` items if given."""
     def read_list(value, path, seen) -> tuple:
         if type(value) is not list:
             _reject(path, "a list", value)
+        if length not in (None, len(value)):
+            _reject(path, f"a list of {length} items", value)
         return tuple([read(item, (*path, i), seen) for i, item in enumerate(value)])
     return read_list
 
@@ -254,8 +269,10 @@ def _counts(value, path, seen) -> SizeDistribution:
     for key, count in value.items():
         at = (*path, key)
         if not (key.isascii() and key.isdigit() and key == str(int(key))):
-            raise ValueError(f"catalog key {_json_path(at)} is not a set size: {json.dumps(key)}")
-        sizes[int(key)] = _int(count, at, seen)
+            raise ValueError(f"catalog key {_json_path(at)} is not a set size: {_show(key)}")
+        if _int(count, at, seen) < 0:
+            _reject(at, "a count >= 0", count)
+        sizes[int(key)] = count
     return SizeDistribution(sizes)
 
 
@@ -265,35 +282,33 @@ def _name(value, path, seen) -> str:
     space = path[:-2] if path[-1] == "id" else "anchor"
     earlier = seen.setdefault((space, _str(value, path, seen)), path)
     if earlier is not path:
-        raise ValueError(f"catalog value {_json_path(path)} repeats {_json_path(earlier)}: {json.dumps(value)}")
+        raise ValueError(f"catalog value {_json_path(path)} repeats {_json_path(earlier)}: {_show(value)}")
     return value
-
-
-def _generating_function(make, path, *literals):
-    """`make(*literals)`; a literal it cannot read is rejected with `path`."""
-    try:
-        return make(*literals)
-    except ValueError as exc:
-        raise ValueError(f"catalog value {_json_path(path)} is not a generating function ({exc})") from None
 
 
 def _candidate(value, path, seen) -> GFCandidate:
     c = _Object(value, path, seen)
-    return c.done(GFCandidate(c.get("id", _name), c.get("anchor", _name), _generating_function(
-        RationalGF.from_literals, path, c.get("num", _str), c.get("den", _str), c.get("offset", _int, 0))))
+    return c.done(GFCandidate(c.get("id", _name), c.get("anchor", _name), _made(
+        path, "a generating function", RationalGF.from_literals, c.get("num", _str), c.get("den", _str),
+        c.get("offset", _int, 0))))
 
 
 def _univariate(value, path, seen) -> tuple[str, UnivarRational]:
     u = _Object(value, path, seen)
-    return u.done((u.get("anchor", _name), _generating_function(
-        lambda num, den: UnivarRational(parse_univar(num), parse_univar(den)), path, u.get("num", _str),
-        u.get("den", _str))))
+    return u.done((u.get("anchor", _name), _made(
+        path, "a generating function", lambda num, den: UnivarRational(parse_univar(num), parse_univar(den)),
+        u.get("num", _str), u.get("den", _str))))
 
 
 def _recurrence(value, path, seen) -> RecurrenceClaim:
     r = _Object(value, path, seen)
-    return r.done(RecurrenceClaim(r.get("anchor", _name), r.get("lags", _list(_int)), r.get("initial", _list(_int)),
-                                  r.get("valid_from", _int)))
+    rec = r.done(RecurrenceClaim(r.get("anchor", _name), r.get("lags", _list(_int)), r.get("initial", _list(_int)),
+                                 r.get("valid_from", _int)))
+    if len(rec.initial) < len(rec.lags):
+        _reject((*path, "initial"), f"at least {len(rec.lags)} values, one per lag", rec.initial)
+    if rec.valid_from > len(rec.initial):
+        _reject((*path, "valid_from"), f"at most {len(rec.initial)}, the number of initial values", rec.valid_from)
+    return rec
 
 
 def _asymptotic(value, path, seen) -> tuple[str, Optional[AsymptoticClaim], Optional[str]]:
@@ -302,14 +317,17 @@ def _asymptotic(value, path, seen) -> tuple[str, Optional[AsymptoticClaim], Opti
     a = _Object(value, path, seen)
     anchor = a.get("anchor", _name)
     if "rho" in a.value or "constant" in a.value:
-        return a.done((anchor, AsymptoticClaim(anchor, a.get("rho", _decimal), a.get("constant", _decimal)), None))
+        claim = AsymptoticClaim(anchor, a.get("rho", _decimal), a.get("constant", _decimal))
+        if not 0.0 < claim.rho < 1.0:  # a series whose terms grow converges inside the unit disc
+            _reject((*path, "rho"), "a printed decimal in (0, 1)", claim.rho_printed)
+        return a.done((anchor, claim, None))
     return a.done((anchor, None, a.get("note", _str)))
 
 
 def _check(value, path, seen) -> BoundaryCheck:
     c = _Object(value, path, seen)
-    return c.done(BoundaryCheck(c.get("id", _name), c.get("anchor", _name), c.get("kind", _str),
-                                c.get("n", _int), c.get("counts", _counts)))
+    return c.done(BoundaryCheck(c.get("anchor", _name), c.get("kind", _str), c.get("n", _int),
+                                c.get("counts", _counts)))
 
 
 def _family(value, path, seen) -> FamilyRecord:
@@ -327,17 +345,8 @@ def _family(value, path, seen) -> FamilyRecord:
     first_id = rec.gf_candidates[0].candidate_id if rec.gf_candidates else None
     if first_id != "statement":
         _reject((*path, "gf_candidates", 0, "id"), '"statement"', first_id)
-    if len(rec.recurrence.initial) < len(rec.recurrence.lags):
-        raise ValueError(f"{spec.family_id}: fewer initial values than recurrence order")
-    if len(rec.recurrence.initial) < rec.recurrence.valid_from:
-        raise ValueError(f"{spec.family_id}: initial values do not cover valid_from")
-    if rec.asymptotic is not None and not (0.0 < rec.asymptotic.rho < 1.0):
-        raise ValueError(f"{spec.family_id}: rho must be in (0, 1)")
-    for c in rec.boundary_checks:
-        try:
-            graph_order(spec.family_id, c.n, c.kind)
-        except ValueError as exc:
-            raise ValueError(f"boundary check {c.check_id}: {exc}") from None
+    for j, c in enumerate(rec.boundary_checks):
+        _made((*path, "boundary_checks", j), "on graphs the builders make", graph_order, spec.family_id, c.n, c.kind)
     return rec
 
 
@@ -352,19 +361,15 @@ def _identity(value, path, seen) -> TransferIdentity:
     ident = i.done(TransferIdentity(i.get("id", _name), i.get("anchor", _name), i.get("family", _str),
                                     i.get("lhs", _str), i.get("rhs", _list(_term)), i.get("valid_from", _int),
                                     i.get("stated_from", _int)))
-    first_n = min(ident.valid_from, ident.stated_from)  # first n replayed
-    for t in ident.rhs:
-        if not (1 <= t.mult <= 4):
-            raise ValueError(f"unexpected multiplier {t.mult} in identity {ident.identity_id}")
+    first_n = min(ident.valid_from, ident.stated_from)  # replayed first; later replays only add blocks
+    _made(path, "on graphs the builders make", graph_order, ident.family_id, first_n, ident.lhs_kind)
+    for j, t in enumerate(ident.rhs):
+        at = (*path, "rhs", j)
+        if not 1 <= t.mult <= 4:
+            _reject((*at, "mult"), "a multiplier from 1 to 4", t.mult)
         if t.n_shift > first_n:
-            raise ValueError(f"identity {ident.identity_id} reaches block count "
-                             f"{first_n - t.n_shift} at n = {first_n}")
-    try:  # the first replay's graphs must exist; later replays only add blocks
-        graph_order(ident.family_id, first_n, ident.lhs_kind)
-        for t in ident.rhs:
-            graph_order(ident.family_id, first_n - t.n_shift, t.kind)
-    except ValueError as exc:
-        raise ValueError(f"identity {ident.identity_id}: {exc}") from None
+            _reject((*at, "n_shift"), f"at most {first_n}, the first n replayed", t.n_shift)
+        _made(at, "on graphs the builders make", graph_order, ident.family_id, first_n - t.n_shift, t.kind)
     return ident
 
 
@@ -386,10 +391,5 @@ def load_catalog() -> Catalog:
 @functools.lru_cache(maxsize=1)
 def _parse_catalog(text: str) -> Catalog:
     top = _Object(json.loads(text), (), {})
-    catalog = top.done(Catalog(top.get("families", _list(_family)),
-                               top.get("transfer_identities", _list(_identity))))
-    if len(catalog.families) != 8:
-        raise ValueError(f"expected 8 family records, found {len(catalog.families)}")
-    if len(catalog.identities) != 20:
-        raise ValueError(f"expected 20 transfer identities, found {len(catalog.identities)}")
-    return catalog
+    return top.done(Catalog(top.get("families", _list(_family, 8)),
+                            top.get("transfer_identities", _list(_identity, 20))))

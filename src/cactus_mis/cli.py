@@ -241,16 +241,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return handlers[args.command](args)
-    except VertexLimitExceeded as exc:
+    except (VertexLimitExceeded, ChildProcessError, _Unwritable) as exc:
+        # a resource limit, a pooled verify's child that died or could not
+        # send its counts back, or an --output that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError:
         # the command's objects are freed by the time this runs
         sys.stderr.write(f"error: out of memory in {args.command}\n")
-        return 1
-    except ChildProcessError as exc:
-        # a pooled verify's child died, or could not send its counts back
-        sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -261,9 +259,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 1
-    except _Unwritable as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 1
     finally:
         if digits:

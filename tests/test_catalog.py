@@ -96,15 +96,15 @@ def test_every_boundary_check_against_oracle(catalog, baseline):
     for rec in catalog.families:
         for check in rec.boundary_checks:
             actual = enumerate_mis(build_graph(rec.family_id, check.n, check.kind))
-            if _refuted(baseline, check.check_id):
-                assert actual != check.claimed, check.check_id
+            if _refuted(baseline, check.anchor):
+                assert actual != check.claimed, check.anchor
             else:
-                assert actual == check.claimed, check.check_id
+                assert actual == check.claimed, check.anchor
 
 
 def test_disputed_flags_populated_from_baseline(catalog, baseline):
-    check_ids = {c.check_id for rec in catalog.families for c in rec.boundary_checks}
-    disputed = {cid for cid in check_ids if _refuted(baseline, cid)}
+    anchors = {c.anchor for rec in catalog.families for c in rec.boundary_checks}
+    disputed = {anchor for anchor in anchors if _refuted(baseline, anchor)}
     assert disputed == {
         "check:sbar:1",        # stated zero beyond k=2; enumeration finds size-3 sets
         "check:pbar:0:b",      # one of the two conflicting citations
@@ -163,35 +163,94 @@ def _raw_identity(raw, ident_id):
     return ident
 
 
-@pytest.mark.parametrize("ident_id, n_shift", [("dbar4", 2), ("t1", 4)])
-def test_identity_reaching_a_negative_block_count_is_rejected(monkeypatch, ident_id, n_shift):
-    # dbar4 is replayed from its stated n = 1, t1 from n = 3
+# dbar4 (transfer_identities[3]) is replayed from its stated n = 1, t1
+# (transfer_identities[0]) from n = 3
+@pytest.mark.parametrize("ident_id, n_shift, message", [
+    ("dbar4", 2, "catalog value $.transfer_identities[3].rhs[0].n_shift is not at most 1, the first n replayed: 2"),
+    ("t1", 4, "catalog value $.transfer_identities[0].rhs[0].n_shift is not at most 3, the first n replayed: 4"),
+], ids=["dbar4-2", "t1-4"])
+def test_identity_reaching_a_negative_block_count_is_rejected(monkeypatch, ident_id, n_shift, message):
     def edit(raw):
         _raw_identity(raw, ident_id)["rhs"][0]["n_shift"] = n_shift
 
-    with pytest.raises(ValueError, match=f"^identity {ident_id} reaches block count -1 at n = "):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         _load_edited(monkeypatch, edit)
 
 
-def _square_check(raw, check_id):
+def _square_check(raw, anchor):
     [fam] = [f for f in raw["families"] if f["id"] == "square"]
-    [check] = [c for c in fam["boundary_checks"] if c["id"] == check_id]
+    [check] = [c for c in fam["boundary_checks"] if c["anchor"] == anchor]
     return check
 
 
+# s1 is transfer_identities[4]; square is families[2], and check:sbar:0 its
+# boundary_checks[2]
 @pytest.mark.parametrize("edit, message", [
     (lambda raw: _raw_identity(raw, "s1").update(lhs="bogus"),
-     "identity s1: unknown graph kind 'bogus'; expected one of ('family', 'bar', 'tilde')"),
+     "catalog value $.transfer_identities[4] is not on graphs the builders make "
+     "(unknown graph kind 'bogus'; expected one of ('family', 'bar', 'tilde'))"),
     (lambda raw: _raw_identity(raw, "s1").update(family="heptagonal"),
-     "identity s1: unknown family 'heptagonal'; known: "),
+     "catalog value $.transfer_identities[4] is not on graphs the builders make (unknown family 'heptagonal'; "
+     "known: triangular, diamond, square, pentagonal, meta-pentagonal, meta-hexagonal, para-hexagonal, "
+     "ortho-hexagonal)"),
     (lambda raw: _raw_identity(raw, "s1")["rhs"][1].update(kind="tilde"),
-     "identity s1: no tilde auxiliary graph for family 'square'"),
+     "catalog value $.transfer_identities[4].rhs[1] is not on graphs the builders make "
+     "(no tilde auxiliary graph for family 'square')"),
     (lambda raw: _square_check(raw, "check:sbar:0").update(kind="tilde"),
-     "boundary check check:sbar:0: no tilde auxiliary graph for family 'square'"),
+     "catalog value $.families[2].boundary_checks[2] is not on graphs the builders make "
+     "(no tilde auxiliary graph for family 'square')"),
 ], ids=["unknown-lhs-kind", "unknown-family", "missing-term-gadget", "missing-check-gadget"])
 def test_catalog_naming_a_missing_graph_is_rejected(monkeypatch, edit, message):
     # rejected at load time, not mid-way through a verify run
-    with pytest.raises(ValueError, match="^" + re.escape(message)):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _load_edited(monkeypatch, edit)
+
+
+# each of these but the last named a family, check or identity id in place of
+# a path (or, for a negative count, nothing at all) when it was checked after
+# the reads; the last printed the whole catalog in its one line
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["families"][1]["recurrence"].update(initial=[1, 2]),
+     "catalog value $.families[1].recurrence.initial is not at least 3 values, one per lag: [1, 2]"),
+    (lambda raw: raw["families"][0]["recurrence"].update(valid_from=4),
+     "catalog value $.families[0].recurrence.valid_from is not at most 3, the number of initial values: 4"),
+    (lambda raw: raw["families"][0]["asymptotic"].update(rho="1.5"),
+     'catalog value $.families[0].asymptotic.rho is not a printed decimal in (0, 1): "1.5"'),
+    (lambda raw: raw["families"][2]["boundary_checks"][1]["counts"].update({"2": -1}),
+     "catalog value $.families[2].boundary_checks[1].counts.2 is not a count >= 0: -1"),
+    (lambda raw: raw["families"][0]["boundary_checks"][3].update(kind="tilde"),
+     "catalog value $.families[0].boundary_checks[3] is not on graphs the builders make "
+     "(no tilde auxiliary graph for family 'triangular')"),
+    (lambda raw: raw["families"][1]["boundary_checks"][0].update(n=-1),
+     "catalog value $.families[1].boundary_checks[0] is not on graphs the builders make "
+     "(block count must be >= 0)"),
+    (lambda raw: raw["transfer_identities"][0].update(family="hexagonal"),
+     "catalog value $.transfer_identities[0] is not on graphs the builders make (unknown family 'hexagonal'; "
+     "known: triangular, diamond, square, pentagonal, meta-pentagonal, meta-hexagonal, para-hexagonal, "
+     "ortho-hexagonal)"),
+    (lambda raw: raw["transfer_identities"][1].update(lhs="bars"),
+     "catalog value $.transfer_identities[1] is not on graphs the builders make "
+     "(unknown graph kind 'bars'; expected one of ('family', 'bar', 'tilde'))"),
+    (lambda raw: raw["transfer_identities"][0]["rhs"][1].update(kind="tilde"),
+     "catalog value $.transfer_identities[0].rhs[1] is not on graphs the builders make "
+     "(no tilde auxiliary graph for family 'triangular')"),
+    (lambda raw: raw["transfer_identities"][2]["rhs"][0].update(mult=9),
+     "catalog value $.transfer_identities[2].rhs[0].mult is not a multiplier from 1 to 4: 9"),
+    (lambda raw: raw["transfer_identities"][1]["rhs"][1].update(n_shift=3),
+     "catalog value $.transfer_identities[1].rhs[1].n_shift is not at most 2, the first n replayed: 3"),
+    (lambda raw: raw["families"].pop(),
+     'catalog value $.families is not a list of 8 items: [{"id": "triangular", "symbol": "t", "cycle_len": 3, '
+     '"attach…'),
+    (lambda raw: raw["transfer_identities"].pop(),
+     'catalog value $.transfer_identities is not a list of 20 items: [{"id": "t1", "anchor": "eq:t1", '
+     '"family": "triangular", "lh…'),
+    (lambda raw: raw.update(families={fam["id"]: fam for fam in raw["families"]}),
+     'catalog value $.families is not a list: {"triangular": {"id": "triangular", "symbol": "t", "cycle_le…'),
+], ids=["too-few-initial-values", "valid_from-past-initial", "rho-above-1", "negative-count", "check-gadget",
+        "check-n-negative", "identity-family", "identity-lhs-kind", "identity-term-gadget", "multiplier-9",
+        "negative-block-count", "7-families", "19-identities", "families-object-shown-by-a-prefix"])
+def test_edited_catalog_is_rejected_in_one_line_naming_its_path(monkeypatch, edit, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         _load_edited(monkeypatch, edit)
 
 
@@ -496,21 +555,40 @@ def test_any_unread_key_is_rejected_with_its_path(where, key):
             catalog_mod.load_catalog()
 
 
+def _members(value, path=()):
+    """The path of every key of every object and every item of every list in `value`."""
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for step, item in items:
+        yield (*path, step)
+        yield from _members(item, (*path, step))
+
+
+_MEMBERS = list(_members(json.loads(catalog_mod._data_text("catalog.json"))))
+_OBJECT_PATHS = {at for _, at_list in _OBJECTS.values() for at in at_list}
+
+
 @settings(max_examples=60, deadline=None)
-@given(where=_catalog_object(), data=st.data())
-def test_any_removed_key_is_reported_missing_with_its_path(where, data):
-    # every key but an optional `offset` is required; removing one of the two
-    # printed constants leaves the other without its pair
-    _, path = where
+@given(member=st.sampled_from(_MEMBERS))
+def test_any_removed_key_is_reported_missing_with_its_path(member):
+    # every key of an object the loader reads but an optional `offset` is
+    # required; removing one of the two printed constants leaves the other
+    # without its pair. Removing anything else (a list item, a size's count)
+    # loads, or is rejected in one line that names a JSON path
     raw = json.loads(catalog_mod._data_text("catalog.json"))
-    obj = _walk(raw, path)
-    key = data.draw(st.sampled_from(sorted(obj.keys() - {"offset"})))
-    del obj[key]
-    json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    *path, key = member
+    del _walk(raw, path)[key]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
-        with pytest.raises(ValueError, match="^" + re.escape(f"catalog key {json_path}.{key} is missing") + "$"):
+        try:
             catalog_mod.load_catalog()
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+    if tuple(path) in _OBJECT_PATHS and key != "offset":
+        json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        assert message == f"catalog key {json_path}.{key} is missing"
+    elif message is not None:
+        assert re.fullmatch(r"(catalog (key|value) |unknown catalog key )\$\S*( .*)?", message), message
 
 
 def test_count_sizes_are_free_form(monkeypatch, catalog):
