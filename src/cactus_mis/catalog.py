@@ -28,7 +28,7 @@ from typing import NamedTuple, NoReturn, Optional
 
 from .graphs import FAMILIES, FamilySpec, graph_order
 from .oracle import SizeDistribution
-from .series import RationalGF, UnivarRational, parse_univar
+from .series import RationalGF, UnivarRational, parse_univar, rational_from_recurrence
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -42,16 +42,13 @@ class GFCandidate(NamedTuple):
 
 
 class RecurrenceClaim(NamedTuple):
-    """a(n) = sum lags[i-1] * a(n-i) for n >= valid_from, seeded by `initial`."""
+    """a(n) = initial[n] for n < len(initial), then a(n) = sum lags[i-1] * a(n-i)."""
 
     anchor: str
     lags: tuple[int, ...]
     initial: tuple[int, ...]
-    valid_from: int
 
     def rational(self) -> UnivarRational:
-        from .series import rational_from_recurrence
-
         return rational_from_recurrence(self.lags, self.initial)
 
 
@@ -108,13 +105,17 @@ class TransferIdentity(NamedTuple):
     instance (which the verification report refutes).
     """
 
-    identity_id: str
     anchor: str
     family_id: str
     lhs_kind: str
     rhs: tuple[TransferTerm, ...]
     valid_from: int
     stated_from: int
+
+    @property
+    def identity_id(self) -> str:
+        """The anchor without its `eq:` prefix, as the report names the identity."""
+        return self.anchor.removeprefix("eq:")
 
 
 class FamilyRecord(NamedTuple):
@@ -261,15 +262,16 @@ def _list(read, length: Optional[int] = None):
 
 def _counts(value, path, seen) -> SizeDistribution:
     """A JSON object from set sizes to integer counts. A size is canonical
-    non-negative decimal text, so `" 2"`, `"02"`, `"+2"` or a non-ASCII digit
-    cannot name size 2 beside `"2"`."""
+    non-negative decimal text of at most 9 digits, so `" 2"`, `"02"`, `"+2"`
+    or a non-ASCII digit cannot name size 2 beside `"2"`, and no key is too
+    long for `int()`."""
     if type(value) is not dict:
         _reject(path, "an object", value)
     sizes = {}
     for key, count in value.items():
+        if not re.fullmatch(r"0|[1-9][0-9]{0,8}", key):
+            raise ValueError(f"catalog value {_json_path(path)} has a key that is not a set size: {_show(key)}")
         at = (*path, key)
-        if not (key.isascii() and key.isdigit() and key == str(int(key))):
-            raise ValueError(f"catalog key {_json_path(at)} is not a set size: {_show(key)}")
         if _int(count, at, seen) < 0:
             _reject(at, "a count >= 0", count)
         sizes[int(key)] = count
@@ -302,12 +304,9 @@ def _univariate(value, path, seen) -> tuple[str, UnivarRational]:
 
 def _recurrence(value, path, seen) -> RecurrenceClaim:
     r = _Object(value, path, seen)
-    rec = r.done(RecurrenceClaim(r.get("anchor", _name), r.get("lags", _list(_int)), r.get("initial", _list(_int)),
-                                 r.get("valid_from", _int)))
+    rec = r.done(RecurrenceClaim(r.get("anchor", _name), r.get("lags", _list(_int)), r.get("initial", _list(_int))))
     if len(rec.initial) < len(rec.lags):
         _reject((*path, "initial"), f"at least {len(rec.lags)} values, one per lag", rec.initial)
-    if rec.valid_from > len(rec.initial):
-        _reject((*path, "valid_from"), f"at most {len(rec.initial)}, the number of initial values", rec.valid_from)
     return rec
 
 
@@ -331,14 +330,11 @@ def _check(value, path, seen) -> BoundaryCheck:
 
 
 def _family(value, path, seen) -> FamilyRecord:
+    """A family's claims; its shape is the builders' `FamilySpec` for its `id`."""
     f = _Object(value, path, seen)
     spec = FAMILIES.get(f.get("id", _name))
     if spec is None:
         _reject((*path, "id"), "a family the builders know", f.value["id"])
-    for key, read in (("symbol", _str), ("cycle_len", _int), ("attach_dist", _int)):
-        stated = f.get(key, read)
-        if stated != getattr(spec, key):
-            _reject((*path, key), f"the builders' {json.dumps(getattr(spec, key))}", stated)
     rec = f.done(FamilyRecord(spec, f.get("gf_candidates", _list(_candidate)), *f.get("univariate_gf", _univariate),
                               f.get("recurrence", _recurrence), *f.get("asymptotic", _asymptotic),
                               f.get("boundary_checks", _list(_check))))
@@ -358,9 +354,10 @@ def _term(value, path, seen) -> TransferTerm:
 
 def _identity(value, path, seen) -> TransferIdentity:
     i = _Object(value, path, seen)
-    ident = i.done(TransferIdentity(i.get("id", _name), i.get("anchor", _name), i.get("family", _str),
-                                    i.get("lhs", _str), i.get("rhs", _list(_term)), i.get("valid_from", _int),
-                                    i.get("stated_from", _int)))
+    ident = i.done(TransferIdentity(i.get("anchor", _name), i.get("family", _str), i.get("lhs", _str),
+                                    i.get("rhs", _list(_term)), i.get("valid_from", _int), i.get("stated_from", _int)))
+    if not ident.anchor.startswith("eq:"):  # its id is the anchor after `eq:`, so ids repeat no more than anchors
+        _reject((*path, "anchor"), 'an anchor starting with "eq:"', ident.anchor)
     first_n = min(ident.valid_from, ident.stated_from)  # replayed first; later replays only add blocks
     _made(path, "on graphs the builders make", graph_order, ident.family_id, first_n, ident.lhs_kind)
     for j, t in enumerate(ident.rhs):

@@ -34,7 +34,7 @@ from .emit import emit
 from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, build_graph, graph_labels
 from .oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded
 from .series import recurrence_sequence, recurrence_text, series_in_x
-from .verify import (has_refuted, oracle_distribution, report_to_json, report_to_table,
+from .verify import (SCOPES, has_refuted, oracle_distribution, report_to_json, report_to_table,
                      run_verification)
 
 VERTEX_LIMIT_ENV = "CACTUS_MIS_VERTEX_LIMIT"
@@ -82,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--output", default=None)
 
     p_verify = sub.add_parser("verify", help="cross-verify claims against the enumeration oracle")
-    p_verify.add_argument("--scope", choices=("all", "family", "identities", "asymptotics"),
-                          default="all")
+    p_verify.add_argument("--scope", choices=SCOPES, default="all")
     add_family_arg(p_verify, required=False)
     p_verify.add_argument("--n-max", type=int, default=None, help="override the per-family depth")
     p_verify.add_argument("--format", choices=("json", "table"), default="json")

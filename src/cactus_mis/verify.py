@@ -60,6 +60,8 @@ CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
 SKIPPED = "SKIPPED"
 
+SCOPES = ("all", "family", "identities", "asymptotics")
+
 # The largest family graph at these depths has 45 vertices. The oracle counts
 # by a frontier sweep whose work is linear in n on these chains, so oracle
 # time no longer limits them; they stay fixed because the committed baseline
@@ -465,7 +467,7 @@ def run_verification(
     """
     if catalog is None:
         catalog = load_catalog()
-    if scope not in ("all", "family", "identities", "asymptotics"):
+    if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
     if scope == "family" and family is None:
         raise ValueError("scope 'family' requires a family id")

@@ -48,7 +48,6 @@ def test_initial_values(catalog):
     for rec in catalog.families:
         r = rec.recurrence
         assert len(r.initial) >= len(r.lags)
-        assert len(r.initial) >= r.valid_from
         assert r.initial[0] == 1  # empty-graph convention
 
 
@@ -159,7 +158,7 @@ def test_edited_text_is_parsed_afresh_and_not_kept(monkeypatch):
 
 
 def _raw_identity(raw, ident_id):
-    [ident] = [i for i in raw["transfer_identities"] if i["id"] == ident_id]
+    [ident] = [i for i in raw["transfer_identities"] if i["anchor"] == f"eq:{ident_id}"]
     return ident
 
 
@@ -212,8 +211,6 @@ def test_catalog_naming_a_missing_graph_is_rejected(monkeypatch, edit, message):
 @pytest.mark.parametrize("edit, message", [
     (lambda raw: raw["families"][1]["recurrence"].update(initial=[1, 2]),
      "catalog value $.families[1].recurrence.initial is not at least 3 values, one per lag: [1, 2]"),
-    (lambda raw: raw["families"][0]["recurrence"].update(valid_from=4),
-     "catalog value $.families[0].recurrence.valid_from is not at most 3, the number of initial values: 4"),
     (lambda raw: raw["families"][0]["asymptotic"].update(rho="1.5"),
      'catalog value $.families[0].asymptotic.rho is not a printed decimal in (0, 1): "1.5"'),
     (lambda raw: raw["families"][2]["boundary_checks"][1]["counts"].update({"2": -1}),
@@ -239,14 +236,14 @@ def test_catalog_naming_a_missing_graph_is_rejected(monkeypatch, edit, message):
     (lambda raw: raw["transfer_identities"][1]["rhs"][1].update(n_shift=3),
      "catalog value $.transfer_identities[1].rhs[1].n_shift is not at most 2, the first n replayed: 3"),
     (lambda raw: raw["families"].pop(),
-     'catalog value $.families is not a list of 8 items: [{"id": "triangular", "symbol": "t", "cycle_len": 3, '
-     '"attach…'),
+     'catalog value $.families is not a list of 8 items: [{"id": "triangular", "gf_candidates": [{"id": '
+     '"statement", …'),
     (lambda raw: raw["transfer_identities"].pop(),
-     'catalog value $.transfer_identities is not a list of 20 items: [{"id": "t1", "anchor": "eq:t1", '
-     '"family": "triangular", "lh…'),
+     'catalog value $.transfer_identities is not a list of 20 items: [{"anchor": "eq:t1", "family": '
+     '"triangular", "lhs": "family"…'),
     (lambda raw: raw.update(families={fam["id"]: fam for fam in raw["families"]}),
-     'catalog value $.families is not a list: {"triangular": {"id": "triangular", "symbol": "t", "cycle_le…'),
-], ids=["too-few-initial-values", "valid_from-past-initial", "rho-above-1", "negative-count", "check-gadget",
+     'catalog value $.families is not a list: {"triangular": {"id": "triangular", "gf_candidates": [{"id":…'),
+], ids=["too-few-initial-values", "rho-above-1", "negative-count", "check-gadget",
         "check-n-negative", "identity-family", "identity-lhs-kind", "identity-term-gadget", "multiplier-9",
         "negative-block-count", "7-families", "19-identities", "families-object-shown-by-a-prefix"])
 def test_edited_catalog_is_rejected_in_one_line_naming_its_path(monkeypatch, edit, message):
@@ -255,7 +252,10 @@ def test_edited_catalog_is_rejected_in_one_line_naming_its_path(monkeypatch, edi
 
 
 # pentagonal (families[3]) states an asymptotic claim; para-hexagonal
-# (families[6]) states two GF candidates
+# (families[6]) states two GF candidates. The last five are keys the catalog
+# does not give because the code knows them: a family's shape is the
+# builders' `FamilySpec`, an identity's id is its anchor after `eq:`, and a
+# recurrence holds from n = len(initial)
 @pytest.mark.parametrize("where, key, path", [
     (lambda raw: raw, "bogus", "$"),
     (lambda raw: raw["families"][2], "bogus", "$.families[2]"),
@@ -266,25 +266,29 @@ def test_edited_catalog_is_rejected_in_one_line_naming_its_path(monkeypatch, edi
     (lambda raw: raw["families"][2]["boundary_checks"][1], "bogus", "$.families[2].boundary_checks[1]"),
     (lambda raw: raw["transfer_identities"][3], "n_shfit", "$.transfer_identities[3]"),
     (lambda raw: raw["transfer_identities"][3]["rhs"][1], "bogus", "$.transfer_identities[3].rhs[1]"),
+    (lambda raw: raw["families"][0], "symbol", "$.families[0]"),
+    (lambda raw: raw["families"][0], "cycle_len", "$.families[0]"),
+    (lambda raw: raw["families"][0], "attach_dist", "$.families[0]"),
+    (lambda raw: raw["families"][0]["recurrence"], "valid_from", "$.families[0].recurrence"),
+    (lambda raw: raw["transfer_identities"][0], "id", "$.transfer_identities[0]"),
 ], ids=["top", "family", "gf-candidate", "univariate-gf", "recurrence", "asymptotic",
-        "boundary-check", "identity", "rhs-term"])
+        "boundary-check", "identity", "rhs-term", "symbol", "cycle_len", "attach_dist", "valid_from",
+        "identity-id"])
 def test_unknown_catalog_key_is_rejected_with_its_path(monkeypatch, where, key, path):
     # a misspelt optional field would otherwise be a claim nobody checks
     with pytest.raises(ValueError, match="^" + re.escape(f"unknown catalog key {path}.{key}") + "$"):
         _load_edited(monkeypatch, lambda raw: where(raw).update({key: 0}))
 
 
-# every number the loader reads: a recurrence's lags, initial values and
-# valid_from, a candidate's offset, a check's n and counts, and an identity's
-# range and term fields
+# every number the loader reads: a recurrence's lags and initial values, a
+# candidate's offset, a check's n and counts, and an identity's range and term
+# fields
 @pytest.mark.parametrize("path, value", [
     (("families", 0, "recurrence", "lags", 0), 1.0),
     (("families", 0, "recurrence", "lags", 1), True),
     (("families", 0, "recurrence", "initial", 1), 3.5),
     (("families", 0, "recurrence", "initial", 1), "3"),
     (("families", 0, "recurrence", "initial", 1), True),
-    (("families", 0, "recurrence", "valid_from"), 2.5),
-    (("families", 0, "recurrence", "valid_from"), None),
     (("families", 4, "gf_candidates", 0, "offset"), 0.5),
     (("families", 4, "gf_candidates", 0, "offset"), "1"),
     (("families", 2, "boundary_checks", 1, "n"), True),
@@ -295,7 +299,7 @@ def test_unknown_catalog_key_is_rejected_with_its_path(monkeypatch, where, key, 
     (("transfer_identities", 3, "rhs", 1, "n_shift"), 1.0),
     (("transfer_identities", 3, "rhs", 1, "k_shift"), 0.5),
 ], ids=["lags-float", "lags-bool", "initial-float", "initial-string", "initial-bool",
-        "valid_from-float", "valid_from-null", "offset-float", "offset-string", "check-n-bool",
+        "offset-float", "offset-string", "check-n-bool",
         "check-count-float", "identity-valid_from-bool", "identity-stated_from-string",
         "term-mult-float", "term-n_shift-float", "term-k_shift-float"])
 def test_non_integer_catalog_value_is_rejected_with_its_path(monkeypatch, path, value):
@@ -307,18 +311,22 @@ def test_non_integer_catalog_value_is_rejected_with_its_path(monkeypatch, path, 
         _load_edited(monkeypatch, lambda raw: _set_path(raw, path, value))
 
 
-# a size key is canonical decimal text, so no second spelling of size 2 can
-# sit beside "2" and overwrite its count
-@pytest.mark.parametrize("key", [" 2", "2 ", "\u0662", "02", "+2", "-1", "x", ""],
-                         ids=["leading-space", "trailing-space", "arabic-indic-digit",
-                              "leading-zero", "plus-sign", "negative", "letter", "empty"])
-def test_boundary_check_size_key_that_is_not_canonical_is_rejected(monkeypatch, key):
-    def edit(raw):
-        raw["families"][2]["boundary_checks"][1]["counts"][key] = 1
-
-    message = f"catalog key $.families[2].boundary_checks[1].counts.{key} is not a set size: {json.dumps(key)}"
+# a size key is canonical decimal text of at most 9 digits, so no second
+# spelling of size 2 can sit beside "2" and overwrite its count. A key of more
+# than 4,300 digits once failed in `int()` with a message naming no path, and a
+# long key was printed whole inside its path
+@pytest.mark.parametrize("key, shown", [
+    (" 2", '" 2"'), ("2 ", '"2 "'), ("\u0662", '"\\u0662"'), ("02", '"02"'), ("+2", '"+2"'), ("-1", '"-1"'),
+    ("x", '"x"'), ("", '""'), ("1" * 5000, '"' + "1" * 59 + "…"), ("x" * 201, '"' + "x" * 59 + "…"),
+    ("1" * 10, '"1111111111"'),
+], ids=["leading-space", "trailing-space", "arabic-indic-digit", "leading-zero", "plus-sign", "negative", "letter",
+        "empty", "5000-digits", "201-characters", "10-digits"])
+def test_boundary_check_size_key_that_is_not_canonical_is_rejected(key, shown):
+    raw = json.loads(catalog_mod._data_text("catalog.json"))
+    raw["families"][2]["boundary_checks"][1]["counts"][key] = 1
+    message = f"catalog value $.families[2].boundary_checks[1].counts has a key that is not a set size: {shown}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        _load_edited(monkeypatch, edit)
+        catalog_mod._parse_catalog.__wrapped__(json.dumps(raw))
 
 
 def test_recurrence_list_that_is_not_a_list_is_rejected(monkeypatch):
@@ -330,7 +338,8 @@ def test_recurrence_list_that_is_not_a_list_is_rejected(monkeypatch):
 
 
 # each edit below loaded at the parent of the change that made it an error:
-# two claims on one anchor, or an identity on another's id, dropped a verdict;
+# two claims on one anchor, or an identity on another's id (its anchor after
+# `eq:`), dropped a verdict;
 # a deleted asymptotic object reported square's note under its anchor; a
 # `gf_anchor` beside the candidates could name the claim apart from them; and
 # a first candidate other than the statement ended verify in a KeyError
@@ -343,8 +352,10 @@ def test_recurrence_list_that_is_not_a_list_is_rejected(monkeypatch):
     (lambda raw: raw["families"][3]["univariate_gf"].update(anchor="thm:2.8:proof"),
      'catalog value $.families[3].univariate_gf.anchor repeats $.families[2].univariate_gf.anchor: '
      '"thm:2.8:proof"'),
-    (lambda raw: raw["transfer_identities"][1].update(id="t1"),
-     'catalog value $.transfer_identities[1].id repeats $.transfer_identities[0].id: "t1"'),
+    (lambda raw: raw["transfer_identities"][1].update(anchor="eq:t1"),
+     'catalog value $.transfer_identities[1].anchor repeats $.transfer_identities[0].anchor: "eq:t1"'),
+    (lambda raw: raw["transfer_identities"][1].update(anchor="t1"),
+     'catalog value $.transfer_identities[1].anchor is not an anchor starting with "eq:": "t1"'),
     (lambda raw: raw["families"].__setitem__(1, copy.deepcopy(raw["families"][0])),
      'catalog value $.families[1].id repeats $.families[0].id: "triangular"'),
     (lambda raw: raw["families"][6]["gf_candidates"][1].update(id="statement"),
@@ -361,8 +372,8 @@ def test_recurrence_list_that_is_not_a_list_is_rejected(monkeypatch):
      'catalog value $.families[6].gf_candidates[0].id is not "statement": "proof"'),
     (lambda raw: raw["families"][0]["gf_candidates"].clear(),
      'catalog value $.families[0].gf_candidates[0].id is not "statement": null'),
-], ids=["shared-anchor", "identity-on-check-anchor", "univariate-anchor", "identity-id", "family-id",
-        "candidate-id", "anchor-not-text", "asymptotic-missing", "asymptotic-null", "gf-anchor",
+], ids=["shared-anchor", "identity-on-check-anchor", "univariate-anchor", "identity-id", "identity-anchor-not-eq",
+        "family-id", "candidate-id", "anchor-not-text", "asymptotic-missing", "asymptotic-null", "gf-anchor",
         "statement-not-first", "no-candidate"])
 def test_catalog_that_misnames_a_claim_is_rejected_with_its_path(monkeypatch, edit, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -434,13 +445,8 @@ def test_asymptotic_object_gives_constants_or_a_note(monkeypatch, edit, message)
     (("transfer_identities", 3, "lhs"), 1, "catalog value $.transfer_identities[3].lhs is not a string: 1"),
     (("families", 0, "id"), "heptagonal",
      'catalog value $.families[0].id is not a family the builders know: "heptagonal"'),
-    (("families", 0, "symbol"), "x", "catalog value $.families[0].symbol is not the builders' \"t\": \"x\""),
-    (("families", 0, "cycle_len"), 4, "catalog value $.families[0].cycle_len is not the builders' 3: 4"),
-    (("families", 0, "attach_dist"), 2, "catalog value $.families[0].attach_dist is not the builders' 1: 2"),
-    (("families", 0, "symbol"), 1, "catalog value $.families[0].symbol is not a string: 1"),
 ], ids=["counts-list", "rhs-number", "gf-num-number", "univariate-den-null", "gf-num-unparsable",
-        "univariate-den-constant", "families-object", "identity-lhs-number", "unknown-family-id", "symbol-mismatch",
-        "cycle_len-mismatch", "attach_dist-mismatch", "symbol-number"])
+        "univariate-den-constant", "families-object", "identity-lhs-number", "unknown-family-id"])
 def test_malformed_catalog_value_is_rejected_with_its_path(monkeypatch, path, value, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         _load_edited(monkeypatch, lambda raw: _set_path(raw, path, value))
@@ -459,11 +465,11 @@ def test_malformed_catalog_ends_verify_in_one_error_line(monkeypatch, capsys):
 
 
 def test_zero_offset_may_be_left_out(monkeypatch, catalog):
+    # the shipped catalog gives an offset only where it is not 0
     def edit(raw):
         for fam in raw["families"]:
             for cand in fam["gf_candidates"]:
-                if cand["offset"] == 0:
-                    del cand["offset"]
+                cand.setdefault("offset", 0)
 
     assert _load_edited(monkeypatch, edit) == catalog
 
@@ -592,7 +598,7 @@ def test_any_removed_key_is_reported_missing_with_its_path(member):
 
 
 def test_count_sizes_are_free_form(monkeypatch, catalog):
-    # a boundary check's counts map any set size
+    # a boundary check's counts map any set size of up to 9 digits
     def edit(raw):
         raw["families"][2]["boundary_checks"][1]["counts"]["17"] = 0
 
