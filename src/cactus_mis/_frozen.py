@@ -15,10 +15,20 @@ class Frozen:
     """Fields in `__slots__`, set once by `__init__` through `object.__setattr__`.
 
     Equality, hashing, `repr` and pickling go by the field values in slot
-    order, and assigning or deleting a field raises AttributeError.
+    order (a dict field hashes by its items), and assigning or deleting a
+    field raises AttributeError. `_trusted` builds a value from its fields
+    unchecked; each class's docstring states the invariant its callers keep.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A value holding `values` in slot order, taken unchecked and not copied."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(obj, name, value)
+        return obj
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -35,7 +45,7 @@ class Frozen:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(frozenset(v.items()) if isinstance(v, dict) else v for v in self._values()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

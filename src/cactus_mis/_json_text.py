@@ -1,12 +1,14 @@
 """JSON text as `json.dumps(value, indent=2, sort_keys=True) + "\\n"` writes it.
 
-The verification report is written this way. With `indent` set, `json.dumps`
-runs the pure-Python encoder, a chain of generators that yields every
-bracket, key and separator as a chunk of its own; `_write_json` appends one
-string per dict item or list element instead. The writer has a module of its
-own because, where no bytecode is cached, every start compiles the package,
-and compiling a module takes memory that grows with the module: in `verify`
-the writer raised a whole verify run's peak memory.
+Every JSON output the command line prints is written this way: the
+verification report, `census --format json`, `estimate` and `build --format
+json`. With `indent` set, `json.dumps` runs the pure-Python encoder, a chain
+of generators that yields every bracket, key and separator as a chunk of its
+own; `_write_json` appends one string per dict item or list element instead
+(about half the time on the verification report). The writer has a module
+of its own because, where no bytecode is cached, every start compiles the
+package, and compiling a module takes memory that grows with the module: in
+`verify` the writer raised a whole verify run's peak memory.
 """
 
 from __future__ import annotations

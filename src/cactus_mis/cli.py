@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from typing import Iterable, Optional
 
 from . import asymptotics as asym
+from ._json_text import json_text
 from .catalog import load_catalog
 from .emit import emit
 from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, build_graph, graph_labels
@@ -145,7 +145,7 @@ def _cmd_census(args) -> int:
             "family": args.family, "aux": args.aux, "n": args.n,
             "counts": {str(k): v for k, v in dist.items()}, "total": dist.total,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text(payload)
     elif args.format == "csv":
         rows = ["family,n,k,count"]
         for k, v in dist.items():
@@ -196,7 +196,7 @@ def _cmd_estimate(args) -> int:
         exact = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, args.n)[args.n]
         payload["exact"] = exact
         payload["relative_error"] = abs(value / exact - 1.0) if exact and finite else None
-    _write([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.output)
+    _write([json_text(payload)], args.output)
     return 0
 
 

@@ -8,9 +8,9 @@ DOT form carries one node per vertex with its label, then one line per edge.
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
+from ._json_text import json_text
 from .graphs import Graph
 
 
@@ -32,7 +32,7 @@ def to_json(g: Graph, labels: Sequence[str], family: Optional[str] = None,
         "edges": [[u, v] for u, v in g.edges()],
         "labels": {str(v): label for v, label in enumerate(labels)},
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def to_edge_list(g: Graph) -> str:

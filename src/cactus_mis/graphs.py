@@ -18,8 +18,8 @@ and `census` never do.
 
 The builder writes each vertex's neighbor mask directly, with no edge list,
 and skips the edge checks of `Graph(vertex_count, edges)` through
-`Graph._trusted`. So the builder keeps that contract itself: symmetric,
-loop-free masks. Every other caller goes through `Graph(...)`.
+`Graph._trusted`, so it keeps the invariant `Graph` states itself. Every
+other caller goes through `Graph(...)`.
 """
 
 from __future__ import annotations
@@ -88,14 +88,15 @@ def family_spec(family_id: str) -> FamilySpec:
 class Graph(Frozen):
     """Simple undirected graph with dense 0-based vertex ids, a `Frozen` value.
 
-    Adjacency is one neighbor bitmask per vertex: bit u of `masks[v]` is set
-    iff uv is an edge. Construction from an edge list enforces simplicity
-    (no loops, no parallel edges). Two graphs are equal when they have the
-    same vertex count and the same edges. `build_graph` writes the masks
-    itself and constructs through `_trusted`, unchecked.
+    The graph is its one field, `masks`: one neighbor bitmask per vertex, bit
+    u of `masks[v]` set iff uv is an edge, so `vertex_count` is `len(masks)`.
+    The masks are symmetric and loop-free. Construction from an edge list
+    checks that and refuses parallel edges; `build_graph` writes the masks
+    itself, keeps it, and constructs through `_trusted`, unchecked. Two
+    graphs are equal when they have the same vertex count and the same edges.
     """
 
-    __slots__ = ("vertex_count", "masks")
+    __slots__ = ("masks",)
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int]]):
         masks = [0] * vertex_count
@@ -108,24 +109,14 @@ class Graph(Frozen):
                 raise ValueError(f"parallel edge ({u}, {v})")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "masks", tuple(masks))
-
-    @classmethod
-    def _trusted(cls, masks: tuple[int, ...]) -> "Graph":
-        """A graph from its neighbor masks, taken unchecked.
-
-        The caller guarantees what `__init__` would check: the masks are
-        symmetric (bit u of masks[v] iff bit v of masks[u]) and loop-free.
-        Only `build_graph` calls it.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertex_count", len(masks))
-        object.__setattr__(g, "masks", masks)
-        return g
 
     def __reduce__(self):
         return Graph, (self.vertex_count, tuple(self.edges()))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.masks)
 
     @property
     def edge_count(self) -> int:

@@ -107,7 +107,11 @@ class VertexLimitExceeded(Exception):
 
 
 class SizeDistribution(Frozen):
-    """Exact map from set size k to the number of maximal independent sets."""
+    """Exact map from set size k to the number of maximal independent sets.
+
+    `counts` holds positive int counts at int keys >= 0, with no zero count,
+    which a `_trusted` caller keeps itself.
+    """
 
     __slots__ = ("counts",)
 
@@ -116,17 +120,6 @@ class SizeDistribution(Frozen):
         if any(k < 0 or v < 0 for k, v in frozen.items()):
             raise ValueError("sizes and counts must be nonnegative")
         object.__setattr__(self, "counts", frozen)
-
-    @classmethod
-    def _trusted(cls, counts: dict[int, int]) -> "SizeDistribution":
-        """A distribution that owns `counts`, taken unchecked and not copied.
-
-        The caller guarantees what `__init__` would make so: int keys >= 0
-        and int values > 0, with no zero count. Only `enumerate_mis` calls it.
-        """
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "counts", counts)
-        return dist
 
     @property
     def total(self) -> int:
@@ -142,8 +135,7 @@ class SizeDistribution(Frozen):
             return self.counts == {k: v for k, v in other.items() if v}
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.counts.items()))
+    __hash__ = Frozen.__hash__  # a class that defines __eq__ alone gets no hash
 
     def items(self):
         return sorted(self.counts.items())

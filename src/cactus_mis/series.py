@@ -43,7 +43,11 @@ from ._frozen import Frozen
 # ----------------------------------------------------------------------------
 
 class UnivarPoly(Frozen):
-    """Dense univariate polynomial over exact integers."""
+    """Dense univariate polynomial over exact integers.
+
+    `coeffs` is a tuple of ints with no trailing zero, which a `_trusted`
+    caller keeps itself.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -52,13 +56,6 @@ class UnivarPoly(Frozen):
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...]) -> "UnivarPoly":
-        """A polynomial from a tuple of ints with no trailing zero, taken unchecked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
-        return p
 
     @property
     def degree(self) -> int:
@@ -217,19 +214,10 @@ class BivarPoly(Frozen):
     def constant(cls, c: int) -> "BivarPoly":
         return cls({(0, 0): c})
 
-    def __hash__(self):  # Frozen's hash cannot take the dict slot
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return BivarPoly(out)
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
         return BivarPoly(out)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
@@ -382,9 +370,7 @@ def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
 def specialize_y1(gf: RationalGF) -> UnivarRational:
     """Substitute y = 1, giving the plain counting series in x."""
     num = gf.num.substitute_y1()
-    den = gf.den.substitute_y1()
-    if den[0] != 1:
-        raise ValueError("denominator constant term is not 1 after y = 1")
+    den = gf.den.substitute_y1()  # den(0, 1) = 1, as RationalGF requires den(0, y) = 1
     return UnivarRational(num, den)
 
 

@@ -174,6 +174,19 @@ def test_stdout_and_output_file_are_byte_identical(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["build", "--family", "ortho-hexagonal", "--n", "2000", "--format", "json"],
+    ["census", "--family", "para-hexagonal", "--n", "8", "--format", "json"],
+    ["estimate", "--family", "pentagonal", "--n", "400"],
+], ids=["build", "census", "estimate"])
+def test_json_output_is_what_json_dumps_writes(argv, capsys):
+    # every JSON output goes through one writer; these are larger than the
+    # golden grid's (10,001 vertices, a 41-vertex census, a 195-digit count)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["build", "--family", "triangular", "--n", "2"],
     ["series", "--family", "triangular", "--n-max", "3"],
     ["verify", "--scope", "family", "--family", "square", "--n-max", "2"],

@@ -276,7 +276,7 @@ def test_graph_is_its_adjacency_alone():
     assert g == same and hash(g) == hash(same)
     assert g != Graph(4, [(0, 1), (0, 2), (1, 2)])
     assert g.__reduce__() == (Graph, (3, ((0, 1), (0, 2), (1, 2))))
-    assert Graph.__slots__ == ("vertex_count", "masks")
+    assert Graph.__slots__ == ("masks",) and g.vertex_count == 3
 
 
 @pytest.mark.parametrize("kind,family_id", KIND_PAIRS, ids=[f"{k}-{f}" for k, f in KIND_PAIRS])
