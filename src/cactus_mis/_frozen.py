@@ -1,11 +1,15 @@
-"""Base of the immutable value classes whose constructors normalise or validate.
+"""Base of every immutable value class of the package.
 
-They are plain `__slots__` classes, and the plain records elsewhere are
-`typing.NamedTuple`s, rather than frozen dataclasses because of what every
-command-line start pays: `import dataclasses` loads `inspect`, `ast`, `dis`
-and `tokenize` (about 9 ms), and each frozen dataclass compiles its methods
-through `exec` (about 13 ms for 16 classes, against 2 ms as NamedTuples;
-measured on a 2-CPU host).
+Plain records (a family's shape, the catalog's claims, an asymptotic
+estimate) take their fields as given through `Frozen.__init__`; the value
+classes whose constructors normalise or validate (`UnivarPoly`,
+`SizeDistribution`, `Graph`, ...) define their own `__init__`. Either way a
+value is a plain `__slots__` class, not a frozen dataclass, because of what
+every command-line start pays: `import dataclasses` loads `inspect`, `ast`,
+`dis` and `tokenize` (about 9 ms), and each frozen dataclass compiles its
+methods through `exec` (about 13 ms for 16 classes; measured on a 2-CPU
+host). Nor is a record a tuple, so it equals only a value of its own class,
+and the JSON writer refuses it rather than printing it as a list.
 """
 
 from __future__ import annotations
@@ -21,6 +25,13 @@ class Frozen:
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        """A record holding `values`, one per slot in slot order, as given."""
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} values, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _trusted(cls, *values):

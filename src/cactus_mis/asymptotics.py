@@ -36,8 +36,8 @@ is refuted.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
+from ._frozen import Frozen
 from .catalog import FamilyRecord
 from .series import UnivarPoly, UnivarRational, recurrence_sequence
 
@@ -49,11 +49,10 @@ RATIO_N_FROM, RATIO_N_TO = 30, 60  # n range of ratio_converges
 ERROR_N_FROM, ERROR_N_TO = 15, 40  # n range of relative_errors
 
 
-class AsymptoticEstimate(NamedTuple):
-    """Computed (rho, C) for one rational counting series."""
+class AsymptoticEstimate(Frozen):
+    """Computed (rho, C) for one rational counting series, both floats."""
 
-    rho: float
-    constant: float
+    __slots__ = ("rho", "constant")
 
     def value(self, n: int) -> float:
         """C / rho^(n+1), via logarithms so large n cannot overflow."""

@@ -24,40 +24,38 @@ import functools
 import json
 import os
 import re
-from typing import NamedTuple, NoReturn, Optional
+from typing import NoReturn, Optional
 
-from .graphs import FAMILIES, FamilySpec, graph_order
+from ._frozen import Frozen
+from .graphs import FAMILIES, graph_order
 from .oracle import SizeDistribution
 from .series import RationalGF, UnivarRational, parse_univar, rational_from_recurrence
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-class GFCandidate(NamedTuple):
-    """One stated bivariate generating function for a family."""
+class GFCandidate(Frozen):
+    """One stated bivariate generating function `gf`, a `RationalGF`, for a family."""
 
-    candidate_id: str
-    anchor: str
-    gf: RationalGF
+    __slots__ = ("candidate_id", "anchor", "gf")
 
 
-class RecurrenceClaim(NamedTuple):
-    """a(n) = initial[n] for n < len(initial), then a(n) = sum lags[i-1] * a(n-i)."""
+class RecurrenceClaim(Frozen):
+    """a(n) = initial[n] for n < len(initial), then a(n) = sum lags[i-1] * a(n-i).
 
-    anchor: str
-    lags: tuple[int, ...]
-    initial: tuple[int, ...]
+    `lags` and `initial` are tuples of ints.
+    """
+
+    __slots__ = ("anchor", "lags", "initial")
 
     def rational(self) -> UnivarRational:
         return rational_from_recurrence(self.lags, self.initial)
 
 
-class AsymptoticClaim(NamedTuple):
-    """Printed decimals of rho and C in a(n) ~ C / rho^(n+1)."""
+class AsymptoticClaim(Frozen):
+    """Printed decimals of rho and C in a(n) ~ C / rho^(n+1), as strings."""
 
-    anchor: str
-    rho_printed: str
-    constant_printed: str
+    __slots__ = ("anchor", "rho_printed", "constant_printed")
 
     @staticmethod
     def _half_ulp(printed: str) -> float:
@@ -80,37 +78,31 @@ class AsymptoticClaim(NamedTuple):
         return self._half_ulp(self.constant_printed)
 
 
-class BoundaryCheck(NamedTuple):
-    """Stated size distribution of one small graph; sizes not listed are
-    claimed to have count zero."""
+class BoundaryCheck(Frozen):
+    """Stated size distribution `claimed`, a `SizeDistribution`, of the graph
+    of `kind` (a str) with `n` blocks; sizes not listed are claimed to have
+    count zero."""
 
-    anchor: str
-    kind: str
-    n: int
-    claimed: SizeDistribution
+    __slots__ = ("anchor", "kind", "n", "claimed")
 
 
-class TransferTerm(NamedTuple):
-    mult: int
-    kind: str
-    n_shift: int
-    k_shift: int
+class TransferTerm(Frozen):
+    """`mult` times the count of the graph of `kind` (a str) shifted by
+    `n_shift` blocks and `k_shift` set sizes; the other three are ints."""
+
+    __slots__ = ("mult", "kind", "n_shift", "k_shift")
 
 
-class TransferIdentity(NamedTuple):
+class TransferIdentity(Frozen):
     """lhs(n, k) = sum of mult * term(n - n_shift, k - k_shift), n >= valid_from.
 
-    `stated_from` records the range claimed by the source; it differs from
-    valid_from only where the stated range includes a structurally degenerate
-    instance (which the verification report refutes).
+    `rhs` is a tuple of `TransferTerm`s. `stated_from` records the range
+    claimed by the source; it differs from valid_from only where the stated
+    range includes a structurally degenerate instance (which the
+    verification report refutes).
     """
 
-    anchor: str
-    family_id: str
-    lhs_kind: str
-    rhs: tuple[TransferTerm, ...]
-    valid_from: int
-    stated_from: int
+    __slots__ = ("anchor", "family_id", "lhs_kind", "rhs", "valid_from", "stated_from")
 
     @property
     def identity_id(self) -> str:
@@ -118,21 +110,18 @@ class TransferIdentity(NamedTuple):
         return self.anchor.removeprefix("eq:")
 
 
-class FamilyRecord(NamedTuple):
-    """Everything the catalog asserts about one polygonal family. The first GF
-    candidate is the statement (`gf_anchor`); `asymptotic` is None where the
-    catalog gives `asymptotic_note` in place of constants (square: s(n) = 2^n
-    exactly)."""
+class FamilyRecord(Frozen):
+    """Everything the catalog asserts about one polygonal family.
 
-    spec: FamilySpec
-    gf_candidates: tuple[GFCandidate, ...]
-    univariate_anchor: str
-    univariate_gf: UnivarRational
-    recurrence: RecurrenceClaim
-    asymptotic_anchor: str
-    asymptotic: Optional[AsymptoticClaim]
-    asymptotic_note: Optional[str]
-    boundary_checks: tuple[BoundaryCheck, ...]
+    `spec` is a `FamilySpec`, `univariate_gf` a `UnivarRational`, and
+    `gf_candidates` and `boundary_checks` are tuples of `GFCandidate`s and
+    `BoundaryCheck`s. The first GF candidate is the statement (`gf_anchor`);
+    `asymptotic` is None where the catalog gives the str `asymptotic_note` in
+    place of constants (square: s(n) = 2^n exactly).
+    """
+
+    __slots__ = ("spec", "gf_candidates", "univariate_anchor", "univariate_gf", "recurrence",
+                 "asymptotic_anchor", "asymptotic", "asymptotic_note", "boundary_checks")
 
     @property
     def family_id(self) -> str:
@@ -149,9 +138,11 @@ class FamilyRecord(NamedTuple):
         raise KeyError(f"no generating-function candidate {candidate_id!r} for {self.family_id}")
 
 
-class Catalog(NamedTuple):
-    families: tuple[FamilyRecord, ...]
-    identities: tuple[TransferIdentity, ...]
+class Catalog(Frozen):
+    """The claims: `families`, a tuple of `FamilyRecord`s, and `identities`,
+    a tuple of `TransferIdentity`s."""
+
+    __slots__ = ("families", "identities")
 
     def family(self, family_id: str) -> FamilyRecord:
         key = family_id.strip().lower()

@@ -24,18 +24,19 @@ other caller goes through `Graph(...)`.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from ._frozen import Frozen
 
 
-class FamilySpec(NamedTuple):
-    """One polygonal family: identifier, cycle length k, attachment distance d."""
+class FamilySpec(Frozen):
+    """One polygonal family: identifier, cycle length k, attachment distance d.
 
-    family_id: str
-    symbol: str  # single-letter count-function name (t, d, s, p, m, h, g, q)
-    cycle_len: int
-    attach_dist: int
+    `symbol` is the single-letter name of its count function (t, d, s, p, m,
+    h, g, q); `cycle_len` and `attach_dist` are ints.
+    """
+
+    __slots__ = ("family_id", "symbol", "cycle_len", "attach_dist")
 
 
 FAMILIES: dict[str, FamilySpec] = {

@@ -244,17 +244,19 @@ class BivarPoly(Frozen):
 
 
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?P<coef>\d+)?\s*\*?\s*"
-    r"(?P<xpart>x(?:\^(?P<xd>\d+))?)?\s*\*?\s*"
+    r"\s*(?P<sign>[+-])?\s*(?P<coef>\d+)?\s*(?P<star1>\*)?\s*"
+    r"(?P<xpart>x(?:\^(?P<xd>\d+))?)?\s*(?P<star2>\*)?\s*"
     r"(?P<ypart>y(?:\^(?P<yd>\d+))?)?"
 )
+# a term's factors and '*' separators, in the order _TERM_RE matches them
+_TERM_PARTS = (("coef", "f"), ("star1", "*"), ("xpart", "f"), ("star2", "*"), ("ypart", "f"))
 
 
 def parse_bivar(text: str) -> BivarPoly:
     """Parse integer-coefficient terms like "1 + 2xy - 4x^2*y^3".
 
-    Whitespace and explicit '*' separators are optional; bare 'x' or 'y'
-    means exponent 1.
+    Whitespace and explicit '*' separators are optional, but a '*' must
+    stand between two factors; bare 'x' or 'y' means exponent 1.
     """
     s = text.strip()
     if not s:
@@ -267,7 +269,8 @@ def parse_bivar(text: str) -> BivarPoly:
         if m is None or m.end() == pos:
             raise ValueError(f"cannot parse polynomial near {s[pos:pos + 20]!r}")
         sign, coef, xpart, ypart = m.group("sign"), m.group("coef"), m.group("xpart"), m.group("ypart")
-        if coef is None and xpart is None and ypart is None:
+        shape = "".join(mark for group, mark in _TERM_PARTS if m.group(group) is not None)
+        if shape[:1] != "f" or shape[-1:] != "f" or "**" in shape:
             raise ValueError(f"cannot parse polynomial near {s[pos:pos + 20]!r}")
         if sign is None and not first:
             raise ValueError(f"missing +/- before term near {s[pos:pos + 20]!r}")

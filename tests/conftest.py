@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import cactus_mis
-from cactus_mis import load_catalog
+from cactus_mis.catalog import load_catalog
 
 # Tests that run `python -m cactus_mis.cli` in a child process must import the
 # same package as this process, also from a checkout that is not installed

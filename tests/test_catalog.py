@@ -445,8 +445,13 @@ def test_asymptotic_object_gives_constants_or_a_note(monkeypatch, edit, message)
     (("transfer_identities", 3, "lhs"), 1, "catalog value $.transfer_identities[3].lhs is not a string: 1"),
     (("families", 0, "id"), "heptagonal",
      'catalog value $.families[0].id is not a family the builders know: "heptagonal"'),
+    # a '*' with no factor on one side once parsed, dropped, as "1 - 2x"
+    (("families", 0, "gf_candidates", 0, "den"), "1 - 2x*",
+     "catalog value $.families[0].gf_candidates[0] is not a generating function "
+     "(cannot parse polynomial near '- 2x*')"),
 ], ids=["counts-list", "rhs-number", "gf-num-number", "univariate-den-null", "gf-num-unparsable",
-        "univariate-den-constant", "families-object", "identity-lhs-number", "unknown-family-id"])
+        "univariate-den-constant", "families-object", "identity-lhs-number", "unknown-family-id",
+        "gf-den-dangling-star"])
 def test_malformed_catalog_value_is_rejected_with_its_path(monkeypatch, path, value, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         _load_edited(monkeypatch, lambda raw: _set_path(raw, path, value))

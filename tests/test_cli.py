@@ -18,7 +18,7 @@ from _oracles import parse_dot
 from cactus_mis import catalog as catalog_mod
 from cactus_mis import cli
 from cactus_mis.cli import main
-from cactus_mis.catalog import load_catalog
+from cactus_mis.catalog import FamilyRecord, RecurrenceClaim, load_catalog
 from cactus_mis.graphs import FAMILY_IDS
 from cactus_mis.series import recurrence_sequence
 from cactus_mis.verify import run_verification
@@ -286,8 +286,11 @@ def test_series_rows_equal_the_int_rows(lags, initial, n_max):
     # the printed rows of a drawn recurrence, whatever its signs, zeros and
     # digit counts, are byte for byte the int path's
     record = load_catalog().family("triangular")
-    rec = record.recurrence._replace(lags=tuple(lags), initial=tuple(initial))
-    fake = types.SimpleNamespace(family=lambda family_id: record._replace(recurrence=rec))
+    rec = RecurrenceClaim(record.recurrence.anchor, tuple(lags), tuple(initial))
+    edited = FamilyRecord(record.spec, record.gf_candidates, record.univariate_anchor, record.univariate_gf, rec,
+                          record.asymptotic_anchor, record.asymptotic, record.asymptotic_note,
+                          record.boundary_checks)
+    fake = types.SimpleNamespace(family=lambda family_id: edited)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "load_catalog", lambda: fake)
         out = _series_text(["series", "--family", "triangular", "--n-max", str(n_max)])

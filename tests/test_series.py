@@ -8,8 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reduce_fraction_over_q
-from cactus_mis.catalog import TransferTerm
-from cactus_mis.graphs import Graph, build_graph
+from cactus_mis import catalog as catalog_mod
+from cactus_mis.asymptotics import AsymptoticEstimate
+from cactus_mis.catalog import (
+    AsymptoticClaim,
+    BoundaryCheck,
+    Catalog,
+    GFCandidate,
+    RecurrenceClaim,
+    TransferIdentity,
+    TransferTerm,
+    load_catalog,
+)
+from cactus_mis.graphs import FAMILIES, FamilySpec, Graph, build_graph
 from cactus_mis.oracle import SizeDistribution
 from cactus_mis.series import (
     BivarPoly,
@@ -46,7 +57,7 @@ def test_parse_basic_terms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x +", "2z", "x^^2", "x 2"):
+    for bad in ("", "x +", "2z", "x^^2", "x 2", "2*", "x*", "*x", "1 + * x"):
         with pytest.raises(ValueError):
             parse_bivar(bad)
     with pytest.raises(ValueError):
@@ -383,6 +394,11 @@ def test_reduce_fraction_matches_rational_reference(num, den_tail, factor_tail, 
     assert (got is r) == (want is r)
 
 
+def _fresh_catalog():
+    """The shipped catalog parsed anew, not the shared `load_catalog()` value."""
+    return catalog_mod._parse_catalog.__wrapped__(catalog_mod._data_text("catalog.json"))
+
+
 # For each value class: two equal values built differently, a third that
 # differs, a field to assign, and what the repr must show.
 VALUE_CASES = {
@@ -408,10 +424,44 @@ VALUE_CASES = {
               lambda: Graph(3, [(2, 0), (1, 2), (0, 1)]),
               lambda: Graph(3, [(0, 1), (1, 2)]),
               "masks", ["Graph(|V|=3, |E|=3)"]),
-    "TransferTerm": (lambda: TransferTerm(2, "bar", 1, 0),
-                     lambda: TransferTerm(mult=2, kind="bar", n_shift=1, k_shift=0),
+    # the records: built from their fields, in slot order
+    "FamilySpec": (lambda: FAMILIES["triangular"], lambda: FamilySpec("triangular", "t", 3, 1),
+                   lambda: FamilySpec("triangular", "t", 3, 2), "attach_dist",
+                   ["FamilySpec(family_id='triangular', symbol='t', cycle_len=3, attach_dist=1)"]),
+    "AsymptoticEstimate": (lambda: AsymptoticEstimate(0.5, 2.0), lambda: AsymptoticEstimate(1 / 2, 2),
+                           lambda: AsymptoticEstimate(0.5, 3.0), "rho",
+                           ["AsymptoticEstimate(rho=0.5, constant=2.0)"]),
+    "GFCandidate": (lambda: GFCandidate("statement", "thm:1", RationalGF.from_literals("xy", "1 - x")),
+                    lambda: GFCandidate("statement", "thm:1", RationalGF.from_literals("x*y", "1 - 1x^1")),
+                    lambda: GFCandidate("alt", "thm:1", RationalGF.from_literals("xy", "1 - x")), "gf",
+                    ["GFCandidate(candidate_id='statement', anchor='thm:1', gf=RationalGF("]),
+    "RecurrenceClaim": (lambda: RecurrenceClaim("eq:1", (1, 1), (1, 2)),
+                        lambda: RecurrenceClaim("eq:1", tuple([1, 1]), tuple([1, 2])),
+                        lambda: RecurrenceClaim("eq:1", (1, 1), (1, 3)), "initial",
+                        ["RecurrenceClaim(anchor='eq:1', lags=(1, 1), initial=(1, 2))"]),
+    "AsymptoticClaim": (lambda: AsymptoticClaim("thm:2", "0.6180", "1.1708"),
+                        lambda: AsymptoticClaim("thm:2", "0.618" + "0", "1.1708"),
+                        lambda: AsymptoticClaim("thm:2", "0.6180", "1.171"), "rho_printed",
+                        ["AsymptoticClaim(anchor='thm:2', rho_printed='0.6180', constant_printed='1.1708')"]),
+    "BoundaryCheck": (lambda: BoundaryCheck("eq:3", "bar", 1, SizeDistribution({1: 2, 2: 1})),
+                      lambda: BoundaryCheck("eq:3", "bar", 1, SizeDistribution({2: 1, 1: 2, 3: 0})),
+                      lambda: BoundaryCheck("eq:3", "bar", 2, SizeDistribution({1: 2, 2: 1})), "claimed",
+                      ["BoundaryCheck(anchor='eq:3', kind='bar', n=1, claimed={1: 2, 2: 1})"]),
+    "TransferTerm": (lambda: TransferTerm(2, "bar", 1, 0), lambda: TransferTerm(2, "bar", 1, 0),
                      lambda: TransferTerm(2, "bar", 1, 1), "mult",
                      ["TransferTerm(mult=2, kind='bar', n_shift=1, k_shift=0)"]),
+    "TransferIdentity": (lambda: TransferIdentity("eq:4", "square", "family", (TransferTerm(1, "bar", 1, 0),), 2, 1),
+                         lambda: TransferIdentity("eq:4", "square", "family",
+                                                  tuple([TransferTerm(1, "bar", 1, 0)]), 2, 1),
+                         lambda: TransferIdentity("eq:4", "square", "family", (), 2, 1), "rhs",
+                         ["TransferIdentity(anchor='eq:4', family_id='square', lhs_kind='family', "
+                          "rhs=(TransferTerm(mult=1, kind='bar', n_shift=1, k_shift=0),), valid_from=2, "
+                          "stated_from=1)"]),
+    "FamilyRecord": (lambda: load_catalog().family("square"), lambda: _fresh_catalog().family("square"),
+                     lambda: load_catalog().family("diamond"), "asymptotic_note",
+                     ["FamilyRecord(spec=FamilySpec(family_id='square', ", "asymptotic=None, "]),
+    "Catalog": (load_catalog, _fresh_catalog, lambda: Catalog(load_catalog().families, ()), "identities",
+                ["Catalog(families=(FamilyRecord(spec=FamilySpec(family_id='triangular', "]),
 }
 
 
@@ -429,8 +479,14 @@ def test_value_semantics(name):
     assert a == b  # unchanged by the refused writes
     for text in shown:
         assert text in repr(a), (text, repr(a))
-    if name != "TransferTerm":  # a NamedTuple, not a Frozen
-        assert type(a)._trusted(*a._values()) == a
+    assert type(a)._trusted(*a._values()) == a
+    assert a != a._values()  # not a tuple
+
+
+def test_record_takes_one_value_per_field():
+    for values in (("triangular", "t", 3), ("triangular", "t", 3, 1, 1)):
+        with pytest.raises(TypeError, match=r"^FamilySpec takes 4 values, got \d$"):
+            FamilySpec(*values)
 
 
 def test_big_integer_growth():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import last_n_within_walk
 from cactus_mis import _pool, graphs, verify
+from cactus_mis.catalog import FamilyRecord
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
 from cactus_mis.series import series_in_x
@@ -144,7 +145,10 @@ def test_asymptotics_confirmed_and_refuted(catalog):
     assert sq["verdict"] == "SKIPPED"
     assert "2^n" in sq["note"]
     # the note is the catalog's, not the verifier's
-    edited = catalog.family("square")._replace(asymptotic_note="edited")
+    sq_rec = catalog.family("square")
+    edited = FamilyRecord(sq_rec.spec, sq_rec.gf_candidates, sq_rec.univariate_anchor, sq_rec.univariate_gf,
+                          sq_rec.recurrence, sq_rec.asymptotic_anchor, sq_rec.asymptotic, "edited",
+                          sq_rec.boundary_checks)
     assert verify_asymptotics(edited)["note"] == "edited"
 
     dia = verify_asymptotics(catalog.family("diamond"))
@@ -324,8 +328,8 @@ def test_report_to_json_matches_json_dumps(value):
 
 @pytest.mark.parametrize("value", [
     {1: "int key"}, {"a": {None: 0}}, {(1, 2): 0}, {"a": [1, {2.5: 0}]},
-    {"a": {1, 2}}, [b"bytes"], {"a": object()}, 1j,
-], ids=["int-key", "none-key", "tuple-key", "nested-float-key", "set", "bytes", "object", "complex"])
+    {"a": {1, 2}}, [b"bytes"], {"a": object()}, 1j, {"spec": graphs.FAMILIES["triangular"]},
+], ids=["int-key", "none-key", "tuple-key", "nested-float-key", "set", "bytes", "object", "complex", "record"])
 def test_report_to_json_rejects_non_str_keys_and_non_json_values(value):
     with pytest.raises(TypeError):
         report_to_json(value)
@@ -630,10 +634,22 @@ def test_import_leaves_process_pool_unloaded():
     # (with inspect) or fractions (with decimal)
     unloaded = ("cactus_mis._pool", "concurrent.futures.process", "multiprocessing",
                 "dataclasses", "inspect", "fractions", "decimal")
-    code = ("import sys, cactus_mis, cactus_mis.cli; cactus_mis.load_catalog(); "
+    code = ("import sys, cactus_mis.cli; from cactus_mis.catalog import load_catalog; load_catalog(); "
             f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# the package namespace re-exports nothing, so importing it or one module
+# compiles only what that module itself imports
+@pytest.mark.parametrize("statement, loaded", [
+    ("import cactus_mis", []),
+    ("import cactus_mis.graphs", ["cactus_mis._frozen", "cactus_mis.graphs"]),
+], ids=["package", "graphs"])
+def test_import_loads_only_what_it_names(statement, loaded):
+    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.startswith('cactus_mis.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == repr(loaded)
 
 
 def test_baseline_report_matches_committed(catalog):
