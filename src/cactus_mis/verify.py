@@ -27,15 +27,18 @@ gadget graph after its chain), and the trail goes when the run ends. Every
 lookup that misses the memo still builds its graph and calls `enumerate_mis`
 once.
 
-One lookup plan, shared by the checks and the pool, names the graphs each
-claim reads: a family's chain at every n to its depth, each boundary check's
-graph, and for an identity at each n of `_replay_ns` the graphs of
-`_replay_keys`, in order, up to the first one above the guard. With
-`workers > 1`, `run_verification` first has forked children count that plan
-(`_collect_tasks`) into the memo, so the checks only hit it: `_pool` deals
-the keys out in plan order, every c-th to one child, and each child resumes
-its sweeps from a trail of its own. The serial path (`workers == 1`) forks
-nothing and never imports `_pool`.
+A run does its oracle-free work first (`_family_algebra` for each family,
+and every asymptotics claim), then the checks. One lookup plan, shared by the
+checks and the pool, names the graphs each claim reads: a family's chain at
+every n to its depth, each boundary check's graph, and for an identity at each
+n of `_replay_ns` the graphs of `_replay_keys`, in order, up to the first one
+above the guard. With `workers > 1` a run goes plan -> fork -> oracle-free
+work -> join -> checks: `_pool` forks children that count the plan
+(`_collect_tasks`, every c-th key to one child, each with a trail of its own)
+while the parent works, and the checks only hit the memo. Children reply in
+`marshal`, which is safe here: only this process's own forked child, on the
+same interpreter, writes it. The serial path (`workers == 1`) runs in the
+same order with nothing to join, and never imports `_pool`.
 """
 
 from __future__ import annotations
@@ -131,22 +134,18 @@ def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Opt
 def verify_family(record: FamilyRecord, n_max: int,
                   vertex_limit: int = DEFAULT_VERTEX_LIMIT,
                   memo: Optional[Memo] = None,
-                  trail: Optional[list] = None) -> dict:
-    """Compare oracle distributions with the stated series and recurrence.
+                  trail: Optional[list] = None,
+                  algebra: Optional[tuple] = None) -> dict:
+    """Compare oracle distributions with the stated series and recurrence;
+    `algebra` is `_family_algebra(record, n_max, vertex_limit)` if not given.
 
     Returns a report fragment: per-n entries plus claim verdicts for the
     family's generating function, recurrence, and boundary checks.
     """
     fam = record.family_id
-    # the guard skips every n past this one, so no series is expanded further
-    expand_to = min(n_max, last_n_within(fam, "family", vertex_limit))
-    # each candidate's claimed {k: count}, zeros dropped, at every n up to there
-    claimed = {cand.candidate_id: [{k: c for k, c in enumerate(p.coeffs) if c}
-                                   for p in series_in_x(cand.gf, expand_to)]
-               for cand in record.gf_candidates}
+    claimed, rec_totals, consistency = algebra or _family_algebra(record, n_max, vertex_limit)
     candidates = {cand.candidate_id: {"anchor": cand.anchor, "first_mismatch": None}
                   for cand in record.gf_candidates}
-    rec_totals = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, n_max)
 
     entries = []
     recurrence_mismatch = None
@@ -201,7 +200,7 @@ def verify_family(record: FamilyRecord, n_max: int,
         "first_mismatch": statement["first_mismatch"],
         "candidates": candidates,
         "resolution": resolution if candidates[resolution]["verdict"] == CONFIRMED else None,
-        "recurrence_consistency": _gf_recurrence_consistency(record),
+        "recurrence_consistency": consistency,
     }
     rec_claim = {
         "kind": "recurrence",
@@ -230,6 +229,19 @@ def verify_family(record: FamilyRecord, n_max: int,
         "recurrence_claim": rec_claim,
         "boundary_claims": boundary_claims,
     }
+
+
+def _family_algebra(record: FamilyRecord, n_max: int, vertex_limit: int) -> tuple:
+    """What `verify_family` compares the counts with, none of it counted: each
+    candidate's claimed {k: count}, zeros dropped, at every n the guard lets
+    through; the recurrence's totals to `n_max`; `_gf_recurrence_consistency`."""
+    # the guard skips every n past this one, so no series is expanded further
+    expand_to = min(n_max, last_n_within(record.family_id, "family", vertex_limit))
+    claimed = {cand.candidate_id: [{k: c for k, c in enumerate(p.coeffs) if c}
+                                   for p in series_in_x(cand.gf, expand_to)]
+               for cand in record.gf_candidates}
+    rec_totals = recurrence_sequence(record.recurrence.lags, record.recurrence.initial, n_max)
+    return claimed, rec_totals, _gf_recurrence_consistency(record)
 
 
 def _resolve_candidate(record: FamilyRecord, candidates: dict) -> str:
@@ -442,13 +454,14 @@ def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
     plan += [[(rec.family_id, check.kind, check.n)] for rec in records for check in rec.boundary_checks]
     for ident in idents:
         plan += [_replay_keys(ident, n) for n in _replay_ns(ident, _identity_top(ident, n_max_override))]
-    tasks: dict[GraphKey, None] = {}
+    fits: dict[GraphKey, bool] = {}  # each distinct key's guard, sized once, in plan order
     for keys in plan:
         for key in keys:
-            if graph_order(key[0], key[2], key[1]) > vertex_limit:
+            if key not in fits:
+                fits[key] = graph_order(key[0], key[2], key[1]) <= vertex_limit
+            if not fits[key]:
                 break
-            tasks[key] = None
-    return list(tasks)
+    return [key for key, ok in fits.items() if ok]
 
 
 def run_verification(
@@ -485,27 +498,33 @@ def run_verification(
     family_scope = scope in ("all", "family")
     idents = ([i for i in catalog.identities if family is None or i.family_id == family]
               if scope in ("all", "identities") else [])
-    memo: Memo = {}
-    trail: list = []
+
+    def oracle_free() -> tuple[list, dict]:
+        """The run's work that reads no count; a pooled run does it while its children count."""
+        algebra = [(rec, _family_algebra(rec, n_max[rec.family_id], vertex_limit))
+                   for rec in records if family_scope]
+        return algebra, {rec.asymptotic_anchor: verify_asymptotics(rec)
+                         for rec in records if scope in ("all", "asymptotics")}
+
     if workers > 1:
         from . import _pool  # only pooled runs compile and load it
 
-        memo = _pool.pool_counts(_collect_tasks(records if family_scope else [], idents, n_max,
-                                                vertex_limit, n_max_override), vertex_limit, workers)
+        memo, (algebra, claims) = _pool.count_while(_collect_tasks(
+            records if family_scope else [], idents, n_max, vertex_limit, n_max_override),
+            vertex_limit, workers, oracle_free)
+    else:
+        memo, (algebra, claims) = {}, oracle_free()
 
-    claims: dict[str, dict] = {}
+    trail: list = []
     families_out: dict[str, dict] = {}
     identity_range_notes: dict[str, dict] = {}
 
-    for rec in records:
-        if family_scope:
-            fragment = verify_family(rec, n_max[rec.family_id], vertex_limit, memo, trail)
-            families_out[rec.family_id] = {"entries": fragment["entries"]}
-            claims[rec.gf_anchor] = fragment["gf_claim"]
-            claims[rec.recurrence.anchor] = fragment["recurrence_claim"]
-            claims.update(fragment["boundary_claims"])
-        if scope in ("all", "asymptotics"):  # no oracle lookups, so the sweep order holds
-            claims[rec.asymptotic_anchor] = verify_asymptotics(rec)
+    for rec, rec_algebra in algebra:
+        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit, memo, trail, rec_algebra)
+        families_out[rec.family_id] = {"entries": fragment["entries"]}
+        claims[rec.gf_anchor] = fragment["gf_claim"]
+        claims[rec.recurrence.anchor] = fragment["recurrence_claim"]
+        claims.update(fragment["boundary_claims"])
 
     for ident in idents:
         result = verify_transfer(ident, n_max=_identity_top(ident, n_max_override),

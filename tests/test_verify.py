@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import last_n_within_walk
-from cactus_mis import _pool, graphs, verify
+from cactus_mis import _pool, asymptotics, graphs, verify
 from cactus_mis.catalog import FamilyRecord
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
@@ -368,13 +368,14 @@ def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch,
     # at n_max 150 the ortho-hexagonal chains reach 751 vertices; the pool
     # must skip every graph the lookups refuse, as the serial run does
     memos = []
-    real_pool_counts = _pool.pool_counts
+    real_count_while = _pool.count_while
 
     def spy(*args, **kwargs):
-        memos.append(real_pool_counts(*args, **kwargs))
-        return memos[-1]
+        memo, done = real_count_while(*args, **kwargs)
+        memos.append(memo)
+        return memo, done
 
-    monkeypatch.setattr(_pool, "pool_counts", spy)
+    monkeypatch.setattr(_pool, "count_while", spy)
     pooled = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=2)
     [memo] = memos
@@ -412,7 +413,7 @@ def test_pool_plan_matches_serial_lookups(catalog, monkeypatch, kwargs):
         return dist
 
     monkeypatch.setattr(verify, "_collect_tasks", collect)
-    monkeypatch.setattr(_pool, "pool_counts", lambda tasks, limit, workers: {})  # count serially
+    monkeypatch.setattr(_pool, "count_while", lambda tasks, limit, workers, work: ({}, work()))  # count serially
     monkeypatch.setattr(verify, "oracle_distribution", lookup)
     run_verification(catalog, workers=2, **kwargs)
     [plan] = plans
@@ -470,6 +471,35 @@ def test_failed_child_ends_the_command_in_one_error_line(monkeypatch, capsys):
     _assert_no_child_left()
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """The pid of each child `os.fork` starts from this process."""
+    real_fork, children = os.fork, []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return children
+
+
+def test_failed_parent_work_reaps_every_child(catalog, monkeypatch, forked):
+    # the parent's own work runs while the children count; when it raises,
+    # every child is still read and reaped before the parent's error leaves
+    def fail(*args):
+        raise ValueError("no root")
+
+    monkeypatch.setattr(asymptotics, "family_estimate", fail)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="no root"):
+        run_verification(catalog, workers=2)
+    assert len(forked) == 2
+    _assert_no_child_left()
+
+
 def test_pooled_run_leaves_no_child(catalog):
     run_verification(catalog, scope="identities", workers=2)
     _assert_no_child_left()
@@ -484,29 +514,33 @@ def test_failed_fork_reaps_the_children_started(catalog, monkeypatch):
         forks.append(1)
         return real_fork()
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", second_fork_fails)
     with pytest.raises(OSError, match="fork refused"):
         run_verification(catalog, scope="identities", workers=2)
     _assert_no_child_left()
 
 
-def test_children_capped_at_cpu_count(catalog, monkeypatch):
+def test_children_capped_at_cpu_count(catalog, monkeypatch, forked):
     # --workers bounds the children by the CPUs there are, not only by the
     # keys: with one CPU, 8 workers fork one child
-    real_fork, children = os.fork, []
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            children.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 1)
     pooled = report_to_json(run_verification(catalog, scope="identities", workers=8))
-    assert len(children) == 1
+    assert len(forked) == 1
     assert pooled == report_to_json(run_verification(catalog, scope="identities"))
+
+
+@pytest.mark.parametrize("affinity, cpu_count", [({0}, 64), (None, 1)], ids=["affinity", "no-affinity"])
+def test_children_capped_at_the_cpus_this_process_may_use(catalog, monkeypatch, forked, affinity, cpu_count):
+    # the process's affinity set counts where the OS has one, whatever CPUs
+    # the host has; elsewhere os.cpu_count() does
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    run_verification(catalog, scope="identities", workers=8)
+    assert len(forked) == 1
 
 
 def test_pool_without_fork_counts_in_process(catalog, monkeypatch, parent_counts):
@@ -517,11 +551,14 @@ def test_pool_without_fork_counts_in_process(catalog, monkeypatch, parent_counts
 
 
 def test_pooled_run_loads_no_process_pool_machinery():
+    # children that succeed reply in marshal, so the parent needs no pickle
     code = ("import sys; from cactus_mis import verify\n"
+            "had_pickle = 'pickle' in sys.modules\n"
             "verify.run_verification(scope='identities', workers=2)\n"
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))")
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules),"
+            " had_pickle or 'pickle' not in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] True"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -615,7 +652,8 @@ def test_sweep_work_of_each_pool_share(catalog, monkeypatch, sweeps):
     # from a trail of its own and still resumes most sweeps: 1,038 and 1,090
     # layers, where counting the keys with no trail sweeps 5,592
     plans = []
-    monkeypatch.setattr(_pool, "pool_counts", lambda tasks, limit, workers: plans.append(tasks) or {})
+    monkeypatch.setattr(_pool, "count_while",
+                        lambda tasks, limit, workers, work: (plans.append(tasks) or {}, work()))
     run_verification(catalog, scope="all", workers=2)
     [plan] = plans
     work = []
