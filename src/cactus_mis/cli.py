@@ -87,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=None, help="override the per-family depth")
     p_verify.add_argument("--format", choices=("json", "table"), default="json")
     p_verify.add_argument("--workers", type=int, default=1,
-                          help="worker processes for enumeration (default 1)")
+                          help="above 1, count the graphs in one forked child while this"
+                               " process does the rest (default 1)")
     p_verify.add_argument("--output", default=None)
 
     sub.add_parser("list-families", help="list family ids and their one-letter symbols")

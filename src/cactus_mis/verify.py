@@ -33,12 +33,12 @@ checks and the pool, names the graphs each claim reads: a family's chain at
 every n to its depth, each boundary check's graph, and for an identity at each
 n of `_replay_ns` the graphs of `_replay_keys`, in order, up to the first one
 above the guard. With `workers > 1` a run goes plan -> fork -> oracle-free
-work -> join -> checks: `_pool` forks children that count the plan
-(`_collect_tasks`, every c-th key to one child, each with a trail of its own)
-while the parent works, and the checks only hit the memo. Children reply in
-`marshal`, which is safe here: only this process's own forked child, on the
-same interpreter, writes it. The serial path (`workers == 1`) runs in the
-same order with nothing to join, and never imports `_pool`.
+work -> join -> checks: `_pool` forks one child that counts the whole plan
+(`_collect_tasks`) in plan order with one trail while the parent works, and
+the checks only hit the memo. The child replies in `marshal`, which is safe
+here: only this process's own forked child, on the same interpreter, writes
+it. The serial path (`workers == 1`) runs in the same order with nothing to
+join, and never imports `_pool`.
 """
 
 from __future__ import annotations
@@ -500,7 +500,7 @@ def run_verification(
               if scope in ("all", "identities") else [])
 
     def oracle_free() -> tuple[list, dict]:
-        """The run's work that reads no count; a pooled run does it while its children count."""
+        """The run's work that reads no count; a pooled run does it while its child counts."""
         algebra = [(rec, _family_algebra(rec, n_max[rec.family_id], vertex_limit))
                    for rec in records if family_scope]
         return algebra, {rec.asymptotic_anchor: verify_asymptotics(rec)
@@ -511,7 +511,7 @@ def run_verification(
 
         memo, (algebra, claims) = _pool.count_while(_collect_tasks(
             records if family_scope else [], idents, n_max, vertex_limit, n_max_override),
-            vertex_limit, workers, oracle_free)
+            vertex_limit, oracle_free)
     else:
         memo, (algebra, claims) = {}, oracle_free()
 

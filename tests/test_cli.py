@@ -470,11 +470,10 @@ def test_default_verify_starts_no_pool():
 
 def test_pooled_verify_whose_child_fails_prints_no_report():
     # the child's MemoryError fails the parent's command; the child leaves
-    # through os._exit, so no process writes a report (one CPU: one child)
+    # through os._exit, so no process writes a report
     code = ("import sys; from cactus_mis import cli, _pool\n"
             "def fail(*args):\n"
             "    raise MemoryError\n"
-            "_pool._cpus = lambda: 1\n"
             "_pool.oracle_distribution = fail\n"
             "sys.exit(cli.main(['verify', '--scope', 'all', '--workers', '2']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

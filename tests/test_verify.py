@@ -413,7 +413,7 @@ def test_pool_plan_matches_serial_lookups(catalog, monkeypatch, kwargs):
         return dist
 
     monkeypatch.setattr(verify, "_collect_tasks", collect)
-    monkeypatch.setattr(_pool, "count_while", lambda tasks, limit, workers, work: ({}, work()))  # count serially
+    monkeypatch.setattr(_pool, "count_while", lambda tasks, limit, work: ({}, work()))  # count serially
     monkeypatch.setattr(verify, "oracle_distribution", lookup)
     run_verification(catalog, workers=2, **kwargs)
     [plan] = plans
@@ -487,16 +487,15 @@ def forked(monkeypatch):
 
 
 def test_failed_parent_work_reaps_every_child(catalog, monkeypatch, forked):
-    # the parent's own work runs while the children count; when it raises,
-    # every child is still read and reaped before the parent's error leaves
+    # the parent's own work runs while the child counts; when it raises, the
+    # child is still read and reaped before the parent's error leaves
     def fail(*args):
         raise ValueError("no root")
 
     monkeypatch.setattr(asymptotics, "family_estimate", fail)
-    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
     with pytest.raises(ValueError, match="no root"):
         run_verification(catalog, workers=2)
-    assert len(forked) == 2
+    assert len(forked) == 1
     _assert_no_child_left()
 
 
@@ -505,42 +504,31 @@ def test_pooled_run_leaves_no_child(catalog):
     _assert_no_child_left()
 
 
-def test_failed_fork_reaps_the_children_started(catalog, monkeypatch):
-    real_fork, forks = os.fork, []
+def test_failed_fork_leaves_no_child(catalog, monkeypatch):
+    # a refused fork fails the run before the parent starts its own work
+    estimates = []
 
-    def second_fork_fails():
-        if forks:
-            raise OSError("fork refused")
-        forks.append(1)
-        return real_fork()
+    def refuse_fork():
+        raise OSError("fork refused")
 
-    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    monkeypatch.setattr(asymptotics, "family_estimate", lambda *args: estimates.append(args))
     with pytest.raises(OSError, match="fork refused"):
-        run_verification(catalog, scope="identities", workers=2)
+        run_verification(catalog, workers=2)
+    assert estimates == []
     _assert_no_child_left()
 
 
-def test_children_capped_at_cpu_count(catalog, monkeypatch, forked):
-    # --workers bounds the children by the CPUs there are, not only by the
-    # keys: with one CPU, 8 workers fork one child
-    monkeypatch.setattr(_pool, "_cpus", lambda: 1)
-    pooled = report_to_json(run_verification(catalog, scope="identities", workers=8))
+@pytest.mark.parametrize("workers", [2, 8], ids=["workers=2", "workers=8"])
+def test_pooled_run_forks_one_child(catalog, monkeypatch, forked, parent_counts, workers):
+    # the parent is the second worker: whatever --workers and the CPUs, one
+    # child counts every graph and the parent counts none
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = report_to_json(run_verification(catalog, scope="identities", workers=workers))
     assert len(forked) == 1
+    assert parent_counts == []
     assert pooled == report_to_json(run_verification(catalog, scope="identities"))
-
-
-@pytest.mark.parametrize("affinity, cpu_count", [({0}, 64), (None, 1)], ids=["affinity", "no-affinity"])
-def test_children_capped_at_the_cpus_this_process_may_use(catalog, monkeypatch, forked, affinity, cpu_count):
-    # the process's affinity set counts where the OS has one, whatever CPUs
-    # the host has; elsewhere os.cpu_count() does
-    if affinity is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    run_verification(catalog, scope="identities", workers=8)
-    assert len(forked) == 1
 
 
 def test_pool_without_fork_counts_in_process(catalog, monkeypatch, parent_counts):
@@ -647,23 +635,21 @@ def test_sweep_work_of_a_full_run(catalog, sweeps):
     assert max(call.widest for call in sweeps) == 11
 
 
-def test_sweep_work_of_each_pool_share(catalog, monkeypatch, sweeps):
-    # with 2 children, each counts every other key of the `--scope all` plan
-    # from a trail of its own and still resumes most sweeps: 1,038 and 1,090
-    # layers, where counting the keys with no trail sweeps 5,592
+def test_sweep_work_of_the_pool_child(catalog, monkeypatch, sweeps):
+    # the child counts the whole `--scope all` plan in plan order from one
+    # trail, so it resumes its sweeps as the serial run does: 1,814 layers,
+    # where counting the keys with no trail sweeps 5,592
     plans = []
     monkeypatch.setattr(_pool, "count_while",
-                        lambda tasks, limit, workers, work: (plans.append(tasks) or {}, work()))
+                        lambda tasks, limit, work: (plans.append(tasks) or {}, work()))
     run_verification(catalog, scope="all", workers=2)
     [plan] = plans
-    work = []
-    for share in (plan[0::2], plan[1::2]):
-        sweeps.clear()
-        _pool.count_share(share, DEFAULT_VERTEX_LIMIT)
-        assert len(sweeps) == len(share) and sweeps[0].started_empty
-        work.append((sum(call.layers for call in sweeps), sum(call.visits for call in sweeps)))
-    assert len(plan) == 243
-    assert work == [(1038, 4541), (1090, 4696)]
+    sweeps.clear()
+    _pool.count_plan(plan, DEFAULT_VERTEX_LIMIT)
+    assert len(sweeps) == len(plan) == 243 and sweeps[0].started_empty
+    assert all(call.trail is sweeps[0].trail for call in sweeps)
+    assert sum(call.layers for call in sweeps) == 1814
+    assert sum(call.visits for call in sweeps) == 7831
 
 
 def test_import_leaves_process_pool_unloaded():
