@@ -1,20 +1,19 @@
-"""Pooled lookups for `verify --workers N`: one forked child fills the run's
-memo while the parent does the run's oracle-free work.
+"""Pooled counting for `verify --workers N`: one forked child counts the run's
+plan while the parent does the run's oracle-free work.
 
-`run_verification` imports this module only when `workers > 1`. A pooled run
-goes plan -> fork -> oracle-free work -> join -> checks. The run plans its
-lookups (`verify._collect_tasks`, in plan order) and hands the plan to
-`count_while`, together with the work that needs no count: each family's
-series expansions, recurrence totals and GF/recurrence consistency, and every
-asymptotics claim. `count_while` forks one child with `os.fork` and does not
-wait for it: it runs that work in the parent while the child counts, then
-reads and reaps the child, and the checks that follow only hit the memo. The
-child counts the whole plan in plan order, through
-`verify.oracle_distribution` with one trail: neighbours in the plan share
-vertex prefixes, so its sweeps resume as the serial run's do. One child, and
-not one per CPU, because the parent is the second worker: a second child
-would compete with the parent's own work for a CPU and split the trail's
-prefixes between two trails.
+`run_verification` imports this module only when `workers > 1`, its plan
+holds at least 4 graphs and `os.fork` exists; every other run counts its plan
+in-process. A pooled run goes plan -> fork -> oracle-free work -> join ->
+judge, and differs from a serial one only in who runs `verify.count_plan`.
+`count_while` forks one child with `os.fork` and does not wait for it: it
+runs the work that needs no count (each family's series expansions,
+recurrence totals and GF/recurrence consistency, and every asymptotics
+claim) in the parent while the child counts, then reads and reaps the child.
+The child runs `count_plan` on the whole plan with a trail of its own, so its
+sweeps resume as a serial run's do. One child, and not one per CPU, because
+the parent is the second worker: a second child would compete with the
+parent's own work for a CPU and split the trail's prefixes between two
+trails.
 
 The child writes one reply down its pipe: a tag byte, then either
 `marshal.dumps({key: counts})` or, when its counting raised, the pickled
@@ -31,9 +30,7 @@ is 0 only once its reply is written whole.
 The parent reads the pipe to EOF and reaps the child before it raises: also
 when its own work raised (or was interrupted) or the child failed. Its own
 error comes first, then the child's. A child that sent nothing, or exited
-with a nonzero status, is an error, never an empty memo. Where `os.fork` does
-not exist, or the plan is too short to pay for a fork, the lookups count
-in-process.
+with a nonzero status, is an error, never an empty table.
 """
 
 from __future__ import annotations
@@ -43,15 +40,9 @@ import os
 from typing import Callable
 
 from .oracle import SizeDistribution
-from .verify import GraphKey, Memo, oracle_distribution
+from .verify import GraphKey, Table, count_plan
 
 _COUNTS, _ERROR = b"c", b"e"  # the tag byte that starts the child's reply
-
-
-def count_plan(keys: list[GraphKey], vertex_limit: int) -> dict[GraphKey, dict[int, int]]:
-    """The {k: count} of each of `keys`, in order, resuming each sweep from one trail."""
-    trail: list = []
-    return {key: oracle_distribution(*key, vertex_limit, None, trail).counts for key in keys}
 
 
 def _child(tasks: list[GraphKey], vertex_limit: int, pipe: int) -> None:
@@ -59,7 +50,8 @@ def _child(tasks: list[GraphKey], vertex_limit: int, pipe: int) -> None:
     status = 1
     try:
         try:
-            reply = _COUNTS + marshal.dumps(count_plan(tasks, vertex_limit))
+            table = count_plan(tasks, vertex_limit, [])
+            reply = _COUNTS + marshal.dumps({key: dist.counts for key, dist in table.items()})
         except Exception as exc:  # the parent raises it
             import pickle  # only a failed child's reply needs it
 
@@ -72,15 +64,13 @@ def _child(tasks: list[GraphKey], vertex_limit: int, pipe: int) -> None:
 
 
 def count_while(tasks: list[GraphKey], vertex_limit: int,
-                work: Callable[[], object]) -> tuple[Memo, object]:
-    """A memo of every one of `tasks`, counted in one forked child while this
-    process runs `work()`, and what `work()` returned.
+                work: Callable[[], object]) -> tuple[Table, object]:
+    """The table of every one of `tasks`, counted in one forked child while
+    this process runs `work()`, and what `work()` returned.
 
     Raises what `work()` raised, else the child's error, or ChildProcessError
     for a child that sent no whole reply.
     """
-    if len(tasks) < 4 or not hasattr(os, "fork"):
-        return {}, work()  # the lookups count these in this process
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()

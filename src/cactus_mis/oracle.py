@@ -64,9 +64,9 @@ a trail that holds.
 
 Work of one `verify --scope all` run: 243 sweeps of 5,592 vertices in all.
 Each from the start, they would sweep 5,592 layers (one per vertex) with
-22,804 state visits; resumed from the run's trail, where consecutive
-lookups are chains that share a long prefix (family n, then n+1; a chain,
-then its bar or tilde gadget graph), they sweep 1,815 layers with 7,832
+22,804 state visits; in plan order, from one trail, where consecutive
+graphs are chains that share a long prefix (family n, then n+1; a chain,
+then its bar or tilde gadget graph), they sweep 1,814 layers with 7,831
 visits. No layer holds more than 11 states. At that size the fixed cost of
 each visit counts, so the loop keeps to plain integer tests: a state
 survives if `x & keep == x` for its open set x, and a merge is `+=` on a key
@@ -77,7 +77,7 @@ with an open vertex that can no longer be dominated keeps that bit to the
 end and never reaches the final (0, 0) key; dropping a test changes the work
 but not the counts. So a copy without the dominated branch's test still
 counts right; the per-layer state counts a trail records show the pruning
-(on the verify run above, that copy makes 8,543 visits instead of 7,832).
+(on the verify run above, that copy makes 8,542 visits instead of 7,831).
 
 SizeDistribution is a `__slots__` class, not a frozen dataclass, for the
 import cost (see `_frozen`).

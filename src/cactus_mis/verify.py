@@ -16,34 +16,33 @@ statement GF, recurrence, asymptotics and boundary checks, and each identity.
 The catalog rejects a repeated anchor at load, so a report holds one verdict
 for every such anchor in its scope, and no other.
 
-Every catalog graph is counted by `oracle_distribution`: a memo hit, else the
-vertex guard, `build_graph` and `enumerate_mis`. Each `run_verification` call
-keeps its counts in one memo of its own and nothing at module level, so a memo
-serves one run and one vertex limit, and a hit needs no second guard. Beside
-the memo the run owns one trail (see `enumerate_mis`): each count resumes the
-oracle's sweep where the graph's neighbor masks part from those of the
-previous graph counted in that run (a family's chain at n after n - 1, a
-gadget graph after its chain), and the trail goes when the run ends. Every
-lookup that misses the memo still builds its graph and calls `enumerate_mis`
-once.
+A run goes plan -> count -> judge. `_collect_tasks` plans every graph the
+checks read: a family's chain at every n to its depth, each boundary check's
+graph, and for an identity at each n of `_replay_ns` the graphs of
+`_replay_keys`, in order, up to the first one above the guard. `count_plan`
+counts the plan in that order, in one loop with one trail (see
+`enumerate_mis`): each sweep resumes where the graph's neighbor masks part
+from those of the graph before it (a family's chain at n after n - 1, a
+gadget graph after its chain). The result is the run's table of counts; the
+run keeps it, and the trail, until it returns, and nothing at module level,
+so a table serves one run and one vertex limit. The checks then only read
+the table, through `oracle_distribution`: every lookup is a table hit, or the
+vertex guard refusing the graph before it is built. Called alone, with no
+table, a check counts each graph it reads on its own.
 
-A run does its oracle-free work first (`_family_algebra` for each family,
-and every asymptotics claim), then the checks. One lookup plan, shared by the
-checks and the pool, names the graphs each claim reads: a family's chain at
-every n to its depth, each boundary check's graph, and for an identity at each
-n of `_replay_ns` the graphs of `_replay_keys`, in order, up to the first one
-above the guard. With `workers > 1` a run goes plan -> fork -> oracle-free
-work -> join -> checks: `_pool` forks one child that counts the whole plan
-(`_collect_tasks`) in plan order with one trail while the parent works, and
-the checks only hit the memo. The child replies in `marshal`, which is safe
-here: only this process's own forked child, on the same interpreter, writes
-it. The serial path (`workers == 1`) runs in the same order with nothing to
-join, and never imports `_pool`.
+The run also does its oracle-free work (`_family_algebra` for each family,
+and every asymptotics claim) before it judges. With `workers > 1`, a plan of
+at least 4 graphs and `os.fork`, `_pool` counts the plan instead: one forked
+child runs `count_plan` with a trail of its own while the parent does the
+oracle-free work, and replies in `marshal`, which is safe here: only this
+process's own forked child, on the same interpreter, writes it. Every other
+run counts the plan in-process, and never imports `_pool`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Mapping, Optional
 
 from . import asymptotics as asym
@@ -84,28 +83,31 @@ TRANSFER_ORDER_CAP = 45  # largest left-hand-side graph enumerated for identitie
 CONSISTENCY_N_MAX = 30  # totals of each stated GF are compared with the recurrence to here
 
 GraphKey = tuple[str, str, int]  # (family id, kind, n), the kind one of graphs.GRAPH_KINDS
-Memo = dict[GraphKey, SizeDistribution]  # one run's counts
+Table = dict[GraphKey, SizeDistribution]  # one run's counts, by graph
 
 
 def oracle_distribution(family_id: str, kind: str, n: int,
                         vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                        memo: Optional[Memo] = None,
-                        trail: Optional[list] = None) -> SizeDistribution:
-    """Exact size distribution of one catalog graph: a `memo` hit, else a guarded
-    count, resumed from `trail` if one is given.
+                        table: Optional[Table] = None) -> SizeDistribution:
+    """Exact size distribution of one catalog graph: a `table` hit, else a
+    guarded count.
 
     Raises VertexLimitExceeded, before building, above `vertex_limit` vertices.
     """
     key = (family_id, kind, n)
-    if memo is not None and key in memo:
-        return memo[key]
+    if table is not None and key in table:
+        return table[key]
     order = graph_order(family_id, n, kind)
     if order > vertex_limit:
         raise VertexLimitExceeded(order, vertex_limit)
-    dist = enumerate_mis(build_graph(family_id, n, kind), vertex_limit, trail)
-    if memo is not None:
-        memo[key] = dist
-    return dist
+    return enumerate_mis(build_graph(family_id, n, kind), vertex_limit)
+
+
+def count_plan(keys: list[GraphKey], vertex_limit: int, trail: list) -> Table:
+    """The distribution of each of `keys`, counted in order, every sweep
+    resumed from `trail`."""
+    return {(fam, kind, n): enumerate_mis(build_graph(fam, n, kind), vertex_limit, trail)
+            for fam, kind, n in keys}
 
 
 def _counts_json(counts: Mapping[int, int]) -> dict[str, int]:
@@ -133,8 +135,7 @@ def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Opt
 
 def verify_family(record: FamilyRecord, n_max: int,
                   vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                  memo: Optional[Memo] = None,
-                  trail: Optional[list] = None,
+                  table: Optional[Table] = None,
                   algebra: Optional[tuple] = None) -> dict:
     """Compare oracle distributions with the stated series and recurrence;
     `algebra` is `_family_algebra(record, n_max, vertex_limit)` if not given.
@@ -152,7 +153,7 @@ def verify_family(record: FamilyRecord, n_max: int,
     checked_to = -1
     for n in range(n_max + 1):
         try:
-            oracle = oracle_distribution(fam, "family", n, vertex_limit, memo, trail)
+            oracle = oracle_distribution(fam, "family", n, vertex_limit, table)
         except VertexLimitExceeded as exc:
             entries.append({
                 "n": n,
@@ -214,7 +215,7 @@ def verify_family(record: FamilyRecord, n_max: int,
     for check in record.boundary_checks:
         claim = {"kind": "boundary", "family": fam, "graph_kind": check.kind, "n": check.n}
         try:
-            oracle = oracle_distribution(fam, check.kind, check.n, vertex_limit, memo, trail)
+            oracle = oracle_distribution(fam, check.kind, check.n, vertex_limit, table)
         except VertexLimitExceeded as exc:
             boundary_claims[check.anchor] = {**claim, "verdict": SKIPPED, "reason": str(exc)}
             continue
@@ -299,13 +300,13 @@ def _replay_ns(identity: TransferIdentity, n_max: int) -> range:
 
 
 def _replay(identity: TransferIdentity, n: int, vertex_limit: int,
-            memo: Optional[Memo], trail: Optional[list]) -> Optional[dict]:
+            table: Optional[Table]) -> Optional[dict]:
     """First k where the identity fails at n, as {n, k, lhs, rhs}, or None if it holds.
 
     The right-hand side is the sum of mult * term(n - n_shift, k - k_shift).
     Raises VertexLimitExceeded when a graph it needs is above `vertex_limit`.
     """
-    lhs, *terms = [oracle_distribution(*key, vertex_limit, memo, trail)
+    lhs, *terms = [oracle_distribution(*key, vertex_limit, table)
                    for key in _replay_keys(identity, n)]
     rhs: dict[int, int] = {}
     for term, dist in zip(identity.rhs, terms):
@@ -327,8 +328,7 @@ def identity_max_n(identity: TransferIdentity) -> int:
 
 def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
                     vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                    memo: Optional[Memo] = None,
-                    trail: Optional[list] = None) -> dict:
+                    table: Optional[Table] = None) -> dict:
     """Replay one identity against oracle distributions over its valid range,
     and over any stated range before it (reported in `stated_range_note`)."""
     if n_max is None:
@@ -340,7 +340,7 @@ def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
     for n in _replay_ns(identity, n_max):
         valid = n >= identity.valid_from
         try:
-            bad = _replay(identity, n, vertex_limit, memo, trail)
+            bad = _replay(identity, n, vertex_limit, table)
         except VertexLimitExceeded as exc:
             if valid:
                 skipped.append({"n": n, "reason": str(exc)})
@@ -445,7 +445,7 @@ def _identity_top(ident: TransferIdentity, n_max_override: Optional[int]) -> int
 def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
                    n_max: dict[str, int], vertex_limit: int,
                    n_max_override: Optional[int]) -> list[GraphKey]:
-    """Every graph the lookups for `records` and `idents` count, once, in plan order.
+    """Every graph the checks of `records` and `idents` read, once, in plan order.
 
     Each lookup sequence of the plan stops at its first graph above
     `vertex_limit`, as the checks' own lookups do.
@@ -500,27 +500,26 @@ def run_verification(
               if scope in ("all", "identities") else [])
 
     def oracle_free() -> tuple[list, dict]:
-        """The run's work that reads no count; a pooled run does it while its child counts."""
+        """The run's work that reads no count; a forked run does it while its child counts."""
         algebra = [(rec, _family_algebra(rec, n_max[rec.family_id], vertex_limit))
                    for rec in records if family_scope]
         return algebra, {rec.asymptotic_anchor: verify_asymptotics(rec)
                          for rec in records if scope in ("all", "asymptotics")}
 
-    if workers > 1:
-        from . import _pool  # only pooled runs compile and load it
+    plan = _collect_tasks(records if family_scope else [], idents, n_max, vertex_limit, n_max_override)
+    trail: list = []  # the run's one trail, kept until the run returns
+    if workers > 1 and len(plan) >= 4 and hasattr(os, "fork"):
+        from . import _pool  # only runs that fork compile and load it
 
-        memo, (algebra, claims) = _pool.count_while(_collect_tasks(
-            records if family_scope else [], idents, n_max, vertex_limit, n_max_override),
-            vertex_limit, oracle_free)
+        table, (algebra, claims) = _pool.count_while(plan, vertex_limit, oracle_free)
     else:
-        memo, (algebra, claims) = {}, oracle_free()
+        (algebra, claims), table = oracle_free(), count_plan(plan, vertex_limit, trail)
 
-    trail: list = []
     families_out: dict[str, dict] = {}
     identity_range_notes: dict[str, dict] = {}
 
     for rec, rec_algebra in algebra:
-        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit, memo, trail, rec_algebra)
+        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit, table, rec_algebra)
         families_out[rec.family_id] = {"entries": fragment["entries"]}
         claims[rec.gf_anchor] = fragment["gf_claim"]
         claims[rec.recurrence.anchor] = fragment["recurrence_claim"]
@@ -528,7 +527,7 @@ def run_verification(
 
     for ident in idents:
         result = verify_transfer(ident, n_max=_identity_top(ident, n_max_override),
-                                 vertex_limit=vertex_limit, memo=memo, trail=trail)
+                                 vertex_limit=vertex_limit, table=table)
         note = result.pop("stated_range_note")
         claims[ident.anchor] = result
         if note is not None:

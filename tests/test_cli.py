@@ -4,6 +4,7 @@ import contextlib
 import decimal
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -468,16 +469,36 @@ def test_default_verify_starts_no_pool():
     assert out.stdout.split() == ["1", "False", "False"]
 
 
-def test_pooled_verify_whose_child_fails_prints_no_report():
+def _verify_out_of_memory_while_counting(tmp_path, workers: str):
+    """`verify --scope all --workers <workers>` in a new interpreter whose
+    oracle raises MemoryError, and the parent pid of each process the fault
+    ran in."""
+    ran = tmp_path / "ran"
+    code = ("import os, sys; from cactus_mis import cli, verify\n"
+            "def fail(*args):\n"
+            "    with open(sys.argv[1], 'a') as fh:\n"
+            "        fh.write(f'{os.getppid()}\\n')\n"
+            "    raise MemoryError\n"
+            "verify.enumerate_mis = fail\n"
+            "sys.exit(cli.main(['verify', '--scope', 'all', '--workers', sys.argv[2]]))")
+    out = subprocess.run([sys.executable, "-c", code, str(ran), workers], capture_output=True, text=True)
+    return out, [int(pid) for pid in ran.read_text().split()]
+
+
+def test_pooled_verify_whose_child_fails_prints_no_report(tmp_path):
     # the child's MemoryError fails the parent's command; the child leaves
     # through os._exit, so no process writes a report
-    code = ("import sys; from cactus_mis import cli, _pool\n"
-            "def fail(*args):\n"
-            "    raise MemoryError\n"
-            "_pool.oracle_distribution = fail\n"
-            "sys.exit(cli.main(['verify', '--scope', 'all', '--workers', '2']))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out, ran = _verify_out_of_memory_while_counting(tmp_path, "2")
     assert (out.returncode, out.stdout, out.stderr) == (1, "", "error: out of memory in verify\n")
+    [parent] = ran
+    assert parent != os.getpid()  # the fault ran once, in the command's child
+
+
+def test_serial_verify_out_of_memory_while_counting_prints_no_report(tmp_path):
+    out, ran = _verify_out_of_memory_while_counting(tmp_path, "1")
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", "error: out of memory in verify\n")
+    [parent] = ran
+    assert parent == os.getpid()  # the fault ran once, in the command's own process
 
 
 @pytest.mark.parametrize("command", ["build", "census", "series", "estimate", "verify"])

@@ -367,24 +367,39 @@ def test_workers_match_serial(catalog, parent_counts):
 def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch, scope):
     # at n_max 150 the ortho-hexagonal chains reach 751 vertices; the pool
     # must skip every graph the lookups refuse, as the serial run does
-    memos = []
+    tables = []
     real_count_while = _pool.count_while
 
     def spy(*args, **kwargs):
-        memo, done = real_count_while(*args, **kwargs)
-        memos.append(memo)
-        return memo, done
+        table, done = real_count_while(*args, **kwargs)
+        tables.append(table)
+        return table, done
 
     monkeypatch.setattr(_pool, "count_while", spy)
     pooled = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=2)
-    [memo] = memos
-    assert memo
-    for f, kind, n in memo:
+    [table] = tables
+    assert table
+    for f, kind, n in table:
         assert graph_order(f, n, kind) <= DEFAULT_VERTEX_LIMIT
     serial = run_verification(catalog, scope=scope, family="ortho-hexagonal",
                               n_max_override=150, workers=1)
     assert report_to_json(pooled) == report_to_json(serial)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pid of each child `os.fork` starts from this process."""
+    real_fork, children = os.fork, []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return children
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -398,26 +413,56 @@ def test_pooled_run_counts_only_graphs_within_vertex_limit(catalog, monkeypatch,
 ], ids=["all", "family", "identities", "all-n0", "all-n150", "identities-limit9",
         "all-diamond-n1"])
 def test_pool_plan_matches_serial_lookups(catalog, monkeypatch, kwargs):
-    # the pool's task list is exactly the set of graphs the checks count
-    plans = []
-    counted = set()
-    real_collect, real_lookup = verify._collect_tasks, verify.oracle_distribution
+    # the plan, which a pooled run's child counts as well, is exactly what
+    # the checks read: once `count_plan` returns, every lookup hits the table
+    # or is refused by the guard before any build, and every key is read
+    tables, built, read = [], [], set()
+    real_count, real_build, real_lookup = verify.count_plan, verify.build_graph, verify.oracle_distribution
 
-    def collect(*args):
-        plans.append(real_collect(*args))
-        return plans[-1]
+    def count(*args):
+        tables.append(real_count(*args))
+        return tables[-1]
+
+    def build(*args):
+        if tables:
+            built.append(args)
+        return real_build(*args)
 
     def lookup(family_id, kind, n, *args):
         dist = real_lookup(family_id, kind, n, *args)  # a refused graph raises here
-        counted.add((family_id, kind, n))
+        read.add((family_id, kind, n))
         return dist
 
-    monkeypatch.setattr(verify, "_collect_tasks", collect)
-    monkeypatch.setattr(_pool, "count_while", lambda tasks, limit, work: ({}, work()))  # count serially
+    monkeypatch.setattr(verify, "count_plan", count)
+    monkeypatch.setattr(verify, "build_graph", build)
     monkeypatch.setattr(verify, "oracle_distribution", lookup)
-    run_verification(catalog, workers=2, **kwargs)
-    [plan] = plans
-    assert counted and set(plan) == counted
+    run_verification(catalog, workers=1, **kwargs)
+    [table] = tables
+    assert built == []
+    assert read and set(table) == read
+
+
+@pytest.mark.parametrize("workers, fork, kwargs", [
+    (1, True, {"scope": "all"}),
+    (2, False, {"scope": "all"}),
+    (2, True, {"scope": "family", "family": "diamond", "n_max_override": 1}),
+], ids=["workers=1", "workers=2-without-fork", "workers=2-plan-of-3"])
+def test_unforked_run_counts_in_one_count_plan_call(catalog, monkeypatch, forked, workers, fork, kwargs):
+    # a run that forks no child counts its whole plan in one `count_plan`
+    # call in this process, and writes the same report as the serial run
+    serial = report_to_json(run_verification(catalog, **kwargs))
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    calls = []
+    real_count = verify.count_plan
+
+    def count(*args):
+        calls.append(args)
+        return real_count(*args)
+
+    monkeypatch.setattr(verify, "count_plan", count)
+    assert report_to_json(run_verification(catalog, workers=workers, **kwargs)) == serial
+    assert len(calls) == 1 and forked == []
 
 
 def _assert_no_child_left():
@@ -442,48 +487,51 @@ def _exit_silently(*args):
     os._exit(0)
 
 
+def _noted(path, fault):
+    """`fault`, which first appends the pid of the process it runs in to `path`."""
+    def noted(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        fault(*args)
+
+    return noted
+
+
+def _pids(path) -> list[int]:
+    return [int(pid) for pid in path.read_text().split()] if path.exists() else []
+
+
 @pytest.mark.parametrize("fail, error", [
     (_raise_memory_error, MemoryError),
     (_raise_unpicklable, ChildProcessError),
     (_exit_silently, ChildProcessError),
 ], ids=["memory-error", "unpicklable", "silent-exit"])
-def test_failed_child_fails_the_pooled_run(catalog, monkeypatch, fail, error):
+def test_failed_child_fails_the_pooled_run(catalog, monkeypatch, forked, tmp_path, fail, error):
     # a child's error is raised in the parent once every child is reaped; an
     # error the child cannot send, or no reply at all, is an error too and
-    # never an empty memo
-    monkeypatch.setattr(_pool, "oracle_distribution", fail)
+    # never an empty table
+    ran = tmp_path / "ran"
+    monkeypatch.setattr(verify, "enumerate_mis", _noted(ran, fail))
     with pytest.raises(error):
         run_verification(catalog, scope="identities", workers=2)
     _assert_no_child_left()
+    assert _pids(ran) == forked and len(forked) == 1  # the fault ran, in the child
 
 
-def test_failed_child_ends_the_command_in_one_error_line(monkeypatch, capsys):
+def test_failed_child_ends_the_command_in_one_error_line(monkeypatch, capsys, forked, tmp_path):
     # a child that sends nothing back fails the command with one error line
     # and exit 1, not a traceback, and no report is written
     from cactus_mis import cli
 
-    monkeypatch.setattr(_pool, "oracle_distribution", _exit_silently)
+    ran = tmp_path / "ran"
+    monkeypatch.setattr(verify, "enumerate_mis", _noted(ran, _exit_silently))
     assert cli.main(["verify", "--scope", "all", "--workers", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: pool child ") and err.endswith(" after sending 0 bytes\n")
     assert err.count("\n") == 1
     _assert_no_child_left()
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """The pid of each child `os.fork` starts from this process."""
-    real_fork, children = os.fork, []
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            children.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return children
+    assert _pids(ran) == forked and len(forked) == 1  # the fault ran, in the child
 
 
 def test_failed_parent_work_reaps_every_child(catalog, monkeypatch, forked):
@@ -564,7 +612,7 @@ def test_vertex_guard_holds_on_cache_hits(catalog, monkeypatch, workers):
 
 @pytest.mark.parametrize("workers, parent_calls", [(1, 243), (2, 0)])
 def test_each_run_counts_afresh(catalog, parent_counts, workers, parent_calls):
-    # the memo belongs to one run: a second run in the same process counts
+    # the table belongs to one run: a second run in the same process counts
     # every graph again (serially in this process, pooled in the children)
     for _ in range(2):
         parent_counts.clear()
@@ -626,30 +674,14 @@ def test_each_run_owns_one_trail(catalog, sweeps):
 def test_sweep_work_of_a_full_run(catalog, sweeps):
     # the figures the oracle module docstring gives for `verify --scope all`:
     # sweeps, layers swept (vertices past each shared prefix), state visits
-    # and the widest layer; 5,592 layers without the trail
+    # and the widest layer, counting the plan in plan order from one trail;
+    # 5,592 layers without the trail
     run_verification(catalog, scope="all")
     assert len(sweeps) == 243
     assert sum(call.vertex_count for call in sweeps) == 5592
-    assert sum(call.layers for call in sweeps) == 1815
-    assert sum(call.visits for call in sweeps) == 7832
-    assert max(call.widest for call in sweeps) == 11
-
-
-def test_sweep_work_of_the_pool_child(catalog, monkeypatch, sweeps):
-    # the child counts the whole `--scope all` plan in plan order from one
-    # trail, so it resumes its sweeps as the serial run does: 1,814 layers,
-    # where counting the keys with no trail sweeps 5,592
-    plans = []
-    monkeypatch.setattr(_pool, "count_while",
-                        lambda tasks, limit, work: (plans.append(tasks) or {}, work()))
-    run_verification(catalog, scope="all", workers=2)
-    [plan] = plans
-    sweeps.clear()
-    _pool.count_plan(plan, DEFAULT_VERTEX_LIMIT)
-    assert len(sweeps) == len(plan) == 243 and sweeps[0].started_empty
-    assert all(call.trail is sweeps[0].trail for call in sweeps)
     assert sum(call.layers for call in sweeps) == 1814
     assert sum(call.visits for call in sweeps) == 7831
+    assert max(call.widest for call in sweeps) == 11
 
 
 def test_import_leaves_process_pool_unloaded():
