@@ -145,9 +145,8 @@ class Catalog(Frozen):
     __slots__ = ("families", "identities")
 
     def family(self, family_id: str) -> FamilyRecord:
-        key = family_id.strip().lower()
         for rec in self.families:
-            if rec.family_id == key:
+            if rec.family_id == family_id:
                 return rec
         raise KeyError(f"unknown family {family_id!r}")
 

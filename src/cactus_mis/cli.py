@@ -31,11 +31,11 @@ from . import asymptotics as asym
 from ._json_text import json_text
 from .catalog import load_catalog
 from .emit import emit
-from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, build_graph, graph_labels
+from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, build_graph, graph_labels, graph_order
 from .oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded
 from .series import recurrence_sequence, recurrence_text, series_in_x
-from .verify import (SCOPES, has_refuted, oracle_distribution, report_to_json, report_to_table,
-                     run_verification)
+from .verify import (SCOPES, count_plan, has_refuted, oracle_distribution, report_to_json,
+                     report_to_table, run_verification)
 
 VERTEX_LIMIT_ENV = "CACTUS_MIS_VERTEX_LIMIT"
 
@@ -140,7 +140,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    dist = oracle_distribution(args.family, args.aux or "family", args.n, _vertex_limit(args))
+    key, limit = (args.family, args.aux or "family", args.n), _vertex_limit(args)
+    plan = [key] if graph_order(args.family, args.n, key[1]) <= limit else []
+    dist = oracle_distribution(*key, limit, count_plan(plan, limit, []))
     if args.format == "json":
         payload = {
             "family": args.family, "aux": args.aux, "n": args.n,

@@ -79,11 +79,10 @@ TILDE_GADGETS: dict[str, tuple[int, ...]] = {
 
 
 def family_spec(family_id: str) -> FamilySpec:
-    """Look up a family spec, accepting any case."""
-    key = family_id.strip().lower()
-    if key not in FAMILIES:
+    """Look up a family spec by its exact id."""
+    if family_id not in FAMILIES:
         raise ValueError(f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}")
-    return FAMILIES[key]
+    return FAMILIES[family_id]
 
 
 class Graph(Frozen):

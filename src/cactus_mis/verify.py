@@ -27,8 +27,8 @@ gadget graph after its chain). The result is the run's table of counts; the
 run keeps it, and the trail, until it returns, and nothing at module level,
 so a table serves one run and one vertex limit. The checks then only read
 the table, through `oracle_distribution`: every lookup is a table hit, or the
-vertex guard refusing the graph before it is built. Called alone, with no
-table, a check counts each graph it reads on its own.
+vertex guard refusing the graph before it is built. A check counts nothing:
+`count_plan` is the package's one counting loop.
 
 The run also does its oracle-free work (`_family_algebra` for each family,
 and every asymptotics claim) before it judges. With `workers > 1`, a plan of
@@ -86,21 +86,21 @@ GraphKey = tuple[str, str, int]  # (family id, kind, n), the kind one of graphs.
 Table = dict[GraphKey, SizeDistribution]  # one run's counts, by graph
 
 
-def oracle_distribution(family_id: str, kind: str, n: int,
-                        vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                        table: Optional[Table] = None) -> SizeDistribution:
-    """Exact size distribution of one catalog graph: a `table` hit, else a
-    guarded count.
+def oracle_distribution(family_id: str, kind: str, n: int, vertex_limit: int,
+                        table: Table) -> SizeDistribution:
+    """Exact size distribution of one catalog graph, read from `table`.
 
-    Raises VertexLimitExceeded, before building, above `vertex_limit` vertices.
+    Raises VertexLimitExceeded for a graph above `vertex_limit` vertices, and
+    RuntimeError for one within it that `table` lacks: the plan and the
+    checks disagree.
     """
     key = (family_id, kind, n)
-    if table is not None and key in table:
+    if key in table:
         return table[key]
     order = graph_order(family_id, n, kind)
     if order > vertex_limit:
         raise VertexLimitExceeded(order, vertex_limit)
-    return enumerate_mis(build_graph(family_id, n, kind), vertex_limit)
+    raise RuntimeError(f"graph {key} fits the vertex limit but was not counted: the plan missed it")
 
 
 def count_plan(keys: list[GraphKey], vertex_limit: int, trail: list) -> Table:
@@ -133,18 +133,16 @@ def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Opt
 # Family verification: bivariate series, recurrence totals, boundary checks.
 # ----------------------------------------------------------------------------
 
-def verify_family(record: FamilyRecord, n_max: int,
-                  vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                  table: Optional[Table] = None,
-                  algebra: Optional[tuple] = None) -> dict:
-    """Compare oracle distributions with the stated series and recurrence;
-    `algebra` is `_family_algebra(record, n_max, vertex_limit)` if not given.
+def verify_family(record: FamilyRecord, n_max: int, vertex_limit: int, table: Table,
+                  algebra: tuple) -> dict:
+    """Compare the counts in `table` with the stated series and recurrence,
+    as `algebra`, `_family_algebra(record, n_max, vertex_limit)`, gives them.
 
     Returns a report fragment: per-n entries plus claim verdicts for the
     family's generating function, recurrence, and boundary checks.
     """
     fam = record.family_id
-    claimed, rec_totals, consistency = algebra or _family_algebra(record, n_max, vertex_limit)
+    claimed, rec_totals, consistency = algebra
     candidates = {cand.candidate_id: {"anchor": cand.anchor, "first_mismatch": None}
                   for cand in record.gf_candidates}
 
@@ -299,8 +297,7 @@ def _replay_ns(identity: TransferIdentity, n_max: int) -> range:
     return range(min(identity.stated_from, identity.valid_from), max(identity.valid_from, n_max + 1))
 
 
-def _replay(identity: TransferIdentity, n: int, vertex_limit: int,
-            table: Optional[Table]) -> Optional[dict]:
+def _replay(identity: TransferIdentity, n: int, vertex_limit: int, table: Table) -> Optional[dict]:
     """First k where the identity fails at n, as {n, k, lhs, rhs}, or None if it holds.
 
     The right-hand side is the sum of mult * term(n - n_shift, k - k_shift).
@@ -319,20 +316,10 @@ def _replay(identity: TransferIdentity, n: int, vertex_limit: int,
     return {"n": n, "k": bad["k"], "lhs": bad["oracle"], "rhs": bad["claimed"]}
 
 
-def identity_max_n(identity: TransferIdentity) -> int:
-    """Largest n whose left-hand-side graph has at most TRANSFER_ORDER_CAP vertices,
-    but at least `valid_from`."""
-    return max(identity.valid_from,
-               last_n_within(identity.family_id, identity.lhs_kind, TRANSFER_ORDER_CAP))
-
-
-def verify_transfer(identity: TransferIdentity, n_max: Optional[int] = None,
-                    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-                    table: Optional[Table] = None) -> dict:
-    """Replay one identity against oracle distributions over its valid range,
-    and over any stated range before it (reported in `stated_range_note`)."""
-    if n_max is None:
-        n_max = identity_max_n(identity)
+def verify_transfer(identity: TransferIdentity, n_max: int, vertex_limit: int, table: Table) -> dict:
+    """Replay one identity against the counts in `table` over its valid range
+    to `n_max`, and over any stated range before it (reported in
+    `stated_range_note`)."""
     first_bad = None
     checked = []
     skipped = []
@@ -436,10 +423,11 @@ def verify_asymptotics(record: FamilyRecord) -> dict:
 # ----------------------------------------------------------------------------
 
 def _identity_top(ident: TransferIdentity, n_max_override: Optional[int]) -> int:
-    top = identity_max_n(ident)
-    if n_max_override is not None:
-        top = min(top, n_max_override)
-    return top
+    """Last n an identity is replayed at: the largest n whose left-hand-side
+    graph has at most TRANSFER_ORDER_CAP vertices, but at least `valid_from`,
+    and at most `n_max_override` if given."""
+    top = max(ident.valid_from, last_n_within(ident.family_id, ident.lhs_kind, TRANSFER_ORDER_CAP))
+    return top if n_max_override is None else min(top, n_max_override)
 
 
 def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
@@ -526,8 +514,7 @@ def run_verification(
         claims.update(fragment["boundary_claims"])
 
     for ident in idents:
-        result = verify_transfer(ident, n_max=_identity_top(ident, n_max_override),
-                                 vertex_limit=vertex_limit, table=table)
+        result = verify_transfer(ident, _identity_top(ident, n_max_override), vertex_limit, table)
         note = result.pop("stated_range_note")
         claims[ident.anchor] = result
         if note is not None:

@@ -22,7 +22,7 @@ from cactus_mis.graphs import (BAR_GADGETS, FAMILIES, FAMILY_IDS, TILDE_GADGETS,
                                graph_order)
 from cactus_mis.oracle import enumerate_mis
 from cactus_mis.series import recurrence_from_gf, recurrence_sequence, reduce_fraction, specialize_y1
-from cactus_mis.verify import DEFAULT_N_MAX, verify_family, verify_transfer
+from cactus_mis.verify import DEFAULT_N_MAX, run_verification
 
 
 @contextmanager
@@ -90,8 +90,8 @@ def test_criterion_3_gf_recurrence_cross_check(catalog):
             if lags_ok and totals_ok:
                 continue  # mutually consistent, reproduced exactly
             # otherwise the verifier must refute the stated gf with a witness
-            result = verify_family(record, DEFAULT_N_MAX[record.family_id])
-            claim = result["gf_claim"]
+            report = run_verification(catalog, scope="family", family=record.family_id)
+            claim = report["claims"][record.gf_anchor]
             assert claim["verdict"] == "REFUTED", record.family_id
             witness = claim["first_mismatch"]
             assert set(witness) == {"n", "k", "oracle", "claimed"}
@@ -110,10 +110,11 @@ def test_criterion_4_bivariate_distributions(catalog):
     with criterion(4, "bivariate suite", 300.0):
         verdicts = {}
         for record in catalog.families:
-            result = verify_family(record, DEFAULT_N_MAX[record.family_id])
-            verdicts[record.family_id] = result["gf_claim"]["verdict"]
-            if result["gf_claim"]["verdict"] == "REFUTED":
-                witness = result["gf_claim"]["first_mismatch"]
+            report = run_verification(catalog, scope="family", family=record.family_id)
+            claim = report["claims"][record.gf_anchor]
+            verdicts[record.family_id] = claim["verdict"]
+            if claim["verdict"] == "REFUTED":
+                witness = claim["first_mismatch"]
                 oracle = enumerate_mis(build_graph(record.family_id, witness["n"]))
                 assert oracle[witness["k"]] == witness["oracle"]
         # desk-checked case: x^2 coefficient of the triangular gf is y + 4y^2
@@ -133,8 +134,9 @@ def test_criterion_4_bivariate_distributions(catalog):
 
 def test_criterion_5_transfer_identities(catalog):
     with criterion(5, "transfer-identity suite", 300.0):
+        claims = run_verification(catalog, scope="identities")["claims"]
         for identity in catalog.identities:
-            result = verify_transfer(identity)
+            result = claims[identity.anchor]
             assert result["verdict"] == "CONFIRMED", identity.identity_id
             assert result["checked_n"][0] == identity.valid_from
             last = result["checked_n"][-1]

@@ -1,9 +1,11 @@
 """Verification engine: claim verdicts, witnesses, reports, determinism."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,18 +15,16 @@ from _oracles import last_n_within_walk
 from cactus_mis import _pool, asymptotics, graphs, verify
 from cactus_mis.catalog import FamilyRecord
 from cactus_mis.graphs import build_graph, graph_order
-from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded, enumerate_mis
+from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, SizeDistribution, VertexLimitExceeded, enumerate_mis
 from cactus_mis.series import series_in_x
 from cactus_mis.verify import (
     DEFAULT_N_MAX,
     has_refuted,
-    identity_max_n,
     report_to_json,
     report_to_table,
     run_verification,
     verify_asymptotics,
     verify_family,
-    verify_transfer,
 )
 
 
@@ -33,41 +33,126 @@ def _identity(catalog, identity_id):
     return next(ident for ident in catalog.identities if ident.identity_id == identity_id)
 
 
+def _identity_run(catalog, identity_id, n_max):
+    """An identity's claim and its stated-range note (None if it has none),
+    from a run of the identities of its family to `n_max`."""
+    ident = _identity(catalog, identity_id)
+    report = run_verification(catalog, scope="identities", family=ident.family_id, n_max_override=n_max)
+    return report["claims"][ident.anchor], report["identity_range_notes"].get(identity_id)
+
+
+def _family_run(catalog, family_id, n_max, vertex_limit=DEFAULT_VERTEX_LIMIT):
+    """A family's entries, GF claim and recurrence claim, from a run of
+    scope "family" to `n_max`."""
+    rec = catalog.family(family_id)
+    report = run_verification(catalog, scope="family", family=family_id, n_max_override=n_max,
+                              vertex_limit=vertex_limit)
+    claims = report["claims"]
+    return report["families"][family_id]["entries"], claims[rec.gf_anchor], claims[rec.recurrence.anchor]
+
+
 @pytest.fixture(scope="module")
 def full_report(catalog):
     return run_verification(catalog, scope="all")
 
 
 def test_triangular_family_all_confirmed(catalog):
-    result = verify_family(catalog.family("triangular"), 6)
-    totals = [e["recurrence_total"] for e in result["entries"]]
+    entries, gf, recurrence = _family_run(catalog, "triangular", 6)
+    totals = [e["recurrence_total"] for e in entries]
     assert totals == [1, 3, 5, 8, 13, 21, 34]
-    assert all(e["status"] == "CONFIRMED" for e in result["entries"])
-    assert result["gf_claim"]["verdict"] == "CONFIRMED"
-    assert result["recurrence_claim"]["verdict"] == "CONFIRMED"
+    assert all(e["status"] == "CONFIRMED" for e in entries)
+    assert gf["verdict"] == "CONFIRMED"
+    assert recurrence["verdict"] == "CONFIRMED"
 
 
 def test_meta_hexagonal_totals_confirmed_but_gf_refuted(catalog):
-    result = verify_family(catalog.family("meta-hexagonal"), 3)
-    assert [e["recurrence_total"] for e in result["entries"]] == [1, 5, 19, 64]
-    assert result["recurrence_claim"]["verdict"] == "CONFIRMED"
-    gf = result["gf_claim"]
+    entries, gf, recurrence = _family_run(catalog, "meta-hexagonal", 3)
+    assert [e["recurrence_total"] for e in entries] == [1, 5, 19, 64]
+    assert recurrence["verdict"] == "CONFIRMED"
     assert gf["verdict"] == "REFUTED"
     assert gf["first_mismatch"] == {"n": 1, "k": 3, "oracle": 2, "claimed": 1}
 
 
 def test_square_powers_of_two(catalog):
-    result = verify_family(catalog.family("square"), 4)
-    assert [e["recurrence_total"] for e in result["entries"]] == [1, 2, 4, 8, 16]
-    assert result["gf_claim"]["verdict"] == "CONFIRMED"
+    entries, gf, _ = _family_run(catalog, "square", 4)
+    assert [e["recurrence_total"] for e in entries] == [1, 2, 4, 8, 16]
+    assert gf["verdict"] == "CONFIRMED"
 
 
 def test_family_resource_skip(catalog):
-    result = verify_family(catalog.family("triangular"), 6, vertex_limit=9)
-    statuses = [e["status"] for e in result["entries"]]
+    entries, _, _ = _family_run(catalog, "triangular", 6, vertex_limit=9)
+    statuses = [e["status"] for e in entries]
     assert statuses[:5] == ["CONFIRMED"] * 5  # up to n=4 (9 vertices)
     assert set(statuses[5:]) == {"SKIPPED"}
-    assert all("reason" in e for e in result["entries"] if e["status"] == "SKIPPED")
+    assert all("reason" in e for e in entries if e["status"] == "SKIPPED")
+
+
+def _triangular_table(family_3):
+    """Every count the checks of triangular read to n = 3, by hand: the
+    family chain at n = 3 counts `family_3`."""
+    counts = {("family", 0): {0: 1}, ("family", 1): {1: 3}, ("family", 2): {1: 1, 2: 4},
+              ("family", 3): family_3, ("bar", 0): {1: 2}, ("bar", 1): {1: 1, 2: 2}}
+    return {("triangular", kind, n): SizeDistribution(c) for (kind, n), c in counts.items()}
+
+
+def test_family_judged_from_a_literal_table(catalog, parent_counts):
+    # the checks judge from the table alone: one changed count refutes the
+    # statement with exactly that witness, and nothing is counted
+    rec = catalog.family("triangular")
+    algebra = verify._family_algebra(rec, 3, DEFAULT_VERTEX_LIMIT)
+    good = verify_family(rec, 3, DEFAULT_VERTEX_LIMIT, _triangular_table({2: 4, 3: 4}), algebra)
+    assert good["gf_claim"]["verdict"] == "CONFIRMED"
+    assert {c["verdict"] for c in good["boundary_claims"].values()} == {"CONFIRMED"}
+    bad = verify_family(rec, 3, DEFAULT_VERTEX_LIMIT, _triangular_table({2: 4, 3: 5}), algebra)
+    assert rec.gf_anchor == "thm:2.1"
+    assert bad["gf_claim"]["verdict"] == "REFUTED"
+    assert bad["gf_claim"]["first_mismatch"] == {"n": 3, "k": 3, "oracle": 5, "claimed": 4}
+    assert bad["recurrence_claim"]["first_mismatch"] == {"n": 3, "oracle_total": 9, "claimed_total": 8}
+    assert [e["status"] for e in bad["entries"]] == ["CONFIRMED"] * 3 + ["REFUTED"]
+    assert parent_counts == []
+
+
+def test_table_missing_a_plan_key_is_an_internal_error(catalog, parent_counts):
+    # a graph within the guard that the table lacks means the plan and the
+    # checks disagree: an error that is neither a usage error nor a count
+    rec = catalog.family("triangular")
+    plan = verify._collect_tasks([rec], [], {"triangular": 3}, DEFAULT_VERTEX_LIMIT, None)
+    table = verify.count_plan(plan, DEFAULT_VERTEX_LIMIT, [])
+    assert set(table) == set(_triangular_table({}))
+    del table[("triangular", "family", 2)]
+    algebra = verify._family_algebra(rec, 3, DEFAULT_VERTEX_LIMIT)
+    parent_counts.clear()
+    with pytest.raises(RuntimeError, match="not counted") as caught:
+        verify_family(rec, 3, DEFAULT_VERTEX_LIMIT, table, algebra)
+    assert not isinstance(caught.value, (ValueError, KeyError))
+    assert parent_counts == []
+
+
+def _enumerate_mis_reads(tree) -> int:
+    """Reads of the name `enumerate_mis` in `tree`, as a name or an attribute."""
+    return sum("enumerate_mis" in (getattr(node, "id", None), getattr(node, "attr", None))
+               for node in ast.walk(tree))
+
+
+def test_only_count_plan_counts():
+    # outside the oracle itself, the package reaches `enumerate_mis` in one
+    # place, `verify.count_plan`: no check and no command counts on its own
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(verify.__file__).parent.glob("*.py") if path.name != "oracle.py"}
+    count_plan = next(node for node in ast.walk(trees["verify.py"])
+                      if isinstance(node, ast.FunctionDef) and node.name == "count_plan")
+    assert _enumerate_mis_reads(count_plan) == 1
+    reads = {name: _enumerate_mis_reads(tree) for name, tree in trees.items()}
+    assert {name: n for name, n in reads.items() if n} == {"verify.py": 1}
+
+
+@pytest.mark.parametrize("scope", ["all", "identities"])
+@pytest.mark.parametrize("family", ["Triangular", " triangular "])
+def test_family_id_is_exact(catalog, scope, family):
+    # one spelling: a family id that is not the catalog's fails the run,
+    # rather than drop that family's identities from it
+    with pytest.raises(KeyError, match="unknown family"):
+        run_verification(catalog, scope=scope, family=family)
 
 
 def test_full_run_formats_no_label(catalog, monkeypatch, full_report):
@@ -90,26 +175,25 @@ def test_full_run_formats_no_label(catalog, monkeypatch, full_report):
 
 
 def test_transfer_t1(catalog):
-    result = verify_transfer(_identity(catalog, "t1"), n_max=6)
+    result, _ = _identity_run(catalog, "t1", 6)
     assert result["verdict"] == "CONFIRMED"
     assert result["checked_n"] == [3, 4, 5, 6]
 
 
 def test_transfer_sbar4_small(catalog):
-    result = verify_transfer(_identity(catalog, "sbar4"), n_max=4)
+    result, _ = _identity_run(catalog, "sbar4", 4)
     assert result["verdict"] == "CONFIRMED"
 
 
 def test_transfer_phtil4_base_case(catalog):
-    result = verify_transfer(_identity(catalog, "phtil4"), n_max=2)
+    result, _ = _identity_run(catalog, "phtil4", 2)
     assert result["verdict"] == "CONFIRMED"
     assert result["checked_n"][0] == 1
 
 
 def test_transfer_dbar4_stated_range_refuted(catalog):
-    result = verify_transfer(_identity(catalog, "dbar4"), n_max=4)
+    result, note = _identity_run(catalog, "dbar4", 4)
     assert result["verdict"] == "CONFIRMED"  # on the structurally valid range
-    note = result["stated_range_note"]
     assert note["stated_range_refuted"]
     assert note["witnesses"] == [{"n": 1, "k": 1, "lhs": 0, "rhs": 1}]
 
@@ -117,14 +201,14 @@ def test_transfer_dbar4_stated_range_refuted(catalog):
 def test_stated_range_replayed_beyond_n_max(catalog):
     # the stated range (n = 1) lies before valid_from (2) and is replayed
     # whatever n_max is; the valid range is empty at n_max = 0
-    result = verify_transfer(_identity(catalog, "dbar4"), n_max=0)
+    result, note = _identity_run(catalog, "dbar4", 0)
     assert result["checked_n"] == [] and result["verdict"] == "SKIPPED"
-    assert result["stated_range_note"]["witnesses"] == [{"n": 1, "k": 1, "lhs": 0, "rhs": 1}]
+    assert note["witnesses"] == [{"n": 1, "k": 1, "lhs": 0, "rhs": 1}]
 
 
 def test_transfer_identity_caps(catalog):
-    assert identity_max_n(_identity(catalog, "t1")) == 22
-    assert identity_max_n(_identity(catalog, "qhtil44")) == 8
+    assert verify._identity_top(_identity(catalog, "t1"), None) == 22
+    assert verify._identity_top(_identity(catalog, "qhtil44"), None) == 8
 
 
 @pytest.mark.parametrize("cap", [0, 1, 4, 5, 12, 44, 45, 46, 100])
@@ -133,7 +217,7 @@ def test_identity_max_n_closed_form_matches_walk(catalog, monkeypatch, cap):
     assert len(catalog.identities) == 20
     for ident in catalog.identities:
         walk = last_n_within_walk(ident.family_id, ident.lhs_kind, cap)
-        assert identity_max_n(ident) == max(ident.valid_from, walk), ident.identity_id
+        assert verify._identity_top(ident, None) == max(ident.valid_from, walk), ident.identity_id
 
 
 def test_asymptotics_confirmed_and_refuted(catalog):
@@ -228,13 +312,13 @@ def test_refuted_witnesses_replay(full_report, catalog):
 
 def test_monotone_confidence(catalog):
     """A claim confirmed at a larger depth is confirmed at every smaller one."""
-    deep = verify_family(catalog.family("diamond"), 6)
-    shallow = verify_family(catalog.family("diamond"), 2)
-    if deep["gf_claim"]["verdict"] == "CONFIRMED":
-        assert shallow["gf_claim"]["verdict"] == "CONFIRMED"
-    assert shallow["recurrence_claim"]["verdict"] == "CONFIRMED"
+    _, deep_gf, _ = _family_run(catalog, "diamond", 6)
+    _, shallow_gf, shallow_recurrence = _family_run(catalog, "diamond", 2)
+    if deep_gf["verdict"] == "CONFIRMED":
+        assert shallow_gf["verdict"] == "CONFIRMED"
+    assert shallow_recurrence["verdict"] == "CONFIRMED"
     # and a refutation found deep does not contaminate the shallow range
-    assert deep["gf_claim"]["first_mismatch"]["n"] > 2
+    assert deep_gf["first_mismatch"]["n"] > 2
 
 
 def test_scoped_runs(catalog):
@@ -604,7 +688,7 @@ def test_vertex_guard_holds_on_cache_hits(catalog, monkeypatch, workers):
                                            vertex_limit=9, workers=workers))
     run_verification(catalog, scope="family", family="triangular", workers=workers)
     with pytest.raises(VertexLimitExceeded):
-        verify.oracle_distribution("triangular", "family", 5, vertex_limit=9)
+        verify.oracle_distribution("triangular", "family", 5, 9, {})
     warm = report_to_json(run_verification(catalog, scope="family", family="triangular",
                                            vertex_limit=9, workers=workers))
     assert warm == cold and '"SKIPPED"' in warm
