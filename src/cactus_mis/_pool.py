@@ -50,7 +50,7 @@ def _child(tasks: list[GraphKey], vertex_limit: int, pipe: int) -> None:
     status = 1
     try:
         try:
-            table = count_plan(tasks, vertex_limit, [])
+            table = count_plan(tasks, vertex_limit)
             reply = _COUNTS + marshal.dumps({key: dist.counts for key, dist in table.items()})
         except Exception as exc:  # the parent raises it
             import pickle  # only a failed child's reply needs it

@@ -27,7 +27,7 @@ import re
 from typing import NoReturn, Optional
 
 from ._frozen import Frozen
-from .graphs import FAMILIES, graph_order
+from .graphs import FAMILIES, family_spec, graph_order
 from .oracle import SizeDistribution
 from .series import RationalGF, UnivarRational, parse_univar, rational_from_recurrence
 
@@ -109,6 +109,11 @@ class TransferIdentity(Frozen):
         """The anchor without its `eq:` prefix, as the report names the identity."""
         return self.anchor.removeprefix("eq:")
 
+    @property
+    def first_n(self) -> int:
+        """The first n replayed; later replays only add blocks."""
+        return min(self.stated_from, self.valid_from)
+
 
 class FamilyRecord(Frozen):
     """Everything the catalog asserts about one polygonal family.
@@ -145,10 +150,8 @@ class Catalog(Frozen):
     __slots__ = ("families", "identities")
 
     def family(self, family_id: str) -> FamilyRecord:
-        for rec in self.families:
-            if rec.family_id == family_id:
-                return rec
-        raise KeyError(f"unknown family {family_id!r}")
+        spec = family_spec(family_id)  # an unknown id raises its ValueError
+        return next(rec for rec in self.families if rec.spec == spec)
 
 
 def _data_text(name: str) -> Optional[str]:
@@ -348,7 +351,7 @@ def _identity(value, path, seen) -> TransferIdentity:
                                     i.get("rhs", _list(_term)), i.get("valid_from", _int), i.get("stated_from", _int)))
     if not ident.anchor.startswith("eq:"):  # its id is the anchor after `eq:`, so ids repeat no more than anchors
         _reject((*path, "anchor"), 'an anchor starting with "eq:"', ident.anchor)
-    first_n = min(ident.valid_from, ident.stated_from)  # replayed first; later replays only add blocks
+    first_n = ident.first_n
     _made(path, "on graphs the builders make", graph_order, ident.family_id, first_n, ident.lhs_kind)
     for j, t in enumerate(ident.rhs):
         at = (*path, "rhs", j)

@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="attach the pendant gadget variant")
     p_build.add_argument("--format", choices=("dot", "json", "edges"), default="dot")
     p_build.add_argument("--output", default=None, help="write to a file instead of stdout")
+    p_build.set_defaults(handler=_cmd_build)
 
     p_census = sub.add_parser("census", help="enumerate maximal independent sets by size")
     add_family_arg(p_census)
@@ -68,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--aux", choices=GRAPH_KINDS[1:], default=None)
     p_census.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p_census.add_argument("--output", default=None)
+    p_census.set_defaults(handler=_cmd_census)
 
     p_series = sub.add_parser("series", help="counting sequence, or size polynomials with --bivariate")
     add_family_arg(p_series)
@@ -75,11 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--bivariate", action="store_true",
                           help="print the stated generating function's coefficients in y")
     p_series.add_argument("--output", default=None)
+    p_series.set_defaults(handler=_cmd_series)
 
     p_est = sub.add_parser("estimate", help="asymptotic count estimate C/rho^(n+1)")
     add_family_arg(p_est)
     p_est.add_argument("--n", type=int, required=True)
     p_est.add_argument("--output", default=None)
+    p_est.set_defaults(handler=_cmd_estimate)
 
     p_verify = sub.add_parser("verify", help="cross-verify claims against the enumeration oracle")
     p_verify.add_argument("--scope", choices=SCOPES, default="all")
@@ -90,8 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="above 1, count the graphs in one forked child while this"
                                " process does the rest (default 1)")
     p_verify.add_argument("--output", default=None)
+    p_verify.set_defaults(handler=_cmd_verify)
 
-    sub.add_parser("list-families", help="list family ids and their one-letter symbols")
+    p_list = sub.add_parser("list-families", help="list family ids and their one-letter symbols")
+    p_list.set_defaults(handler=_cmd_list_families)
     return parser
 
 
@@ -142,7 +148,7 @@ def _cmd_build(args) -> int:
 def _cmd_census(args) -> int:
     key, limit = (args.family, args.aux or "family", args.n), _vertex_limit(args)
     plan = [key] if graph_order(args.family, args.n, key[1]) <= limit else []
-    dist = oracle_distribution(*key, limit, count_plan(plan, limit, []))
+    dist = oracle_distribution(*key, limit, count_plan(plan, limit))
     if args.format == "json":
         payload = {
             "family": args.family, "aux": args.aux, "n": args.n,
@@ -227,14 +233,6 @@ def _cmd_list_families(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "build": _cmd_build,
-        "census": _cmd_census,
-        "series": _cmd_series,
-        "estimate": _cmd_estimate,
-        "verify": _cmd_verify,
-        "list-families": _cmd_list_families,
-    }
     # exact counts are printed in full: lift CPython's cap on int -> str
     # digits (3.10.7 and later; 0 means no cap) for this command only, and
     # leave in-process callers as they were
@@ -242,7 +240,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if digits:
         sys.set_int_max_str_digits(0)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (VertexLimitExceeded, ChildProcessError, _Unwritable) as exc:
         # a resource limit, a pooled verify's child that died or could not
         # send its counts back, or an --output that cannot be written
@@ -252,7 +250,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the command's objects are freed by the time this runs
         sys.stderr.write(f"error: out of memory in {args.command}\n")
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BrokenPipeError:

@@ -20,11 +20,11 @@ A run goes plan -> count -> judge. `_collect_tasks` plans every graph the
 checks read: a family's chain at every n to its depth, each boundary check's
 graph, and for an identity at each n of `_replay_ns` the graphs of
 `_replay_keys`, in order, up to the first one above the guard. `count_plan`
-counts the plan in that order, in one loop with one trail (see
-`enumerate_mis`): each sweep resumes where the graph's neighbor masks part
-from those of the graph before it (a family's chain at n after n - 1, a
-gadget graph after its chain). The result is the run's table of counts; the
-run keeps it, and the trail, until it returns, and nothing at module level,
+counts the plan in that order, in one loop with a trail of its own, made
+for that call (see `enumerate_mis`): each sweep resumes where the graph's
+neighbor masks part from those of the graph before it (a family's chain at n
+after n - 1, a gadget graph after its chain). The result is the run's table
+of counts; the run keeps it until it returns, and nothing at module level,
 so a table serves one run and one vertex limit. The checks then only read
 the table, through `oracle_distribution`: every lookup is a table hit, or the
 vertex guard refusing the graph before it is built. A check counts nothing:
@@ -33,10 +33,10 @@ vertex guard refusing the graph before it is built. A check counts nothing:
 The run also does its oracle-free work (`_family_algebra` for each family,
 and every asymptotics claim) before it judges. With `workers > 1`, a plan of
 at least 4 graphs and `os.fork`, `_pool` counts the plan instead: one forked
-child runs `count_plan` with a trail of its own while the parent does the
-oracle-free work, and replies in `marshal`, which is safe here: only this
-process's own forked child, on the same interpreter, writes it. Every other
-run counts the plan in-process, and never imports `_pool`.
+child runs `count_plan` while the parent does the oracle-free work, and
+replies in `marshal`, which is safe here: only this process's own forked
+child, on the same interpreter, writes it. Every other run counts the plan
+in-process, and never imports `_pool`.
 """
 
 from __future__ import annotations
@@ -103,9 +103,10 @@ def oracle_distribution(family_id: str, kind: str, n: int, vertex_limit: int,
     raise RuntimeError(f"graph {key} fits the vertex limit but was not counted: the plan missed it")
 
 
-def count_plan(keys: list[GraphKey], vertex_limit: int, trail: list) -> Table:
+def count_plan(keys: list[GraphKey], vertex_limit: int) -> Table:
     """The distribution of each of `keys`, counted in order, every sweep
-    resumed from `trail`."""
+    resumed from one trail that this call makes and no other shares."""
+    trail: list = []
     return {(fam, kind, n): enumerate_mis(build_graph(fam, n, kind), vertex_limit, trail)
             for fam, kind, n in keys}
 
@@ -134,12 +135,12 @@ def _first_mismatch(oracle: SizeDistribution, claimed: Mapping[int, int]) -> Opt
 # ----------------------------------------------------------------------------
 
 def verify_family(record: FamilyRecord, n_max: int, vertex_limit: int, table: Table,
-                  algebra: tuple) -> dict:
+                  algebra: tuple) -> tuple[list, dict]:
     """Compare the counts in `table` with the stated series and recurrence,
     as `algebra`, `_family_algebra(record, n_max, vertex_limit)`, gives them.
 
-    Returns a report fragment: per-n entries plus claim verdicts for the
-    family's generating function, recurrence, and boundary checks.
+    Returns the family's per-n entries, and its claim verdicts keyed by the
+    anchors of its generating function, recurrence and boundary checks.
     """
     fam = record.family_id
     claimed, rec_totals, consistency = algebra
@@ -191,7 +192,7 @@ def verify_family(record: FamilyRecord, n_max: int, vertex_limit: int, table: Ta
     resolution = _resolve_candidate(record, candidates)
     statement = candidates["statement"]
 
-    gf_claim = {
+    claims = {record.gf_anchor: {
         "kind": "bivariate-gf",
         "family": fam,
         "verdict": statement["verdict"] if checked_to >= 0 else SKIPPED,
@@ -200,34 +201,25 @@ def verify_family(record: FamilyRecord, n_max: int, vertex_limit: int, table: Ta
         "candidates": candidates,
         "resolution": resolution if candidates[resolution]["verdict"] == CONFIRMED else None,
         "recurrence_consistency": consistency,
-    }
-    rec_claim = {
+    }, record.recurrence.anchor: {
         "kind": "recurrence",
         "family": fam,
         "verdict": (CONFIRMED if recurrence_mismatch is None else REFUTED) if checked_to >= 0 else SKIPPED,
         "checked_n_max": checked_to,
         "first_mismatch": recurrence_mismatch,
-    }
+    }}
 
-    boundary_claims = {}
     for check in record.boundary_checks:
         claim = {"kind": "boundary", "family": fam, "graph_kind": check.kind, "n": check.n}
         try:
             oracle = oracle_distribution(fam, check.kind, check.n, vertex_limit, table)
         except VertexLimitExceeded as exc:
-            boundary_claims[check.anchor] = {**claim, "verdict": SKIPPED, "reason": str(exc)}
+            claims[check.anchor] = {**claim, "verdict": SKIPPED, "reason": str(exc)}
             continue
         bad = _first_mismatch(oracle, check.claimed.counts)
-        boundary_claims[check.anchor] = {**claim, "verdict": CONFIRMED if bad is None else REFUTED,
-                                         "first_mismatch": None if bad is None else {"n": check.n, **bad}}
-
-    return {
-        "family": fam,
-        "entries": entries,
-        "gf_claim": gf_claim,
-        "recurrence_claim": rec_claim,
-        "boundary_claims": boundary_claims,
-    }
+        claims[check.anchor] = {**claim, "verdict": CONFIRMED if bad is None else REFUTED,
+                                "first_mismatch": None if bad is None else {"n": check.n, **bad}}
+    return entries, claims
 
 
 def _family_algebra(record: FamilyRecord, n_max: int, vertex_limit: int) -> tuple:
@@ -291,10 +283,15 @@ def _replay_keys(identity: TransferIdentity, n: int) -> list[GraphKey]:
     return [(fam, identity.lhs_kind, n)] + [(fam, term.kind, n - term.n_shift) for term in identity.rhs]
 
 
-def _replay_ns(identity: TransferIdentity, n_max: int) -> range:
-    """The n an identity is replayed at: the stated range before `valid_from`,
-    whatever `n_max` is, then `valid_from` to `n_max`."""
-    return range(min(identity.stated_from, identity.valid_from), max(identity.valid_from, n_max + 1))
+def _replay_ns(identity: TransferIdentity, n_max_override: Optional[int]) -> range:
+    """The n an identity is replayed at, by the plan and the judge alike: from
+    `first_n`, the stated range before `valid_from` whatever the depth, to the
+    largest n whose left-hand-side graph has at most TRANSFER_ORDER_CAP
+    vertices, but at least `valid_from`, and at most `n_max_override` if given."""
+    top = max(identity.valid_from, last_n_within(identity.family_id, identity.lhs_kind, TRANSFER_ORDER_CAP))
+    if n_max_override is not None:
+        top = min(top, n_max_override)
+    return range(identity.first_n, max(identity.valid_from, top + 1))
 
 
 def _replay(identity: TransferIdentity, n: int, vertex_limit: int, table: Table) -> Optional[dict]:
@@ -316,15 +313,16 @@ def _replay(identity: TransferIdentity, n: int, vertex_limit: int, table: Table)
     return {"n": n, "k": bad["k"], "lhs": bad["oracle"], "rhs": bad["claimed"]}
 
 
-def verify_transfer(identity: TransferIdentity, n_max: int, vertex_limit: int, table: Table) -> dict:
-    """Replay one identity against the counts in `table` over its valid range
-    to `n_max`, and over any stated range before it (reported in
-    `stated_range_note`)."""
+def verify_transfer(identity: TransferIdentity, n_max_override: Optional[int], vertex_limit: int,
+                    table: Table) -> tuple[dict, Optional[dict]]:
+    """Replay one identity against the counts in `table` at each n of
+    `_replay_ns`. Returns its claim, and a note on the stated range before
+    `valid_from` (None where the identity states none)."""
     first_bad = None
     checked = []
     skipped = []
     witnesses = []  # failures in the stated range before valid_from
-    for n in _replay_ns(identity, n_max):
+    for n in _replay_ns(identity, n_max_override):
         valid = n >= identity.valid_from
         try:
             bad = _replay(identity, n, vertex_limit, table)
@@ -357,8 +355,7 @@ def verify_transfer(identity: TransferIdentity, n_max: int, vertex_limit: int, t
         "checked_n": checked,
         "skipped": skipped,
         "first_mismatch": first_bad,
-        "stated_range_note": stated_note,
-    }
+    }, stated_note
 
 
 # ----------------------------------------------------------------------------
@@ -422,14 +419,6 @@ def verify_asymptotics(record: FamilyRecord) -> dict:
 # Full run and report assembly.
 # ----------------------------------------------------------------------------
 
-def _identity_top(ident: TransferIdentity, n_max_override: Optional[int]) -> int:
-    """Last n an identity is replayed at: the largest n whose left-hand-side
-    graph has at most TRANSFER_ORDER_CAP vertices, but at least `valid_from`,
-    and at most `n_max_override` if given."""
-    top = max(ident.valid_from, last_n_within(ident.family_id, ident.lhs_kind, TRANSFER_ORDER_CAP))
-    return top if n_max_override is None else min(top, n_max_override)
-
-
 def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
                    n_max: dict[str, int], vertex_limit: int,
                    n_max_override: Optional[int]) -> list[GraphKey]:
@@ -441,7 +430,7 @@ def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
     plan = [[(rec.family_id, "family", n)] for rec in records for n in range(n_max[rec.family_id] + 1)]
     plan += [[(rec.family_id, check.kind, check.n)] for rec in records for check in rec.boundary_checks]
     for ident in idents:
-        plan += [_replay_keys(ident, n) for n in _replay_ns(ident, _identity_top(ident, n_max_override))]
+        plan += [_replay_keys(ident, n) for n in _replay_ns(ident, n_max_override)]
     fits: dict[GraphKey, bool] = {}  # each distinct key's guard, sized once, in plan order
     for keys in plan:
         for key in keys:
@@ -464,7 +453,8 @@ def run_verification(
 
     scope: "all", "family" (with `family`), "identities", or "asymptotics".
     n_max_override replaces the per-family depth; it must be >= 0, and scope
-    "asymptotics", which expands no series to a depth, refuses it.
+    "asymptotics", which expands no series to a depth, refuses it. As in the
+    CLI, vertex_limit must be >= 0 and workers >= 1.
     """
     if catalog is None:
         catalog = load_catalog()
@@ -476,6 +466,10 @@ def run_verification(
         raise ValueError(f"n_max must be >= 0, got {n_max_override}")
     if n_max_override is not None and scope == "asymptotics":
         raise ValueError("scope 'asymptotics' has no depth: n_max does not apply")
+    if vertex_limit < 0:
+        raise ValueError(f"vertex_limit must be >= 0, got {vertex_limit}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     records = list(catalog.families)
     if family is not None:
@@ -495,28 +489,23 @@ def run_verification(
                          for rec in records if scope in ("all", "asymptotics")}
 
     plan = _collect_tasks(records if family_scope else [], idents, n_max, vertex_limit, n_max_override)
-    trail: list = []  # the run's one trail, kept until the run returns
     if workers > 1 and len(plan) >= 4 and hasattr(os, "fork"):
         from . import _pool  # only runs that fork compile and load it
 
         table, (algebra, claims) = _pool.count_while(plan, vertex_limit, oracle_free)
     else:
-        (algebra, claims), table = oracle_free(), count_plan(plan, vertex_limit, trail)
+        (algebra, claims), table = oracle_free(), count_plan(plan, vertex_limit)
 
     families_out: dict[str, dict] = {}
     identity_range_notes: dict[str, dict] = {}
 
     for rec, rec_algebra in algebra:
-        fragment = verify_family(rec, n_max[rec.family_id], vertex_limit, table, rec_algebra)
-        families_out[rec.family_id] = {"entries": fragment["entries"]}
-        claims[rec.gf_anchor] = fragment["gf_claim"]
-        claims[rec.recurrence.anchor] = fragment["recurrence_claim"]
-        claims.update(fragment["boundary_claims"])
+        entries, family_claims = verify_family(rec, n_max[rec.family_id], vertex_limit, table, rec_algebra)
+        families_out[rec.family_id] = {"entries": entries}
+        claims.update(family_claims)
 
     for ident in idents:
-        result = verify_transfer(ident, _identity_top(ident, n_max_override), vertex_limit, table)
-        note = result.pop("stated_range_note")
-        claims[ident.anchor] = result
+        claims[ident.anchor], note = verify_transfer(ident, n_max_override, vertex_limit, table)
         if note is not None:
             identity_range_notes[ident.identity_id] = note
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -397,19 +398,34 @@ def test_verify_family_exit_zero(capsys):
     assert report["summary"]["refuted"] == 0
 
 
+@pytest.fixture(scope="module")
+def baseline():
+    """The committed `verify --scope all` report."""
+    return json.loads(resources.files("cactus_mis").joinpath("data/baseline_report.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_all_scope_for_one_family(workers, catalog, capsys):
+def test_verify_all_scope_for_one_family(workers, family, catalog, baseline, capsys):
     # a one-family `--scope all` report holds a verdict for each anchor the
-    # catalog gives that family's claims, and for no other
-    code, out, err = run_cli(["verify", "--scope", "all", "--family", "triangular",
+    # catalog gives that family's claims, and for no other; each claim, entry
+    # and identity note in it is the full baseline's, and it exits 1 where
+    # one of those claims is refuted
+    code, out, err = run_cli(["verify", "--scope", "all", "--family", family,
                               "--workers", workers], capsys)
-    assert code == 0, err
     assert "Traceback" not in err
-    rec = catalog.family("triangular")
+    rec = catalog.family(family)
     expected = {rec.gf_anchor, rec.recurrence.anchor, rec.asymptotic_anchor}
     expected.update(check.anchor for check in rec.boundary_checks)
-    expected.update(i.anchor for i in catalog.identities if i.family_id == "triangular")
-    assert set(json.loads(out)["claims"]) == expected
+    expected.update(i.anchor for i in catalog.identities if i.family_id == family)
+    report = json.loads(out)
+    assert set(report["claims"]) == expected
+    assert set(report["families"]) == {family}
+    bad = [(part, key) for part in ("claims", "families", "identity_range_notes")
+           for key, value in report[part].items() if baseline[part].get(key) != value]
+    assert bad == []
+    refuted = any(baseline["claims"][anchor]["verdict"] == "REFUTED" for anchor in expected)
+    assert code == (1 if refuted else 0), err
 
 
 def test_verify_asymptotics_exit_one(capsys):

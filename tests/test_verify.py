@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,15 +101,17 @@ def test_family_judged_from_a_literal_table(catalog, parent_counts):
     # statement with exactly that witness, and nothing is counted
     rec = catalog.family("triangular")
     algebra = verify._family_algebra(rec, 3, DEFAULT_VERTEX_LIMIT)
-    good = verify_family(rec, 3, DEFAULT_VERTEX_LIMIT, _triangular_table({2: 4, 3: 4}), algebra)
-    assert good["gf_claim"]["verdict"] == "CONFIRMED"
-    assert {c["verdict"] for c in good["boundary_claims"].values()} == {"CONFIRMED"}
-    bad = verify_family(rec, 3, DEFAULT_VERTEX_LIMIT, _triangular_table({2: 4, 3: 5}), algebra)
+    _, good = verify_family(rec, 3, DEFAULT_VERTEX_LIMIT, _triangular_table({2: 4, 3: 4}), algebra)
+    boundary = [check.anchor for check in rec.boundary_checks]
+    assert set(good) == {rec.gf_anchor, rec.recurrence.anchor, *boundary}
+    assert good[rec.gf_anchor]["verdict"] == "CONFIRMED"
+    assert {good[anchor]["verdict"] for anchor in boundary} == {"CONFIRMED"}
+    entries, bad = verify_family(rec, 3, DEFAULT_VERTEX_LIMIT, _triangular_table({2: 4, 3: 5}), algebra)
     assert rec.gf_anchor == "thm:2.1"
-    assert bad["gf_claim"]["verdict"] == "REFUTED"
-    assert bad["gf_claim"]["first_mismatch"] == {"n": 3, "k": 3, "oracle": 5, "claimed": 4}
-    assert bad["recurrence_claim"]["first_mismatch"] == {"n": 3, "oracle_total": 9, "claimed_total": 8}
-    assert [e["status"] for e in bad["entries"]] == ["CONFIRMED"] * 3 + ["REFUTED"]
+    assert bad[rec.gf_anchor]["verdict"] == "REFUTED"
+    assert bad[rec.gf_anchor]["first_mismatch"] == {"n": 3, "k": 3, "oracle": 5, "claimed": 4}
+    assert bad[rec.recurrence.anchor]["first_mismatch"] == {"n": 3, "oracle_total": 9, "claimed_total": 8}
+    assert [e["status"] for e in entries] == ["CONFIRMED"] * 3 + ["REFUTED"]
     assert parent_counts == []
 
 
@@ -117,7 +120,7 @@ def test_table_missing_a_plan_key_is_an_internal_error(catalog, parent_counts):
     # checks disagree: an error that is neither a usage error nor a count
     rec = catalog.family("triangular")
     plan = verify._collect_tasks([rec], [], {"triangular": 3}, DEFAULT_VERTEX_LIMIT, None)
-    table = verify.count_plan(plan, DEFAULT_VERTEX_LIMIT, [])
+    table = verify.count_plan(plan, DEFAULT_VERTEX_LIMIT)
     assert set(table) == set(_triangular_table({}))
     del table[("triangular", "family", 2)]
     algebra = verify._family_algebra(rec, 3, DEFAULT_VERTEX_LIMIT)
@@ -151,8 +154,35 @@ def test_only_count_plan_counts():
 def test_family_id_is_exact(catalog, scope, family):
     # one spelling: a family id that is not the catalog's fails the run,
     # rather than drop that family's identities from it
-    with pytest.raises(KeyError, match="unknown family"):
+    with pytest.raises(ValueError, match="unknown family .*; known:"):
         run_verification(catalog, scope=scope, family=family)
+
+
+def test_unknown_family_is_one_error(catalog):
+    # every layer that resolves a family id raises the builders' one error,
+    # which names the known ids
+    errors = set()
+    for call in (lambda: catalog.family("heptagonal"),
+                 lambda: run_verification(catalog, scope="family", family="heptagonal"),
+                 lambda: build_graph("heptagonal", 1),
+                 lambda: graph_order("heptagonal", 1)):
+        with pytest.raises(ValueError) as caught:
+            call()
+        errors.add((type(caught.value), str(caught.value)))
+    assert errors == {(ValueError, f"unknown family 'heptagonal'; known: {', '.join(graphs.FAMILY_IDS)}")}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"vertex_limit": -1}, "vertex_limit must be >= 0, got -1"),
+    ({"workers": 0}, "workers must be >= 1, got 0"),
+    ({"workers": -5}, "workers must be >= 1, got -5"),
+], ids=["vertex_limit=-1", "workers=0", "workers=-5"])
+def test_run_refuses_what_the_cli_refuses(catalog, parent_counts, kwargs, message):
+    # a negative guard used to skip every claim, and no worker at all ran
+    # serially; the CLI exits 2 on both, and the library raises before it counts
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_verification(catalog, scope="family", family="triangular", **kwargs)
+    assert parent_counts == []
 
 
 def test_full_run_formats_no_label(catalog, monkeypatch, full_report):
@@ -207,8 +237,19 @@ def test_stated_range_replayed_beyond_n_max(catalog):
 
 
 def test_transfer_identity_caps(catalog):
-    assert verify._identity_top(_identity(catalog, "t1"), None) == 22
-    assert verify._identity_top(_identity(catalog, "qhtil44"), None) == 8
+    assert verify._replay_ns(_identity(catalog, "t1"), None)[-1] == 22
+    assert verify._replay_ns(_identity(catalog, "qhtil44"), None)[-1] == 8
+
+
+@pytest.mark.parametrize("n_max", [None, 0, 1, 4])
+def test_replay_starts_at_first_n(catalog, n_max):
+    # dbar4 is stated from n = 1 and valid from 2: the plan and the judge
+    # replay it from first_n, whatever the depth
+    ident = _identity(catalog, "dbar4")
+    assert (ident.stated_from, ident.valid_from, ident.first_n) == (1, 2, 1)
+    assert verify._replay_ns(ident, n_max)[0] == ident.first_n
+    plan = verify._collect_tasks([], [ident], {}, DEFAULT_VERTEX_LIMIT, n_max)
+    assert plan[0] == (ident.family_id, ident.lhs_kind, ident.first_n)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 4, 5, 12, 44, 45, 46, 100])
@@ -217,7 +258,7 @@ def test_identity_max_n_closed_form_matches_walk(catalog, monkeypatch, cap):
     assert len(catalog.identities) == 20
     for ident in catalog.identities:
         walk = last_n_within_walk(ident.family_id, ident.lhs_kind, cap)
-        assert verify._identity_top(ident, None) == max(ident.valid_from, walk), ident.identity_id
+        assert verify._replay_ns(ident, None)[-1] == max(ident.valid_from, walk), ident.identity_id
 
 
 def test_asymptotics_confirmed_and_refuted(catalog):
@@ -753,6 +794,20 @@ def test_each_run_owns_one_trail(catalog, sweeps):
         trails.append(sweeps[0].trail)
     assert trails[0] is not trails[1]
     assert not any(value is trail for trail in trails for value in vars(verify).values())
+
+
+def test_count_plan_calls_share_no_trail(sweeps):
+    # each call makes its own trail: the second call's first sweep starts
+    # from an empty one, not from where the first call's last sweep ended
+    keys = [("triangular", "family", n) for n in range(1, 4)]
+    trails = []
+    for _ in range(2):
+        sweeps.clear()
+        verify.count_plan(keys, DEFAULT_VERTEX_LIMIT)
+        assert len(sweeps) == 3 and sweeps[0].started_empty
+        assert all(call.trail is sweeps[0].trail for call in sweeps)
+        trails.append(sweeps[0].trail)
+    assert trails[0] is not trails[1] and trails[0]
 
 
 def test_sweep_work_of_a_full_run(catalog, sweeps):
