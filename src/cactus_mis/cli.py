@@ -210,8 +210,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    # run_verification checks --workers and --n-max, with the library's messages
     report = run_verification(
         scope=args.scope,
         family=args.family,

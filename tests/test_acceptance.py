@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from importlib import resources
 
 import pytest
 
@@ -215,3 +216,5 @@ def test_criterion_8_verify_all_is_byte_deterministic(tmp_path):
         assert first.returncode == second.returncode == 1  # refuted claims exist
         assert first.stdout == second.stdout
         assert len(first.stdout) > 10_000
+        assert first.stdout == resources.files("cactus_mis").joinpath(
+            "data/baseline_report.json").read_text(encoding="utf-8")

@@ -457,16 +457,24 @@ def test_malformed_catalog_value_is_rejected_with_its_path(monkeypatch, path, va
         _load_edited(monkeypatch, lambda raw: _set_path(raw, path, value))
 
 
-def test_malformed_catalog_ends_verify_in_one_error_line(monkeypatch, capsys):
+@pytest.mark.parametrize("path, value, message", [
+    (("families", 2, "boundary_checks", 1, "counts"), [1, 4],
+     "catalog value $.families[2].boundary_checks[1].counts is not an object: [1, 4]"),
+    (("families", 0, "asymptotic", "rho"), "1.5",
+     'catalog value $.families[0].asymptotic.rho is not a printed decimal in (0, 1): "1.5"'),
+    # the builders own a family's symbol
+    (("families", 0, "symbol"), "t", "unknown catalog key $.families[0].symbol"),
+], ids=["counts-list", "rho-above-one", "symbol-key"])
+def test_malformed_catalog_ends_verify_in_one_error_line(monkeypatch, capsys, path, value, message):
     from cactus_mis import cli
 
     raw = json.loads(catalog_mod._data_text("catalog.json"))
-    raw["families"][2]["boundary_checks"][1]["counts"] = [1, 4]
+    _set_path(raw, path, value)
     monkeypatch.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
     assert cli.main(["verify", "--scope", "all"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: catalog value $.families[2].boundary_checks[1].counts is not an object: [1, 4]\n"
+    assert err == f"error: {message}\n"
 
 
 def test_zero_offset_may_be_left_out(monkeypatch, catalog):

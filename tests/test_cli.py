@@ -467,7 +467,7 @@ def test_n_max_in_asymptotics_scope_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_is_a_usage_error(capsys, workers):
     code, out, err = run_cli(["verify", "--scope", "identities", "--workers", workers], capsys)
-    assert (code, out, err) == (2, "", f"error: --workers must be >= 1, got {workers}\n")
+    assert (code, out, err) == (2, "", f"error: workers must be >= 1, got {workers}\n")
 
 
 def test_negative_estimate_index_names_the_flag(capsys):
