@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success (and, for verify, no refuted claims), 1 refuted claims,
-resource limit, a failed worker process, a reader that closed stdout early or
-an `--output` file that cannot be opened or written (one `error: cannot
-write <path>: <reason>` line), 2 usage errors and a catalog that does not
-load (one `error:` line; a malformed value or key is named by its JSON path).
+a resource limit, a reader that closed stdout early, or any `OSError` the
+command meets (an `--output` that cannot be written, `error: cannot write
+<path>: <reason>`; a refused fork or failed worker; an unreadable catalog),
+2 usage errors and a catalog that does not parse (a malformed value or key is
+named by its JSON path). Each error but the closed stdout is one `error:` line.
 
 Every command writes through `_write`, which passes an iterable of strings to
 `writelines` on stdout or on the `--output` file. `series` hands it one line
@@ -30,8 +31,8 @@ from typing import Iterable, Optional
 from . import asymptotics as asym
 from ._json_text import json_text
 from .catalog import load_catalog
-from .emit import emit
-from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, build_graph, graph_labels, graph_order
+from .emit import GRAPH_FORMATS, emit
+from .graphs import FAMILIES, FAMILY_IDS, GRAPH_KINDS, graph_order
 from .oracle import DEFAULT_VERTEX_LIMIT, VertexLimitExceeded
 from .series import recurrence_sequence, recurrence_text, series_in_x
 from .verify import (SCOPES, count_plan, has_refuted, oracle_distribution, report_to_json,
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n", type=int, required=True, help="number of blocks (>= 0)")
     p_build.add_argument("--aux", choices=GRAPH_KINDS[1:], default=None,
                          help="attach the pendant gadget variant")
-    p_build.add_argument("--format", choices=("dot", "json", "edges"), default="dot")
+    p_build.add_argument("--format", choices=GRAPH_FORMATS, default="dot")
     p_build.add_argument("--output", default=None, help="write to a file instead of stdout")
     p_build.set_defaults(handler=_cmd_build)
 
@@ -117,14 +118,6 @@ def _vertex_limit(args) -> int:
     return limit
 
 
-class _Unwritable(Exception):
-    """The `--output` file could not be opened or written.
-
-    Not caught as a plain OSError in `main`: a failed `os.fork` in a pooled
-    verify is one too, and names no file.
-    """
-
-
 def _write(parts: Iterable[str], path: Optional[str]) -> None:
     """Write the strings of `parts` in turn to stdout, or to the file at `path`."""
     if path is None:
@@ -134,14 +127,11 @@ def _write(parts: Iterable[str], path: Optional[str]) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
     except OSError as exc:
-        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_build(args) -> int:
-    kind = args.aux or "family"
-    g = build_graph(args.family, args.n, kind)
-    labels = graph_labels(args.family, args.n, kind)
-    _write([emit(g, labels, args.format, family=args.family, n=args.n, aux=args.aux)], args.output)
+    _write([emit(args.family, args.n, args.aux or "family", args.format)], args.output)
     return 0
 
 
@@ -240,11 +230,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except (VertexLimitExceeded, ChildProcessError, _Unwritable) as exc:
-        # a resource limit, a pooled verify's child that died or could not
-        # send its counts back, or an --output that cannot be written
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except MemoryError:
         # the command's objects are freed by the time this runs
         sys.stderr.write(f"error: out of memory in {args.command}\n")
@@ -258,6 +243,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except (VertexLimitExceeded, OSError) as exc:
+        # a resource limit, or what the system refused: an --output that
+        # cannot be written, a fork, a pooled verify's child that died or
+        # could not send its counts back, a catalog file that cannot be read
+        sys.stderr.write(f"error: {exc}\n")
         return 1
     finally:
         if digits:

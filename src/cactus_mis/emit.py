@@ -1,8 +1,9 @@
 """Graph output formats: DOT, JSON, and flat edge lists.
 
 All emitters are deterministic. A `Graph` carries no text, so the DOT and
-JSON forms take the vertex labels beside it, one per vertex in vertex order
-(`build` passes `graphs.graph_labels` of the same family, n and kind). The
+JSON forms take the vertex labels beside it, one per vertex in vertex order.
+`emit`, which `build` calls, makes both from one family, n and kind:
+`graphs.build_graph` and, for DOT and JSON only, `graphs.graph_labels`. The
 DOT form carries one node per vertex with its label, then one line per edge.
 """
 
@@ -11,7 +12,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ._json_text import json_text
-from .graphs import Graph
+from .graphs import Graph, build_graph, graph_labels
+
+GRAPH_FORMATS = ("dot", "json", "edges")
 
 
 def to_dot(g: Graph, labels: Sequence[str]) -> str:
@@ -40,15 +43,14 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def emit(g: Graph, labels: Sequence[str], fmt: str, family: Optional[str] = None,
-         n: Optional[int] = None, aux: Optional[str] = None) -> str:
-    """`g` in format `fmt` ("dot", "json" or "edges"); `labels` names its vertices."""
-    if len(labels) != g.vertex_count:
-        raise ValueError(f"{len(labels)} labels for {g.vertex_count} vertices")
-    if fmt == "dot":
-        return to_dot(g, labels)
-    if fmt == "json":
-        return to_json(g, labels, family=family, n=n, aux=aux)
+def emit(family_id: str, n: int, kind: str, fmt: str) -> str:
+    """`build_graph(family_id, n, kind)` in format `fmt`, one of GRAPH_FORMATS."""
+    if fmt not in GRAPH_FORMATS:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    g = build_graph(family_id, n, kind)
     if fmt == "edges":
         return to_edge_list(g)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    labels = graph_labels(family_id, n, kind)
+    if fmt == "dot":
+        return to_dot(g, labels)
+    return to_json(g, labels, family=family_id, n=n, aux=None if kind == "family" else kind)

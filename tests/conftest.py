@@ -1,4 +1,7 @@
+import json
 import os
+import types
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,14 @@ def _child_bytecode_cache(tmp_path_factory):
 @pytest.fixture(scope="session")
 def catalog():
     return load_catalog()
+
+
+@pytest.fixture(scope="session")
+def baseline():
+    """The committed `verify --scope all` report, parsed once and shared.
+
+    Its objects are read-only mappings, so no test can change what a later
+    one reads; they compare equal to the dicts of a freshly parsed report.
+    """
+    text = resources.files("cactus_mis").joinpath("data/baseline_report.json").read_text(encoding="utf-8")
+    return json.loads(text, object_hook=types.MappingProxyType)

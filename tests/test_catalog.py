@@ -3,7 +3,6 @@
 import copy
 import json
 import re
-from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings
@@ -76,13 +75,6 @@ def test_gf_candidates(catalog):
         assert len(ids) == (2 if rec.family_id == "para-hexagonal" else 1)
         with pytest.raises(KeyError):
             rec.gf("bogus")
-
-
-@pytest.fixture(scope="module")
-def baseline():
-    """The committed verification report; the catalog itself carries no verdicts."""
-    text = resources.files("cactus_mis").joinpath("data/baseline_report.json").read_text(encoding="utf-8")
-    return json.loads(text)
 
 
 def _refuted(baseline, claim_id):
@@ -305,8 +297,7 @@ def test_unknown_catalog_key_is_rejected_with_its_path(monkeypatch, where, key, 
 def test_non_integer_catalog_value_is_rejected_with_its_path(monkeypatch, path, value):
     # a float would be truncated or printed as one (`8.0`), a string or a
     # boolean coerced: each is refused at load time instead
-    json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-    message = f"catalog value {json_path} is not an integer: {json.dumps(value)}"
+    message = f"catalog value {_json_path(path)} is not an integer: {json.dumps(value)}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         _load_edited(monkeypatch, lambda raw: _set_path(raw, path, value))
 
@@ -398,8 +389,7 @@ def test_catalog_that_misnames_a_claim_is_rejected_with_its_path(monkeypatch, ed
 ], ids=["top", "family", "gf-candidate", "univariate-gf", "recurrence", "asymptotic-anchor", "asymptotic-note",
         "asymptotic-rho", "asymptotic-constant", "boundary-check", "identity", "rhs-term"])
 def test_missing_catalog_key_is_rejected_with_its_path(monkeypatch, path, key):
-    json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-    with pytest.raises(ValueError, match="^" + re.escape(f"catalog key {json_path}.{key} is missing") + "$"):
+    with pytest.raises(ValueError, match="^" + re.escape(f"catalog key {_json_path(path)}.{key} is missing") + "$"):
         _load_edited(monkeypatch, lambda raw: _walk(raw, path).pop(key))
 
 
@@ -550,6 +540,11 @@ def _set_path(raw, path, value):
     _walk(raw, path[:-1])[path[-1]] = value
 
 
+def _json_path(path):
+    """`path` as the loader's messages print it: `("families", 2, "gf")` is `$.families[2].gf`."""
+    return "$" + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+
+
 _OBJECTS = _catalog_objects()
 
 
@@ -567,10 +562,10 @@ def test_any_unread_key_is_rejected_with_its_path(where, key):
     assume(key not in known)
     raw = json.loads(catalog_mod._data_text("catalog.json"))
     _walk(raw, path)[key] = 0
-    json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    message = f"unknown catalog key {_json_path(path)}.{key}"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
-        with pytest.raises(ValueError, match="^" + re.escape(f"unknown catalog key {json_path}.{key}") + "$"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             catalog_mod.load_catalog()
 
 
@@ -604,8 +599,7 @@ def test_any_removed_key_is_reported_missing_with_its_path(member):
         except ValueError as exc:
             message = str(exc)
     if tuple(path) in _OBJECT_PATHS and key != "offset":
-        json_path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-        assert message == f"catalog key {json_path}.{key} is missing"
+        assert message == f"catalog key {_json_path(path)}.{key} is missing"
     elif message is not None:
         assert re.fullmatch(r"(catalog (key|value) |unknown catalog key )\$\S*( .*)?", message), message
 

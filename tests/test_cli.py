@@ -2,6 +2,7 @@
 
 import contextlib
 import decimal
+import errno
 import io
 import json
 import os
@@ -9,7 +10,6 @@ import subprocess
 import sys
 import tracemalloc
 import types
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from _oracles import parse_dot
 from cactus_mis import catalog as catalog_mod
 from cactus_mis import cli
+from cactus_mis import emit as emit_mod
 from cactus_mis.cli import main
 from cactus_mis.catalog import FamilyRecord, RecurrenceClaim, load_catalog
 from cactus_mis.graphs import FAMILY_IDS
@@ -206,6 +207,43 @@ def test_unwritable_output_is_one_error_line(argv, where, reason, tmp_path, caps
         pytest.skip("no /dev/full on this platform")
     code, out, err = run_cli([*argv, "--output", str(target)], capsys)
     assert (code, out, err) == (1, "", f"error: cannot write {target}: {reason}\n")
+
+
+def test_refused_fork_is_one_error_line(monkeypatch, tmp_path, capsys):
+    # a pooled verify whose fork the system refuses ends in one line and exit
+    # 1: no report is written and no child is left
+    def refuse_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    target = tmp_path / "report.json"
+    for output in ([], ["--output", str(target)]):
+        code, out, err = run_cli(["verify", "--scope", "all", "--workers", "2", *output], capsys)
+        assert (code, out, err) == (1, "", "error: fork refused\n")
+    assert not target.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_unreadable_catalog_is_one_error_line(monkeypatch, tmp_path, capsys):
+    # a catalog file that cannot be read is an OSError, so exit 1, not the
+    # exit 2 of a catalog that reads but does not parse
+    (tmp_path / "catalog.json").mkdir()
+    monkeypatch.setattr(catalog_mod, "_DATA_DIR", str(tmp_path))
+    code, out, err = run_cli(["series", "--family", "triangular", "--n-max", "3"], capsys)
+    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path / 'catalog.json')!r}"
+    assert (code, out, err) == (1, "", f"error: {reason}\n")
+
+
+def test_build_edges_builds_no_labels(monkeypatch, capsys):
+    # an edge list prints no vertex label, so `build` makes none for it
+    def refuse(*args):
+        raise AssertionError("labels built for an edge list")
+
+    for module in (cli, emit_mod):  # wherever `build` could look the name up
+        monkeypatch.setattr(module, "graph_labels", refuse, raising=False)
+    code, out, err = run_cli(["build", "--family", "triangular", "--n", "1", "--format", "edges"], capsys)
+    assert (code, out, err) == (0, "0 1\n0 2\n1 2\n", "")
 
 
 def test_closed_pipe_stops_quietly():
@@ -398,12 +436,6 @@ def test_verify_family_exit_zero(capsys):
     assert report["summary"]["refuted"] == 0
 
 
-@pytest.fixture(scope="module")
-def baseline():
-    """The committed `verify --scope all` report."""
-    return json.loads(resources.files("cactus_mis").joinpath("data/baseline_report.json").read_text(encoding="utf-8"))
-
-
 @pytest.mark.parametrize("family", FAMILY_IDS)
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verify_all_scope_for_one_family(workers, family, catalog, baseline, capsys):
@@ -473,16 +505,6 @@ def test_workers_below_one_is_a_usage_error(capsys, workers):
 def test_negative_estimate_index_names_the_flag(capsys):
     code, out, err = run_cli(["estimate", "--family", "triangular", "--n", "-5"], capsys)
     assert (code, out, err) == (2, "", "error: --n must be >= 0, got -5\n")
-
-
-def test_default_verify_starts_no_pool():
-    # --workers defaults to 1: a whole verify run never loads the pool machinery
-    code = ("import contextlib, io, sys; from cactus_mis import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = cli.main(['verify', '--scope', 'all'])\n"
-            "print(rc, 'concurrent.futures.process' in sys.modules, 'cactus_mis._pool' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "False", "False"]
 
 
 def _verify_out_of_memory_while_counting(tmp_path, workers: str):

@@ -711,17 +711,6 @@ def test_pool_without_fork_counts_in_process(catalog, monkeypatch, parent_counts
     assert pooled == report_to_json(run_verification(catalog, scope="identities"))
 
 
-def test_pooled_run_loads_no_process_pool_machinery():
-    # children that succeed reply in marshal, so the parent needs no pickle
-    code = ("import sys; from cactus_mis import verify\n"
-            "had_pickle = 'pickle' in sys.modules\n"
-            "verify.run_verification(scope='identities', workers=2)\n"
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules),"
-            " had_pickle or 'pickle' not in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[] True"
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_vertex_guard_holds_on_cache_hits(catalog, monkeypatch, workers):
     # a cache warmed under the default guard must not let a lower guard pass
@@ -823,28 +812,46 @@ def test_sweep_work_of_a_full_run(catalog, sweeps):
     assert max(call.widest for call in sweeps) == 11
 
 
-def test_import_leaves_process_pool_unloaded():
+# The child prints the modules its statement loaded, and exits with `rc`.
+# Whatever the interpreter's start-up loaded before the statement (a site
+# hook's imports, say) is not the package's doing, and is not judged.
+_LOADED_BY = """
+import sys
+before, rc = set(sys.modules), 0
+{statement}
+print(sorted(set(sys.modules) - before))
+sys.exit(rc)
+"""
+
+_POOL_MACHINERY = ("concurrent.futures.process", "multiprocessing")
+
+
+@pytest.mark.parametrize("statement, rc, package, unloaded", [
+    # the package namespace re-exports nothing, so importing it or one module
+    # compiles only what that module itself imports
+    ("import cactus_mis", 0, [], ()),
+    ("import cactus_mis.graphs", 0, ["cactus_mis._frozen", "cactus_mis.graphs"], ()),
     # only a pooled verify run needs the pool module, no run needs the
     # standard process-pool machinery, and no start-up path needs dataclasses
     # (with inspect) or fractions (with decimal)
-    unloaded = ("cactus_mis._pool", "concurrent.futures.process", "multiprocessing",
-                "dataclasses", "inspect", "fractions", "decimal")
-    code = ("import sys, cactus_mis.cli; from cactus_mis.catalog import load_catalog; load_catalog(); "
-            f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
-# the package namespace re-exports nothing, so importing it or one module
-# compiles only what that module itself imports
-@pytest.mark.parametrize("statement, loaded", [
-    ("import cactus_mis", []),
-    ("import cactus_mis.graphs", ["cactus_mis._frozen", "cactus_mis.graphs"]),
-], ids=["package", "graphs"])
-def test_import_loads_only_what_it_names(statement, loaded):
-    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.startswith('cactus_mis.')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == repr(loaded)
+    ("import cactus_mis.cli; from cactus_mis.catalog import load_catalog; load_catalog()", 0, None,
+     ("cactus_mis._pool", *_POOL_MACHINERY, "dataclasses", "inspect", "fractions", "decimal")),
+    # --workers defaults to 1: a whole verify run never loads the pool
+    ("import contextlib, io; from cactus_mis import cli\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    rc = cli.main(['verify', '--scope', 'all'])", 1, None, ("cactus_mis._pool", *_POOL_MACHINERY)),
+    # children that succeed reply in marshal, so the parent needs no pickle
+    ("from cactus_mis import verify; verify.run_verification(scope='identities', workers=2)", 0, None,
+     (*_POOL_MACHINERY, "pickle")),
+], ids=["package", "graphs", "cli-and-catalog", "default-verify", "pooled-verify"])
+def test_statement_loads_only_what_it_needs(statement, rc, package, unloaded):
+    code = _LOADED_BY.format(statement=statement)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == rc, out.stderr
+    loaded = ast.literal_eval(out.stdout)
+    if package is not None:
+        assert [m for m in loaded if m.startswith("cactus_mis.")] == package
+    assert [m for m in unloaded if m in loaded] == []
 
 
 def test_baseline_report_matches_committed(catalog):
