@@ -154,13 +154,13 @@ class Catalog(Frozen):
         return next(rec for rec in self.families if rec.spec == spec)
 
 
-def _data_text(name: str) -> Optional[str]:
-    """Text of `data/<name>` beside this module (package-data ships it there), or None."""
-    try:
-        with open(os.path.join(_DATA_DIR, name), encoding="utf-8") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        return None
+def _data_text(name: str) -> str:
+    """Text of `data/<name>` beside this module (package-data ships it there).
+
+    A file that cannot be read raises its own `OSError`, which names the path.
+    """
+    with open(os.path.join(_DATA_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 # Each reader below checks one JSON value by its type and range and returns
@@ -369,10 +369,7 @@ def load_catalog() -> Catalog:
     The value is parsed once per catalog text and shared, so callers must not
     mutate it. A text that fails validation raises and is not cached.
     """
-    text = _data_text("catalog.json")
-    if text is None:
-        raise FileNotFoundError("catalog.json is missing from the package data")
-    return _parse_catalog(text)
+    return _parse_catalog(_data_text("catalog.json"))
 
 
 # Keyed on the text, so a test that edits `_data_text` gets a fresh parse; one

@@ -3,14 +3,17 @@
 Exit codes: 0 success (and, for verify, no refuted claims), 1 refuted claims,
 a resource limit, a reader that closed stdout early, or any `OSError` the
 command meets (an `--output` that cannot be written, `error: cannot write
-<path>: <reason>`; a refused fork or failed worker; an unreadable catalog),
-2 usage errors and a catalog that does not parse (a malformed value or key is
-named by its JSON path). Each error but the closed stdout is one `error:` line.
+<path>: <reason>`; a refused fork or failed worker; a catalog file that is
+missing or cannot be read, named by its path), 2 usage errors and a catalog
+that does not parse (a malformed value or key is named by its JSON path).
+Each error but the closed stdout is one `error:` line.
 
 Every command writes through `_write`, which passes an iterable of strings to
-`writelines` on stdout or on the `--output` file. `series` hands it one line
-per row as the line is formatted, so its output is never joined into one
-string; the other commands hand it their whole text as a one-element list.
+`writelines` on stdout or on the `--output` file. `series` hands it each row
+as the row is formatted, so its output is never joined into one string: a
+count row as one line, and a `--bivariate` row as three pieces, `"<n>: "`, the
+polynomial's text and the newline, so that the long text is not copied into a
+line. The other commands hand it their whole text as a one-element list.
 Everything that can fail (catalog load, expansion, verification) runs before
 the output file is opened, so a usage error creates no file.
 
@@ -26,6 +29,7 @@ import functools
 import math
 import os
 import sys
+from itertools import chain
 from typing import Iterable, Optional
 
 from . import asymptotics as asym
@@ -164,7 +168,7 @@ def _cmd_series(args) -> int:
     record = load_catalog().family(args.family)
     if args.bivariate:
         coeffs = series_in_x(record.gf(), args.n_max)
-        rows = (f"{n}: {c.text('y')}\n" for n, c in enumerate(coeffs))
+        rows = chain.from_iterable((f"{n}: ", c.text("y"), "\n") for n, c in enumerate(coeffs))
     else:
         rec = record.recurrence
         # The rows come from recurrence_text, whose Decimal run prints in time

@@ -10,11 +10,19 @@ Two variable conventions are used throughout:
 series_in_x expands num/den in powers of x. It splits den into sparse rows of
 (y-degree, coefficient) per power of x once, then builds each coefficient c_n
 as a band: the lowest y-degree any of its terms can reach and the plain list
-of ints from there to the highest such degree. Each denominator term subtracts
-one shifted multiple of an earlier band, so the zeros below the lowest
-y-degree (over half of a deep expansion) cost nothing. Each row's tuple is
-built once, as lo zeros and the trimmed band, without UnivarPoly's checks.
-UnivarPoly has no arithmetic operators of its own.
+of ints from there to the highest such degree. Each denominator term
+contributes one shifted multiple of an earlier band. The first contribution
+is copied into the band between runs of zeros (negated or scaled as its
+coefficient asks), each later one is added over its slice, and the numerator
+terms are added last; so the zeros below the lowest y-degree (over half of a
+deep expansion) cost nothing. Each row's tuple is built once, as lo zeros and
+the trimmed band, without UnivarPoly's checks. UnivarPoly has no arithmetic
+operators of its own.
+
+UnivarPoly.text reads the suffix of each degree ("", "y", "y^2", ...) from a
+table, one list per variable name, that grows as longer polynomials are
+printed: the list of a variable holds max(2, d + 1) strings, d the highest
+degree printed in it. It is the one piece of module state here.
 
 recurrence_sequence keeps only the last len(lags) terms in a window, and its
 terms keep the type of the values it is given. recurrence_text runs the same
@@ -30,9 +38,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from itertools import compress, count
+from itertools import compress
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._frozen import Frozen
@@ -82,23 +90,37 @@ class UnivarPoly(Frozen):
         if not coeffs:
             return "0"
         parts = []
-        for i in compress(count(), coeffs):  # the degrees of the nonzero terms
-            c = coeffs[i]
-            if i > 1:  # the common term: one f-string
-                if c > 1:
-                    parts.append(f"+ {c}{var}^{i}")
-                    continue
-                if c < -1:
-                    parts.append(f"- {-c}{var}^{i}")
-                    continue
-            body = "" if i == 0 else var if i == 1 else f"{var}^{i}"
-            mag = abs(c)
-            if mag != 1 or not body:
-                body = f"{mag}{body}"
-            parts.append(("- " if c < 0 else "+ ") + body)
+        # the nonzero terms, each with the suffix of its degree
+        for c, suffix in compress(zip(coeffs, _suffixes(var, len(coeffs))), coeffs):
+            if c > 1:
+                parts.append(f"+ {c}{suffix}")
+            elif c < -1:
+                parts.append(f"- {-c}{suffix}")
+            elif suffix:
+                parts.append(("+ " if c > 0 else "- ") + suffix)
+            else:
+                parts.append("+ 1" if c > 0 else "- 1")
         head = parts[0]
         parts[0] = "-" + head[2:] if head[0] == "-" else head[2:]
         return " ".join(parts)
+
+
+# The suffix of each degree, "", var, var^2, ..., per variable name, for
+# UnivarPoly.text. A list grows only when a longer polynomial is printed in
+# its variable, so it holds max(2, d + 1) strings, d the highest degree printed
+# in that variable so far; the package prints in "x" and "y" only. Entry i is
+# fixed by var and i alone, so what one caller grows no other caller can see.
+_SUFFIXES: dict[str, list[str]] = {}
+
+
+def _suffixes(var: str, length: int) -> list[str]:
+    """The suffix list of `var`, extended to at least `length` degrees."""
+    table = _SUFFIXES.get(var)
+    if table is None:
+        table = _SUFFIXES[var] = ["", var]
+    if len(table) < length:
+        table += [f"{var}^{i}" for i in range(len(table), length)]
+    return table
 
 
 class UnivarRational(Frozen):
@@ -331,9 +353,11 @@ def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
     c_n = N_n - sum_{j=1..deg_x(den)} D_j * c_{n-j}, all exact. Each c_n is
     built as a band (lo, list): lo is the lowest y-degree any term can reach
     and the list runs from there to the highest such degree. A term d*y^s of
-    D_j subtracts d times the band of c_{n-j}, shifted up by s, in one slice
-    assignment. The band loses its trailing zeros, and the row's coefficient
-    tuple is built once from it, as lo zeros followed by the band.
+    D_j subtracts d times the band of c_{n-j}, shifted up by s. The first such
+    term's product is copied in between zeros, each later one is subtracted
+    in one slice assignment, and the terms of N_n are added last. The band
+    loses its trailing zeros, and the row's coefficient tuple is built once
+    from it, as lo zeros followed by the band.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -351,10 +375,13 @@ def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
         lo = min([at for at, _d, _prev in updates] + [j for j, _a in num_row], default=0)
         hi = max([at + len(prev) for at, _d, prev in updates] + [j + 1 for j, _a in num_row],
                  default=0)
-        c = [0] * (hi - lo)
-        for j, a in num_row:
-            c[j - lo] = a
-        for at, d, prev in updates:
+        c = []
+        if updates:  # the first contribution is copied in, between runs of zeros
+            at, d, prev = updates[0]
+            c = [0] * (at - lo)
+            c += prev if d == -1 else map(neg, prev) if d == 1 else map((-d).__mul__, prev)
+        c += [0] * (hi - lo - len(c))
+        for at, d, prev in updates[1:]:
             at -= lo
             end = at + len(prev)
             if d == -1:  # most den terms are +-1 and need no multiply
@@ -363,6 +390,8 @@ def series_in_x(gf: RationalGF, n_max: int) -> list[UnivarPoly]:
                 c[at:end] = map(sub, c[at:end], prev)
             else:
                 c[at:end] = map(sub, c[at:end], map(d.__mul__, prev))
+        for j, a in num_row:
+            c[j - lo] += a
         while c and not c[-1]:  # a cancelled top term; the trimmed band is the same
             c.pop()
         bands.append((lo, c))

@@ -18,7 +18,9 @@ integer gcd of `cactus_mis.series.reduce_fraction`, `last_n_within_walk`
 the step-by-step reference for the closed form of
 `cactus_mis.graphs.last_n_within`, and `scan_root_reference` the
 every-grid-point scan that `cactus_mis.asymptotics.smallest_positive_root`
-must match bit for bit.
+must match bit for bit. `univar_text_reference` is the reference formatter
+for `cactus_mis.series.UnivarPoly.text`: it formats each exponent where it
+is printed, which `text` reads from a table of suffixes.
 
 `is_maximal_independent` is the maximality predicate and `parse_dot` reads
 back the DOT text of `cactus_mis.emit.to_dot`; only the tests use them.
@@ -33,6 +35,7 @@ any graph.
 import itertools
 import re
 from fractions import Fraction
+from itertools import compress, count
 
 from cactus_mis.asymptotics import BISECT_TOL, SCAN_STEP, SIMPLE_ROOT_TOL
 from cactus_mis.graphs import BAR_GADGETS, TILDE_GADGETS, Graph, family_spec, graph_order
@@ -190,6 +193,31 @@ def reduce_fraction_over_q(r):
         return r
     return UnivarRational(UnivarPoly([int(c) for c in new_num]),
                           UnivarPoly([int(c) for c in new_den]))
+
+
+def univar_text_reference(p, var="x"):
+    """Reference for `cactus_mis.series.UnivarPoly.text`: the text of `p` in `var`."""
+    coeffs = p.coeffs
+    if not coeffs:
+        return "0"
+    parts = []
+    for i in compress(count(), coeffs):  # the degrees of the nonzero terms
+        c = coeffs[i]
+        if i > 1:  # the common term: one f-string
+            if c > 1:
+                parts.append(f"+ {c}{var}^{i}")
+                continue
+            if c < -1:
+                parts.append(f"- {-c}{var}^{i}")
+                continue
+        body = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+        mag = abs(c)
+        if mag != 1 or not body:
+            body = f"{mag}{body}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    head = parts[0]
+    parts[0] = "-" + head[2:] if head[0] == "-" else head[2:]
+    return " ".join(parts)
 
 
 def chain_graph_reference(family_id, n, kind="family"):

@@ -225,13 +225,16 @@ def test_refused_fork_is_one_error_line(monkeypatch, tmp_path, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_unreadable_catalog_is_one_error_line(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_unreadable_catalog_is_one_error_line(kind, monkeypatch, tmp_path, capsys):
     # a catalog file that cannot be read is an OSError, so exit 1, not the
-    # exit 2 of a catalog that reads but does not parse
-    (tmp_path / "catalog.json").mkdir()
+    # exit 2 of a catalog that reads but does not parse; the line names the path
+    if kind == "directory":
+        (tmp_path / "catalog.json").mkdir()
+    errnum = errno.EISDIR if kind == "directory" else errno.ENOENT
     monkeypatch.setattr(catalog_mod, "_DATA_DIR", str(tmp_path))
     code, out, err = run_cli(["series", "--family", "triangular", "--n-max", "3"], capsys)
-    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path / 'catalog.json')!r}"
+    reason = f"[Errno {errnum}] {os.strerror(errnum)}: {str(tmp_path / 'catalog.json')!r}"
     assert (code, out, err) == (1, "", f"error: {reason}\n")
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reduce_fraction_over_q
+from _oracles import reduce_fraction_over_q, univar_text_reference
 from cactus_mis import catalog as catalog_mod
+from cactus_mis import series as series_mod
 from cactus_mis.asymptotics import AsymptoticEstimate
 from cactus_mis.catalog import (
     AsymptoticClaim,
@@ -113,6 +114,54 @@ def test_univar_text_round_trip(coeffs):
     assert parse_bivar(p.text("y")) == BivarPoly({(0, j): c for j, c in enumerate(p.coeffs)})
 
 
+def _text_cases():
+    # degrees 0, then 600 (the suffix tables grow), then 5 (they are only
+    # read), alternating the variable; the coefficients cycle through 0, +-1
+    # and +-2, and the head (the lowest nonzero term) is +-1 or +-2 at degree
+    # 0, 1 or 2. Degree 0 is the constant-only polynomial.
+    cycle = (0, 1, -1, 2, -2)
+    for degree in (0, 600, 5):
+        for var in ("x", "y"):
+            for head in (1, -1, 2, -2):
+                for low in range(min(degree, 2) + 1):
+                    middle = [cycle[k % 5] for k in range(low + 1, degree)]
+                    yield [0] * low + [head] + middle + [head] * (degree > low), var
+
+
+def test_univar_text_matches_reference(monkeypatch):
+    # in this order from empty tables, so that a short polynomial is also
+    # printed from a table a longer one grew
+    monkeypatch.setattr(series_mod, "_SUFFIXES", {})
+    for coeffs, var in [*_text_cases(), ([], "x"), ([-10 ** 30], "y")]:
+        p = UnivarPoly(coeffs)
+        assert p.text(var) == univar_text_reference(p, var), (coeffs[:8], var)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2, -2]), st.integers(-2 ** 70, 2 ** 70)),
+                max_size=40),
+       st.sampled_from(["x", "y"]))
+def test_univar_text_matches_reference_property(coeffs, var):
+    p = UnivarPoly(coeffs)
+    assert p.text(var) == univar_text_reference(p, var)
+
+
+def test_suffix_table_stays_within_its_bound(monkeypatch):
+    # each variable's list holds max(2, d + 1) suffixes, d the highest degree
+    # printed in it, and only the variables printed have one
+    monkeypatch.setattr(series_mod, "_SUFFIXES", {})
+    highest = {}
+    for degree, var in ((0, "x"), (600, "y"), (5, "x"), (3, "y"), (40, "x"), (0, "y"), (1, "z")):
+        p = UnivarPoly([0] * degree + [1])
+        assert p.text(var) == univar_text_reference(p, var)
+        highest[var] = max(highest.get(var, 0), degree)
+        assert set(series_mod._SUFFIXES) == set(highest)
+        for v, d in highest.items():
+            table = series_mod._SUFFIXES[v]
+            assert len(table) == max(2, d + 1)
+            assert table == ["", v] + [f"{v}^{i}" for i in range(2, len(table))]
+
+
 def test_ring_examples():
     one_plus = parse_bivar("1 + xy")
     one_minus = parse_bivar("1 - xy")
@@ -187,11 +236,21 @@ def test_series_in_x_solves_den_times_series_eq_num(gf, n_max):
     ("1", "1 - 3xy + 2x^2", 5, [(1,), (0, 3), (-2, 0, 9)]),
     # n_max 0: N_0 alone
     ("2 + y^3 + x", "1 - x", 0, [(2, 0, 0, 1)]),
+    # each band starts as a copy of its first contribution, here negated (d = +1)
+    ("1", "1 + xy - x^2", 4, [(1,), (0, -1), (1, 0, 1)]),
+    # ... here scaled by 3 and by -2 (|d| >= 2)
+    ("1 + y", "1 - 3xy^2", 4, [(1, 1), (0, 0, 3, 3), (0, 0, 0, 0, 9, 9)]),
+    ("1", "1 + 2xy^2 - x^2y", 4, [(1,), (0, 0, -2), (0, 1, 0, 0, 4)]),
+    # the first contribution starts above the row's lowest degree, set by N_2
+    ("1 + x^2", "1 - xy^3", 4, [(1,), (0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1)]),
+    # N_2's term lands inside the copied band and adds to it
+    ("1 + x^2y^3", "1 - xy - xy^2", 4, [(1,), (0, 1, 1), (0, 0, 1, 3, 1)]),
 ])
 def test_series_in_x_band_edges(num, den, n_max, head):
     gf = RationalGF.from_literals(num, den)
     cs = series_in_x(gf, n_max)
     assert [c.coeffs for c in cs[:len(head)]] == head
+    assert [c.coeffs for c in cs] == _dense_series(gf, n_max)
     _assert_solves(gf, cs, n_max)
 
 
