@@ -58,6 +58,8 @@ class AsymptoticEstimate(Frozen):
         """C / rho^(n+1), via logarithms so large n cannot overflow."""
         if n < 0:
             raise ValueError("index must be >= 0")
+        if self.constant <= 0:
+            raise ValueError(f"constant {self.constant} is not positive, so C/rho^(n+1) estimates no count")
         log_v = math.log(self.constant) - (n + 1) * math.log(self.rho)
         if log_v > 700.0:  # beyond float range
             return math.inf

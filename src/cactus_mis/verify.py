@@ -20,15 +20,16 @@ A run goes plan -> count -> judge. `_collect_tasks` plans every graph the
 checks read: a family's chain at every n to its depth, each boundary check's
 graph, and for an identity at each n of `_replay_ns` the graphs of
 `_replay_keys`, in order, up to the first one above the guard. `count_plan`
-counts the plan in that order, in one loop with a trail of its own, made
-for that call (see `enumerate_mis`): each sweep resumes where the graph's
-neighbor masks part from those of the graph before it (a family's chain at n
-after n - 1, a gadget graph after its chain). The result is the run's table
-of counts; the run keeps it until it returns, and nothing at module level,
-so a table serves one run and one vertex limit. The checks then only read
-the table, through `oracle_distribution`: every lookup is a table hit, or the
-vertex guard refusing the graph before it is built. A check counts nothing:
-`count_plan` is the package's one counting loop.
+counts the plan in one loop with a trail of its own, made for that call (see
+`enumerate_mis`), in lexicographic order of the graphs' neighbor masks,
+whatever the plan's order: each sweep resumes where its masks part from
+those of the graph before it, so each distinct mask prefix is swept once.
+The result is the run's table of counts; the run keeps it until it returns,
+and nothing at module level, so a table serves one run and one vertex limit.
+The checks then only read the table, through `oracle_distribution`: every
+lookup is a table hit, or the vertex guard refusing the graph before it is
+built. A check counts nothing: `count_plan` is the package's one counting
+loop.
 
 The run also does its oracle-free work (`_family_algebra` for each family,
 and every asymptotics claim) before it judges. With `workers > 1`, a plan of
@@ -104,11 +105,19 @@ def oracle_distribution(family_id: str, kind: str, n: int, vertex_limit: int,
 
 
 def count_plan(keys: list[GraphKey], vertex_limit: int) -> Table:
-    """The distribution of each of `keys`, counted in order, every sweep
-    resumed from one trail that this call makes and no other shares."""
+    """The distribution of each of `keys`, every sweep resumed from one trail
+    that this call makes and no other shares.
+
+    The graphs are swept in lexicographic order of their mask tuples, the
+    depth-first preorder of the trie of those tuples. The trail is then
+    always the path from the trie's root to the last graph swept, so each
+    distinct mask prefix is swept once, the fewest layers one trail can
+    sweep, whatever the order of `keys`.
+    """
+    graphs = sorted(((build_graph(fam, n, kind), (fam, kind, n)) for fam, kind, n in keys),
+                    key=lambda item: item[0].masks)
     trail: list = []
-    return {(fam, kind, n): enumerate_mis(build_graph(fam, n, kind), vertex_limit, trail)
-            for fam, kind, n in keys}
+    return {key: enumerate_mis(g, vertex_limit, trail) for g, key in graphs}
 
 
 def _counts_json(counts: Mapping[int, int]) -> dict[str, int]:
@@ -369,6 +378,10 @@ def verify_asymptotics(record: FamilyRecord) -> dict:
     really ~ C/rho^(n+1) with the printed values?). The constants are also
     recomputed from the stated generating function, which documents whether
     the printed value is at least reproducible from its own source.
+
+    A stated object whose root finding fails is evidence, not an error: on
+    the recurrence it makes the claim SKIPPED with the failure as `reason`,
+    on the generating function `reproduction_from_stated_gf` holds `error`.
     """
     fam = record.family_id
     if record.asymptotic is None:
@@ -379,27 +392,37 @@ def verify_asymptotics(record: FamilyRecord) -> dict:
             "note": record.asymptotic_note,
         }
     claim = record.asymptotic
-    truth = asym.family_estimate(record)
-    stated = asym.stated_gf_estimate(record)
+    try:
+        truth = asym.family_estimate(record)
+        errors = asym.relative_errors(record)
+        converges = asym.ratio_converges(record)
+    except ValueError as exc:
+        return {"kind": "asymptotics", "family": fam, "verdict": SKIPPED,
+                "reason": f"no estimate from the stated recurrence {record.recurrence.anchor}: {exc}"}
+    try:
+        stated = asym.stated_gf_estimate(record)
+    except ValueError as exc:
+        reproduction = {"error": str(exc)}
+    else:
+        reproduction = {
+            "rho": stated.rho,
+            "constant": stated.constant,
+            "rho_matches_printed": abs(stated.rho - claim.rho) <= claim.rho_tolerance,
+            "constant_matches_printed": abs(stated.constant - claim.constant) <= claim.constant_tolerance,
+        }
 
     rho_ok = abs(truth.rho - claim.rho) <= claim.rho_tolerance
     const_ok = abs(truth.constant - claim.constant) <= claim.constant_tolerance
-    errors = asym.relative_errors(record)
     result = {
         "kind": "asymptotics",
         "family": fam,
         "verdict": CONFIRMED if (rho_ok and const_ok) else REFUTED,
         "printed": {"rho": claim.rho_printed, "constant": claim.constant_printed},
         "computed": {"rho": truth.rho, "constant": truth.constant},
-        "reproduction_from_stated_gf": {
-            "rho": stated.rho,
-            "constant": stated.constant,
-            "rho_matches_printed": abs(stated.rho - claim.rho) <= claim.rho_tolerance,
-            "constant_matches_printed": abs(stated.constant - claim.constant) <= claim.constant_tolerance,
-        },
+        "reproduction_from_stated_gf": reproduction,
         "rho_matches": rho_ok,
         "constant_matches": const_ok,
-        "ratio_convergence": asym.ratio_converges(record),
+        "ratio_convergence": converges,
         "max_relative_error_15_40": max(errors),
         "witness": None,
     }
@@ -422,7 +445,8 @@ def verify_asymptotics(record: FamilyRecord) -> dict:
 def _collect_tasks(records: list[FamilyRecord], idents: list[TransferIdentity],
                    n_max: dict[str, int], vertex_limit: int,
                    n_max_override: Optional[int]) -> list[GraphKey]:
-    """Every graph the checks of `records` and `idents` read, once, in plan order.
+    """Every graph the checks of `records` and `idents` read, once; the
+    order does not matter, as `count_plan` sweeps in an order of its own.
 
     Each lookup sequence of the plan stops at its first graph above
     `vertex_limit`, as the checks' own lookups do.

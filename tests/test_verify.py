@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import last_n_within_walk
-from cactus_mis import _pool, asymptotics, graphs, verify
+from cactus_mis import _pool, asymptotics, cli, graphs, verify
+from cactus_mis import catalog as catalog_mod
 from cactus_mis.catalog import FamilyRecord
 from cactus_mis.graphs import build_graph, graph_order
 from cactus_mis.oracle import DEFAULT_VERTEX_LIMIT, SizeDistribution, VertexLimitExceeded, enumerate_mis
@@ -287,6 +289,44 @@ def test_asymptotics_confirmed_and_refuted(catalog):
     para = verify_asymptotics(catalog.family("para-hexagonal"))
     assert para["verdict"] == "REFUTED"
     assert not para["reproduction_from_stated_gf"]["constant_matches_printed"]
+
+
+@pytest.mark.parametrize("family_id, path, edit, message", [
+    # each recurrence's denominator becomes 1 - 2x + x^2, a double root at x = 1
+    ("diamond", ("recurrence", "lags", 2), lambda lag: lag - 1, "suspected multiple root"),
+    ("meta-pentagonal", ("recurrence", "lags", 0), lambda lag: lag - 1, "suspected multiple root"),
+    ("meta-pentagonal", ("univariate_gf", "den"), lambda den: den + " + x^2", "no sign change in (0, 1]"),
+    # a negative leading constant, which no count sequence has
+    ("triangular", ("recurrence", "initial", 2), lambda a: a - 7, "is not positive"),
+], ids=["diamond-lags", "meta-pentagonal-lags", "meta-pentagonal-den", "triangular-initial"])
+def test_failed_root_finding_on_a_stated_claim_keeps_the_report(catalog, full_report, monkeypatch, capsys,
+                                                                 family_id, path, edit, message):
+    # a wrong stated object is evidence, not a crash: the command still
+    # writes every verdict; a failure on the stated recurrence makes the
+    # asymptotics claim SKIPPED with the reason, one on the stated GF goes
+    # into the reproduction and leaves the verdict as it was
+    raw = json.loads(catalog_mod._data_text("catalog.json"))
+    node = next(fam for fam in raw["families"] if fam["id"] == family_id)
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = edit(node[path[-1]])
+    monkeypatch.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
+    assert cli.main(["verify", "--scope", "all"]) == 1
+    claims = json.loads(capsys.readouterr().out)["claims"]
+    shipped = json.loads(report_to_json(full_report))["claims"]
+    assert claims.keys() == shipped.keys()
+    rec = catalog.family(family_id)
+    claim = claims[rec.asymptotic_anchor]
+    if path[0] == "recurrence":
+        assert claim == {"kind": "asymptotics", "family": family_id, "verdict": "SKIPPED",
+                         "reason": claim["reason"]}
+        assert claim["reason"].startswith(f"no estimate from the stated recurrence {rec.recurrence.anchor}: ")
+        assert message in claim["reason"]
+    else:
+        # nothing else reads the univariate GF
+        assert message in claim["reproduction_from_stated_gf"]["error"]
+        assert claims == {**shipped, rec.asymptotic_anchor: {
+            **shipped[rec.asymptotic_anchor], "reproduction_from_stated_gf": claim["reproduction_from_stated_gf"]}}
 
 
 def test_full_report_completeness(full_report):
@@ -661,12 +701,13 @@ def test_failed_child_ends_the_command_in_one_error_line(monkeypatch, capsys, fo
 
 def test_failed_parent_work_reaps_every_child(catalog, monkeypatch, forked):
     # the parent's own work runs while the child counts; when it raises, the
-    # child is still read and reaped before the parent's error leaves
+    # child is still read and reaped before the parent's error leaves (not a
+    # ValueError, which a failed root finding raises and the claim records)
     def fail(*args):
-        raise ValueError("no root")
+        raise RuntimeError("parent failed")
 
     monkeypatch.setattr(asymptotics, "family_estimate", fail)
-    with pytest.raises(ValueError, match="no root"):
+    with pytest.raises(RuntimeError, match="parent failed"):
         run_verification(catalog, workers=2)
     assert len(forked) == 1
     _assert_no_child_left()
@@ -802,14 +843,40 @@ def test_count_plan_calls_share_no_trail(sweeps):
 def test_sweep_work_of_a_full_run(catalog, sweeps):
     # the figures the oracle module docstring gives for `verify --scope all`:
     # sweeps, layers swept (vertices past each shared prefix), state visits
-    # and the widest layer, counting the plan in plan order from one trail;
-    # 5,592 layers without the trail
+    # and the widest layer, counting the plan in trie order from one trail;
+    # 5,592 layers without the trail, and 1,814 in plan order
     run_verification(catalog, scope="all")
     assert len(sweeps) == 243
     assert sum(call.vertex_count for call in sweeps) == 5592
-    assert sum(call.layers for call in sweeps) == 1814
-    assert sum(call.visits for call in sweeps) == 7831
+    assert sum(call.layers for call in sweeps) == 1256
+    assert sum(call.visits for call in sweeps) == 5321
     assert max(call.widest for call in sweeps) == 11
+
+
+@pytest.fixture(scope="module")
+def full_plan(catalog):
+    """The `--scope all` plan, and each of its graphs counted without a trail."""
+    plan = verify._collect_tasks(list(catalog.families), list(catalog.identities), DEFAULT_N_MAX,
+                                 DEFAULT_VERTEX_LIMIT, None)
+    return plan, {key: enumerate_mis(build_graph(key[0], key[2], key[1])) for key in plan}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_count_plan_sweeps_each_mask_prefix_once_in_any_order(full_plan, sweeps, seed):
+    # whatever the order of the keys (the whole plan shuffled, or a random
+    # part of it), the table is that of trail-free sweeps, and the layers
+    # swept are the distinct prefixes of the graphs' mask tuples: the nodes
+    # of their trie, each of which one trail must sweep at least once
+    plan, untrailed = full_plan
+    rng = random.Random(seed)
+    keys = rng.sample(plan, len(plan) if seed < 4 else rng.randrange(1, len(plan)))
+    assert verify.count_plan(keys, DEFAULT_VERTEX_LIMIT) == {key: untrailed[key] for key in keys}
+    masks = [build_graph(fam, n, kind).masks for fam, kind, n in keys]
+    prefixes = {m[:v] for m in masks for v in range(1, len(m) + 1)}
+    assert len(sweeps) == len(keys)
+    assert sum(call.layers for call in sweeps) == len(prefixes)
+    if len(keys) == len(plan):
+        assert len(prefixes) == 1256
 
 
 # The child prints the modules its statement loaded, and exits with `rc`.
