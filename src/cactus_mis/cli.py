@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (and, for verify, no refuted claims), 1 refuted claims,
-a resource limit, a reader that closed stdout early, or any `OSError` the
-command meets (an `--output` that cannot be written, `error: cannot write
+an `estimate` whose catalog recurrence has no usable dominant pole (named by
+family), a resource limit, a reader that closed stdout early, or any `OSError`
+the command meets (an `--output` that cannot be written, `error: cannot write
 <path>: <reason>`; a refused fork or failed worker; a catalog file that is
 missing or cannot be read, named by its path), 2 usage errors and a catalog
 that does not parse (a malformed value or key is named by its JSON path).
@@ -186,8 +187,14 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     catalog = load_catalog()
     record = catalog.family(args.family)
-    est = asym.family_estimate(record)
-    value = est.value(args.n)
+    try:
+        est = asym.family_estimate(record)
+        value = est.value(args.n)
+    except ValueError as exc:
+        # the command line was valid: the catalog's own recurrence has no
+        # usable dominant pole, so this is a wrong claim, not a usage error
+        sys.stderr.write(f"error: no estimate for {args.family} from its stated recurrence: {exc}\n")
+        return 1
     # JSON has no Infinity: a value beyond float range prints as null, and so
     # does its relative error
     finite = math.isfinite(value)

@@ -24,10 +24,10 @@ table, one list per variable name, that grows as longer polynomials are
 printed: the list of a variable holds max(2, d + 1) strings, d the highest
 degree printed in it. It is the one piece of module state here.
 
-recurrence_sequence keeps only the last len(lags) terms in a window, and its
-terms keep the type of the values it is given. recurrence_text runs the same
-iteration on `decimal.Decimal` values, because a Decimal's decimal text costs
-time linear in its digits where an int's costs time quadratic in them.
+recurrence_sequence, recurrence_text and UnivarRational.series share one
+kernel, `_iterate`, which reads each term back from the list it appends it to,
+so no bytecode runs per term. recurrence_text runs it on `decimal.Decimal`s,
+whose text costs time linear in the digits where an int's costs quadratic.
 
 Everything here is exact. Floats never appear, and the Decimal arithmetic runs
 in a context that raises on any rounding. The value classes are `__slots__`
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from itertools import compress
+from itertools import chain, compress, islice, repeat
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -135,15 +135,9 @@ class UnivarRational(Frozen):
         object.__setattr__(self, "den", den)
 
     def series(self, n_max: int) -> list[int]:
-        """Coefficients a_0 .. a_{n_max} of the power-series expansion."""
-        out: list[int] = []
-        d = self.den.coeffs
-        for n in range(n_max + 1):
-            v = self.num[n]
-            for j in range(1, min(n, len(d) - 1) + 1):
-                v -= d[j] * out[n - j]
-            out.append(v)
-        return out
+        """Coefficients a_0 .. a_{n_max} of the power-series expansion: the
+        recurrence a_n = num_n - sum_j den_j * a_{n-j}, seeded with num."""
+        return _iterate([-c for c in self.den.coeffs[1:]], (), n_max, self.num.coeffs)
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -417,29 +411,35 @@ def recurrence_from_gf(r: UnivarRational) -> tuple[tuple[int, ...], int]:
     return lags, max(valid_from, 1)
 
 
-# The body of recurrence_sequence, also called by recurrence_text. It is kept
-# apart because the benchmark's tracer (perfbench/tracer.py) wraps each public
-# function here and reads the int bit length of every term recurrence_sequence
-# returns, which a Decimal does not have.
-def _iterate(lags: Sequence, initial: Sequence, n_max: int) -> list:
-    """a_0 .. a_{n_max} of a_n = sum_i lags[i-1] * a_{n-i}, taking a_m = 0 for m < 0.
+# The kernel of recurrence_sequence, recurrence_text and UnivarRational.series.
+# It is private because the benchmark's tracer (perfbench/tracer.py) wraps each
+# public function here and reads the bit length of recurrence_sequence's terms.
+def _iterate(lags: Sequence, initial: Sequence, n_max: int, seed: Iterable = ()) -> list:
+    """a_0 .. a_{n_max}: `initial`, then each a_n the next value of `seed` (the
+    int 0 once it runs out) plus sum_i lags[i-1] * a_{n-i}, taking a_m = 0 for m < 0.
 
-    The terms are `initial`'s own values, then sums of lag * term products, so
-    they keep the type they are given: ints give ints, and `decimal.Decimal`
-    values in an exact context give Decimals. With no lags, every term past
-    `initial` is the int 0.
+    A term is that value, plus or minus each term a lag of +-1 reads (with no
+    multiply), plus each other lag * term product; so ints give ints, and
+    `decimal.Decimal` values in an exact context give Decimals (from no
+    initial values the run is zeros, the int 0 where no lag multiplied). No
+    bytecode runs per term: `vals` is len(lags) zeros (the terms before a_0),
+    then the terms, and lag i reads it from i + 1 places before the next new
+    term; `extend` appends each sum as it is made, and a list iterator sees
+    items appended after it was made, so each term is there when needed.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    vals = list(initial[: n_max + 1])
-    reversed_lags = tuple(reversed(lags))
-    # the last len(lags) terms, oldest first; zeros stand for those before a_0
-    window = deque([0] * len(lags), maxlen=len(lags))
-    window.extend(vals)
-    for _ in range(len(vals), n_max + 1):
-        v = sum(map(mul, reversed_lags, window))
-        vals.append(v)
-        window.append(v)
+    order = len(lags)
+    vals = [0] * order + list(initial[: n_max + 1])
+    start = len(vals)
+    sums = chain(seed, repeat(0))
+    for i, lag in enumerate(lags):
+        prev = islice(vals, start - 1 - i, None)
+        if lag not in (1, -1):
+            prev = map(mul, repeat(lag), prev)
+        sums = map(sub if lag == -1 else add, sums, prev)
+    vals.extend(islice(sums, n_max + 1 + order - start))
+    del vals[:order]
     return vals
 
 

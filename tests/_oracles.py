@@ -22,6 +22,11 @@ must match bit for bit. `univar_text_reference` is the reference formatter
 for `cactus_mis.series.UnivarPoly.text`: it formats each exponent where it
 is printed, which `text` reads from a table of suffixes.
 
+`recurrence_reference` is the window loop and `rational_series_reference`
+the double loop that `cactus_mis.series._iterate`, the self-feeding iterator
+kernel behind `recurrence_sequence`, `recurrence_text` and
+`UnivarRational.series`, replaced; each runs Python code per term.
+
 `is_maximal_independent` is the maximality predicate and `parse_dot` reads
 back the DOT text of `cactus_mis.emit.to_dot`; only the tests use them.
 
@@ -34,8 +39,10 @@ any graph.
 
 import itertools
 import re
+from collections import deque
 from fractions import Fraction
 from itertools import compress, count
+from operator import mul
 
 from cactus_mis.asymptotics import BISECT_TOL, SCAN_STEP, SIMPLE_ROOT_TOL
 from cactus_mis.graphs import BAR_GADGETS, TILDE_GADGETS, Graph, family_spec, graph_order
@@ -193,6 +200,38 @@ def reduce_fraction_over_q(r):
         return r
     return UnivarRational(UnivarPoly([int(c) for c in new_num]),
                           UnivarPoly([int(c) for c in new_den]))
+
+
+def recurrence_reference(lags, initial, n_max):
+    """Reference for `cactus_mis.series._iterate` without a seed: a_0 ..
+    a_{n_max} of a_n = sum_i lags[i-1] * a_{n-i} past `initial`, taking a_m = 0
+    for m < 0, from a window of the last len(lags) terms. Each term is a sum
+    that starts from the int 0, so the terms keep the type of their values."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    vals = list(initial[: n_max + 1])
+    reversed_lags = tuple(reversed(lags))
+    # the last len(lags) terms, oldest first; zeros stand for those before a_0
+    window = deque([0] * len(lags), maxlen=len(lags))
+    window.extend(vals)
+    for _ in range(len(vals), n_max + 1):
+        v = sum(map(mul, reversed_lags, window))
+        vals.append(v)
+        window.append(v)
+    return vals
+
+
+def rational_series_reference(r, n_max):
+    """Reference for `cactus_mis.series.UnivarRational.series`: a_n = num_n -
+    sum_j den_j * a_{n-j}, one term at a time."""
+    out = []
+    d = r.den.coeffs
+    for n in range(n_max + 1):
+        v = r.num[n]
+        for j in range(1, min(n, len(d) - 1) + 1):
+            v -= d[j] * out[n - j]
+        out.append(v)
+    return out
 
 
 def univar_text_reference(p, var="x"):

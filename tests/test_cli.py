@@ -510,6 +510,29 @@ def test_negative_estimate_index_names_the_flag(capsys):
     assert (code, out, err) == (2, "", "error: --n must be >= 0, got -5\n")
 
 
+@pytest.mark.parametrize("family_id, path, value, message", [
+    ("diamond", ("recurrence", "lags", 2), 0, "derivative nearly vanishes at root 1.0; suspected multiple root"),
+    ("triangular", ("recurrence", "initial", 2), -2, "is not positive, so C/rho^(n+1) estimates no count"),
+], ids=["diamond-lags", "triangular-initial"])
+def test_estimate_of_a_recurrence_with_no_usable_pole_exits_1(monkeypatch, capsys, family_id, path, value,
+                                                              message):
+    # a wrong claim in the data is not a usage error: exit 1, and one error
+    # line that names the family; a bad --n is still a usage error
+    raw = json.loads(catalog_mod._data_text("catalog.json"))
+    node = next(fam for fam in raw["families"] if fam["id"] == family_id)
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    monkeypatch.setattr(catalog_mod, "_data_text", lambda name: json.dumps(raw))
+    for n in ("10", "100000"):
+        code, out, err = run_cli(["estimate", "--family", family_id, "--n", n], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: no estimate for {family_id} from its stated recurrence: ")
+        assert err.endswith(message + "\n") and err.count("\n") == 1
+    assert run_cli(["estimate", "--family", family_id, "--n", "-5"], capsys) == (
+        2, "", "error: --n must be >= 0, got -5\n")
+
+
 def _verify_out_of_memory_while_counting(tmp_path, workers: str):
     """`verify --scope all --workers <workers>` in a new interpreter whose
     oracle raises MemoryError, and the parent pid of each process the fault

@@ -2,12 +2,17 @@
 
 import pickle
 import random
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation,
+                     Overflow, Rounded, localcontext)
+from itertools import islice, repeat
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reduce_fraction_over_q, univar_text_reference
+from _oracles import (rational_series_reference, recurrence_reference, reduce_fraction_over_q,
+                      univar_text_reference)
 from cactus_mis import catalog as catalog_mod
 from cactus_mis import series as series_mod
 from cactus_mis.asymptotics import AsymptoticEstimate
@@ -393,6 +398,56 @@ def test_recurrence_sequence_matches_definition_on_random_inputs():
         assert got == _recurrence_by_definition(lags, initial, n_max), (lags, initial, n_max)
         assert len(got) == n_max + 1 and all(type(v) is int for v in got)
         assert list(recurrence_text(lags, initial, n_max)) == [str(v) for v in got]
+
+
+# the context recurrence_text runs its Decimals in: no integer here can round
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation, Overflow])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lags=st.lists(st.integers(-4, 4), max_size=6),  # orders 0-6, zero and negative lags
+       initial=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9),  # shorter and longer than the order
+       n_max=st.integers(0, 40))
+def test_recurrence_kernel_matches_the_window_loop(lags, initial, n_max):
+    got = recurrence_sequence(lags, initial, n_max)
+    assert got == recurrence_reference(lags, initial, n_max)
+    assert len(got) == n_max + 1 and all(type(v) is int for v in got)
+    # on exact-context Decimals the texts match too, so no Decimal -0 prints
+    # where the window loop's does not
+    dec_lags, dec_initial = tuple(map(Decimal, lags)), tuple(map(Decimal, initial))
+    with localcontext(_EXACT):
+        kernel = series_mod._iterate(dec_lags, dec_initial, n_max)
+        reference = recurrence_reference(dec_lags, dec_initial, n_max)
+    assert list(map(str, kernel)) == list(map(str, reference)) == list(map(str, got))
+    if initial:
+        assert list(map(type, kernel)) == list(map(type, reference))
+    else:  # all zeros, and a lag of +-1 adds the int 0 before a_0 unmultiplied
+        assert kernel == [0] * (n_max + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.lists(st.integers(-50, 50), max_size=8),
+       den_tail=st.lists(st.integers(-5, 5), max_size=6),
+       n_max=st.integers(0, 30))
+def test_rational_series_matches_the_double_loop(num, den_tail, n_max):
+    r = UnivarRational(UnivarPoly(num), UnivarPoly([1] + den_tail))
+    got = r.series(n_max)
+    assert got == rational_series_reference(r, n_max)
+    assert len(got) == n_max + 1 and all(type(v) is int for v in got)
+
+
+def test_list_extend_feeds_a_list_iterator_over_the_same_list():
+    # _iterate relies on this: a list iterator made before `extend` runs
+    # yields the items that `extend` appends from it, one by one. If an
+    # interpreter ever buffers an iterable before appending, this fails here
+    # rather than as a wrong count elsewhere.
+    vals = [1]
+    vals.extend(islice(map(add, vals, repeat(1)), 4))
+    assert vals == [1, 2, 3, 4, 5]
+    fib = [0, 1]
+    fib.extend(islice(map(add, islice(fib, 0, None), islice(fib, 1, None)), 8))
+    assert fib == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
 
 
 def test_recurrence_sequence_keeps_the_type_of_its_values():
